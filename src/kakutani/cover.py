@@ -21,6 +21,10 @@ patch are the same subdivision of the line.
 
 The same machinery with three loops produces the three-interval rules
 used by ``classify_three_interval``.
+
+Every cycle of the subdivided graph passes through the hub, so the
+characteristic polynomial follows from the loop counts alone:
+``char_poly`` reads them off the matrix and returns x^K - sum x^(K - c).
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from . import engine
 from .errors import ParameterError, ResourceLimitError
 from .geometry import Patch, Tile, XiPower, XiSum
 from .params import check_exponent_pair, solve_alpha
-from .polynomials import IntPolynomial, char_poly_from_rows
+from .polynomials import IntPolynomial
 
 __all__ = [
     "PrimitiveRule",
@@ -241,18 +245,13 @@ def build_three_interval_rule(n: int, m: int, k: int) -> ThreeIntervalRule:
         raise ParameterError("equal loop counts give the trivial lattice split")
     xi = solve_inflation((n, m, k))
     exponents, images = _loop_rule((n, m, k), xi)
-    # accumulate first: the exponents n-m, n-k and 0 may coincide
-    terms = {n: 1}
-    for drop in (n - m, n - k, 0):
-        terms[drop] = terms.get(drop, 0) - 1
-    poly = IntPolynomial.from_terms(terms)
     return ThreeIntervalRule(
         loops=(n, m, k),
         xi=xi,
         length_exponents=exponents,
         prototile_lengths=tuple(xi**-e for e in exponents),
         image_map=images,
-        polynomial=poly,
+        polynomial=_loop_polynomial(n, (n, m, k)),
     )
 
 
@@ -266,9 +265,58 @@ def substitution_matrix(rule: PrimitiveRule | ThreeIntervalRule) -> Substitution
     return SubstitutionMatrix(tuple(tuple(row) for row in counts))
 
 
+def _loop_polynomial(degree: int, loops: tuple[int, ...]) -> IntPolynomial:
+    """x**degree - sum(x**(degree - c) for c in loops); equal powers add up."""
+    terms = {degree: 1}
+    for c in loops:
+        terms[degree - c] = terms.get(degree - c, 0) - 1
+    return IntPolynomial.from_terms(terms)
+
+
 def char_poly(matrix: SubstitutionMatrix) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - M)."""
-    return char_poly_from_rows(matrix.entries)
+    """Exact characteristic polynomial det(xI - M) of a one-hub flower.
+
+    In the cycle expansion det(xI - M) = sum over sets of disjoint
+    cycles of (-1)**(number of cycles) * x**(K - total length), K the
+    size.  Every loop passes through the hub (label 1), so no two cycles
+    are disjoint and det(xI - M) = x**K - sum(x**(K - c_i)) over the
+    loop lengths c_i.  They are read off the matrix: each edge out of the
+    hub is followed through chain columns, each holding a single 1,
+    until it returns to the hub.
+
+    Raises ParameterError unless M is such a flower: a chain column
+    whose successor is not a single 1, a vertex reached twice or a
+    vertex never reached.
+    """
+    columns = list(zip(*matrix.entries))
+    size = len(columns)
+    hub = columns[0]
+    if hub[0] < 0 or any(c not in (0, 1) for c in hub[1:]):
+        raise ParameterError("not a flower: hub edge counts must be 0 or 1 off the hub")
+    loops = [1] * hub[0]
+    reached = [True] + [False] * (size - 1)
+    for start in range(1, size):
+        if not hub[start]:
+            continue
+        vertex, length = start, 1
+        while vertex:
+            if reached[vertex]:
+                raise ParameterError(
+                    f"not a flower: vertex {vertex + 1} is reached twice"
+                )
+            reached[vertex] = True
+            column = columns[vertex]
+            if column.count(0) != size - 1 or 1 not in column:
+                raise ParameterError(
+                    f"not a flower: vertex {vertex + 1} needs a single successor"
+                )
+            vertex, length = column.index(1), length + 1
+        loops.append(length)
+    if not all(reached):
+        raise ParameterError(
+            f"not a flower: vertex {reached.index(False) + 1} is never reached"
+        )
+    return _loop_polynomial(size, tuple(loops))
 
 
 def tile_counts(matrix: SubstitutionMatrix, ell: int) -> tuple[int, ...]:

@@ -290,7 +290,9 @@ class DiscrepancySeries:
             raise ParameterError("windows and maxima must align")
         if any(b <= a for a, b in zip(self.windows, self.windows[1:])):
             raise ParameterError("windows must be strictly increasing")
-        if any(b < a - 1e-9 for a, b in zip(self.max_disc, self.max_disc[1:])):
+        if any(
+            b < a - 1e-9 * max(1.0, a) for a, b in zip(self.max_disc, self.max_disc[1:])
+        ):
             raise ParameterError("max deviation cannot shrink as windows grow")
 
 

@@ -7,7 +7,6 @@ characteristic polynomials.  Agreement between package and oracle is
 then evidence, not circularity.
 """
 import cmath
-import itertools
 import math
 from fractions import Fraction
 
@@ -86,23 +85,34 @@ def brute_boundaries(alpha, t, slack=1e-12):
 def expansion_char_poly(rows):
     """Characteristic polynomial coefficients (constant first) via
     determinant expansion of (xI - M) over exact Fractions, evaluated
-    at deg+1 integer points and interpolated.  Only for small sizes."""
+    at deg+1 integer points and interpolated.  Only for small or sparse
+    matrices: the work grows with the nonzero partial products."""
     size = range(len(rows))
 
     def det(matrix):
+        # the Leibniz sum over permutations, built one row at a time; a
+        # branch stops at its first zero entry, since every permutation
+        # extending it contributes zero
         n = len(matrix)
+        used = [False] * n
         total = Fraction(0)
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            seen = list(perm)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if seen[i] > seen[j]:
-                        sign = -sign
-            term = Fraction(1)
-            for i in range(n):
-                term *= matrix[i][perm[i]]
-            total += sign * term
+
+        def expand(row, sign, term):
+            nonlocal total
+            if row == n:
+                total += sign * term
+                return
+            for col in range(n):
+                entry = matrix[row][col]
+                if used[col] or entry == 0:
+                    continue
+                # each used column right of col is an inversion with it
+                flips = sum(used[col + 1 :])
+                used[col] = True
+                expand(row + 1, -sign if flips % 2 else sign, term * entry)
+                used[col] = False
+
+        expand(0, 1, Fraction(1))
         return total
 
     deg = len(rows)

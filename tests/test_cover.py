@@ -11,6 +11,7 @@ from kakutani import (
     build_rho,
     build_three_interval_rule,
     char_poly,
+    char_poly_from_rows,
     iterate_primitive,
     solve_alpha,
     solve_inflation,
@@ -21,6 +22,15 @@ from kakutani import (
 from kakutani.cover import SubstitutionMatrix
 
 from conftest import bisect_root, coprime_pairs, expansion_char_poly
+
+# every three-loop rule n >= m >= k >= 1 with n <= 9 that the builder accepts
+THREE_LOOP_TRIPLES = [
+    (n, m, k)
+    for n in range(1, 10)
+    for m in range(1, n + 1)
+    for k in range(1, m + 1)
+    if math.gcd(n, m, k) == 1 and not n == m == k
+]
 
 
 class TestSolveInflation:
@@ -176,12 +186,41 @@ class TestCharPoly:
         want = IntPolynomial.from_terms({n + m - 1: 1, m - 1: -1, n - 1: -1})
         assert got == want
 
-    @pytest.mark.parametrize("pair", coprime_pairs(5))
+    @pytest.mark.parametrize("pair", coprime_pairs(7))
     def test_matches_expansion_oracle(self, pair):
         n, m = pair
         matrix = substitution_matrix(build_rho(n, m))
         got = char_poly(matrix)
         assert list(got.coeffs) == expansion_char_poly(matrix.entries)
+
+    @pytest.mark.parametrize("pair", coprime_pairs(15))
+    def test_matches_faddeev_leverrier(self, pair):
+        matrix = substitution_matrix(build_rho(*pair))
+        assert char_poly(matrix) == char_poly_from_rows(matrix.entries)
+
+    @pytest.mark.parametrize("loops", THREE_LOOP_TRIPLES)
+    def test_three_loops_match_faddeev_leverrier(self, loops):
+        matrix = substitution_matrix(build_three_interval_rule(*loops))
+        assert char_poly(matrix) == char_poly_from_rows(matrix.entries)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # the hub's second vertex has two successors
+            ((1, 1), (1, 1)),
+            # chain vertex 2 steps to both 3 and the hub
+            ((0, 1, 1), (1, 0, 0), (0, 1, 0)),
+            # vertex 3 is a self-loop the hub never reaches
+            ((1, 1, 0), (1, 0, 0), (0, 0, 1)),
+            # vertex 3 is reached from the hub and again from vertex 2
+            ((0, 0, 1), (1, 0, 0), (1, 1, 0)),
+            # the hub has two edges into the same vertex
+            ((0, 1), (2, 0)),
+        ],
+    )
+    def test_rejects_non_flower(self, rows):
+        with pytest.raises(ParameterError):
+            char_poly(SubstitutionMatrix(rows))
 
     def test_three_interval_poly_divides_char_poly(self):
         # the rule polynomial is the minimal relation of xi; the full

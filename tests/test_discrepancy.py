@@ -138,6 +138,28 @@ class TestScan:
         pairs = zip(series.max_disc, series.max_disc[1:])
         assert all(b >= a - 1e-9 for a, b in pairs)
 
+    def test_large_maxima_tolerate_rounding(self):
+        # past windows of 2**24 the maxima exceed 2**22, where the scan's
+        # one-ulp rounding drops are larger than an absolute 1e-9
+        series = discrepancy_scan(
+            0.4460037290517811, 30.865213239948087, dyadic_windows(4, 44)
+        )
+        assert len(series.max_disc) == 41
+        pairs = zip(series.max_disc, series.max_disc[1:])
+        assert all(b >= a - 1e-9 * max(1.0, a) for a, b in pairs)
+
+    def test_series_rejects_shrinking_maxima(self):
+        for maxima in ((1.0, 0.5), (2.0**30, 2.0**30 - 64.0)):
+            with pytest.raises(ParameterError):
+                DiscrepancySeries(
+                    alpha=0.3,
+                    t=5.0,
+                    density=1.5,
+                    density_method="perron",
+                    windows=(2.0, 4.0),
+                    max_disc=maxima,
+                )
+
     def test_density_consistency(self):
         # the prefix count at any window deviates from density * W by at
         # most the reported maximum for that window
