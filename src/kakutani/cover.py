@@ -17,7 +17,9 @@ with inflation constant xi = e**g = alpha**(-1/n):
 ``iterate_primitive`` grows patches of this rule with exact positions
 (integer sums of powers of xi) and ``verify_cover`` checks, exactly,
 that after any number of steps the fixed-scale patch and the multiscale
-patch are the same subdivision of the line.
+patch are the same subdivision of the line.  In both a position is the
+sum of the lengths to its left, so the check compares the two words of
+length exponents.
 
 The same machinery with three loops produces the three-interval rules
 used by ``classify_three_interval``.
@@ -30,10 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from . import engine
-from .errors import ParameterError, ResourceLimitError
-from .geometry import Patch, Tile, XiPower, XiSum
+from .errors import ParameterError
+from .geometry import Patch, Tile, XiPower, XiSum, left_sum
 from .params import check_exponent_pair, solve_alpha
 from .polynomials import IntPolynomial
 
@@ -200,13 +203,11 @@ def _loop_rule(counts: tuple[int, ...], xi: float) -> tuple[tuple[int, ...], Ima
             exponents[nxt + s - 2] = c - s
         nxt += c - 1
 
-    hub_children: list[tuple[int, XiSum]] = []
-    offset = XiSum.zero()
-    for i, c in enumerate(counts):
-        child = starts[i] if c >= 2 else 1
-        hub_children.append((child, offset))
-        offset = offset.plus_power(-c)
-    images: list[tuple[tuple[int, XiSum], ...]] = [tuple(hub_children)]
+    hub_children = tuple(
+        (starts[i] if c >= 2 else 1, XiSum((-d, 1) for d in counts[:i]))
+        for i, c in enumerate(counts)
+    )
+    images: list[tuple[tuple[int, XiSum], ...]] = [hub_children]
     for i, c in enumerate(counts):
         for s in range(1, c):
             label = starts[i] + s - 1
@@ -332,37 +333,51 @@ def iterate_primitive(
 ) -> Patch:
     """The labelled patch after ell inflate-and-subdivide steps on the hub.
 
-    Tiles are exact translates of prototiles; positions are integer sums
-    of powers of xi, built by the recursion p -> xi * (p + offset).
+    Tiles are exact translates of prototiles.  The offset of a child made
+    while ``left`` steps are still to go grows to offset * xi**left by
+    the end, so a tile's position is the sum of those scaled offsets
+    along its path in the label tree, built in one depth-first pass.
     """
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
-    matrix = substitution_matrix(rule)
-    expected = sum(tile_counts(matrix, ell))
-    if expected > max_tiles:
-        raise ResourceLimitError(
-            f"patch would contain {expected} tiles, above the cap {max_tiles}"
-        )
+    engine.check_tile_cap(sum(tile_counts(substitution_matrix(rule), ell)), max_tiles)
     xi = rule.xi
-    current: list[tuple[int, XiSum]] = [(1, XiSum.zero())]
-    for _ in range(ell):
-        grown: list[tuple[int, XiSum]] = []
-        for label, pos in current:
-            for child, offset in rule.image_map[label - 1]:
-                grown.append((child, (pos + offset).shifted(1)))
-        current = grown
-    tiles = tuple(
-        Tile(
-            position=pos,
-            length=XiPower(rule.length_exponents[label - 1]),
-            position_value=pos.value(xi),
-            length_value=rule.prototile_lengths[label - 1],
-            label=label,
-        )
-        for label, pos in current
-    )
+    children = [
+        tuple((child, offset.terms) for child, offset in reversed(image))
+        for image in rule.image_map
+    ]
+    # a label whose image is one child at offset zero just passes through
+    through = [image[0][0] if len(image) == 1 and not image[0][1] else 0 for image in children]
+    lengths = [XiPower(e) for e in rule.length_exponents]
+    low = min(p for image in children for _, offset in image for p, _ in offset)
+    power = {p: xi**p for p in range(low + 1, ell + 1)}
+    # With two loops only the second hub child has an offset, one power
+    # that strictly decreases along a path: prepending keeps the terms
+    # sorted.  Three loops can repeat a power, so those are merged.
+    exact = XiSum._from_sorted if len(children[0]) == 2 else XiSum
+    tiles: list[Tile] = []
+    stack: list[tuple[int, int, tuple]] = [(1, ell, ())]
+    while stack:
+        label, left, terms = stack.pop()
+        while left and through[label - 1]:
+            label, left = through[label - 1], left - 1
+        if left:
+            for child, offset in children[label - 1]:
+                shifted = tuple((p + left, c) for p, c in offset) if offset else ()
+                stack.append((child, left - 1, shifted + terms))
+        else:
+            pos = exact(terms)
+            tiles.append(
+                Tile(
+                    pos,
+                    lengths[label - 1],
+                    left_sum([c * power[p] for p, c in pos.terms]),
+                    rule.prototile_lengths[label - 1],
+                    label,
+                )
+            )
     info = {"ell": ell, "xi": xi, "rule_size": rule.size}
-    return Patch(tiles=tiles, support=(0.0, xi**ell), info=info)
+    return Patch(tiles=tuple(tiles), support=(0.0, xi**ell), info=info)
 
 
 @dataclass(frozen=True)
@@ -381,26 +396,36 @@ class CoverReport:
         return self.ok
 
 
-def _xi_sum_coincide(a: XiSum, b: XiSum, n: int, m: int) -> bool:
-    """Exact equality of two xi-power sums as real numbers.
+def _rule_word(rule: PrimitiveRule, ell: int) -> list[int]:
+    """Length exponents of the leaves of the rule's label tree, in order.
 
-    Raw term equality decides almost every case.  Otherwise the
-    difference is reduced modulo the defining relation
-    xi**n = xi**(n-m) + 1: shift to clear negative powers, then take the
-    remainder modulo x**n - x**(n-m) - 1; a zero remainder certifies
-    equality of the values.
+    The word of a label after k steps is its length exponent for k = 0
+    and the words of its image labels after k - 1 steps, concatenated.
+    A one-label image reuses its child's word.
     """
-    if a == b:
-        return True
-    diff = a + XiSum([(p, -c) for p, c in b.terms])
-    if not diff.terms:
-        return True
-    low = min(p for p, _ in diff.terms)
-    shift = max(0, -low)
-    poly = IntPolynomial.from_terms({p + shift: c for p, c in diff.terms})
-    relation = IntPolynomial.from_terms({n: 1, n - m: -1, 0: -1})
-    _, rem = divmod(poly, relation)
-    return rem.is_zero
+    words = [[e] for e in rule.length_exponents]
+    for _ in range(ell):
+        words = [
+            words[image[0][0] - 1]
+            if len(image) == 1
+            else list(chain.from_iterable(words[child - 1] for child, _ in image))
+            for image in rule.image_map
+        ]
+    return words[0]
+
+
+def _multiscale_word(n: int, m: int, ell: int) -> list[int]:
+    """Length exponents of the leaves of the engine's tree, in order.
+
+    A tile xi**e with e > 0 splits into xi**(e - n), xi**(e - m); a leaf
+    xi**e has exponent -e.  Words are kept only while a later split
+    still needs them.
+    """
+    words = {e: [-e] for e in range(1 - n, 1)}
+    for e in range(1, ell + 1):
+        words[e] = words[e - n] + words[e - m]
+        del words[e - n]
+    return words[ell]
 
 
 def verify_cover(
@@ -411,33 +436,25 @@ def verify_cover(
 ) -> CoverReport:
     """Check that the fixed-scale patch equals the multiscale patch.
 
-    Both sides are generated independently with exact positions: the
-    multiscale side by integer-mode substitution in the engine, the
-    fixed-scale side by iterating the covering rule.  Tiles must agree
-    one for one in position and length after forgetting labels.
+    In both patches a tile starts where the tiles to its left end, so
+    two patches on the same anchor coincide exactly when their words of
+    length exponents do.  The two words come from independent trees: the
+    covering rule's label tree and the engine's e -> (e - n, e - m)
+    split.  ``first_mismatch`` is the first index where they differ, -1
+    when the tile counts differ.  Both sides build positions from the
+    same hub splits, so ``raw_equal`` (term-wise equal exact positions)
+    holds exactly when the words agree.
     """
     rule = build_rho(n, m)
-    fixed = iterate_primitive(rule, ell, max_tiles=max_tiles)
-    multi = engine.generate_patch_commensurable(n, m, ell, max_tiles=max_tiles)
-    raw_equal = True
+    engine.check_tile_cap(engine.count_tiles_commensurable(n, m, ell), max_tiles)
+    fixed = _rule_word(rule, ell)
+    multi = _multiscale_word(n, m, ell)
+    ok = fixed == multi
     first_mismatch: int | None = None
-    ok = len(fixed) == len(multi)
-    if not ok:
+    if len(fixed) != len(multi):
         first_mismatch = -1
-    else:
-        for i, (ft, mt) in enumerate(zip(fixed.tiles, multi.tiles)):
-            if not isinstance(ft.length, XiPower) or not isinstance(mt.length, XiPower):
-                raise ParameterError("cover check needs xi-power lengths")
-            if ft.length.exponent != mt.length.exponent:
-                ok = False
-                first_mismatch = i
-                break
-            if ft.position != mt.position:
-                raw_equal = False
-                if not _xi_sum_coincide(ft.position, mt.position, n, m):
-                    ok = False
-                    first_mismatch = i
-                    break
+    elif not ok:
+        first_mismatch = next(i for i, (a, b) in enumerate(zip(fixed, multi)) if a != b)
     return CoverReport(
         ok=ok,
         n=n,
@@ -445,5 +462,5 @@ def verify_cover(
         ell=ell,
         tile_count=len(fixed),
         first_mismatch=first_mismatch,
-        raw_equal=raw_equal and ok,
+        raw_equal=ok,
     )

@@ -18,7 +18,6 @@ greater than one" is an integer comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ParameterError, ResourceLimitError
@@ -30,13 +29,13 @@ from .geometry import (
     Tile,
     XiPower,
     XiSum,
+    left_sum,
 )
 from .params import check_exponent_pair, solve_alpha
 
 __all__ = [
     "DEFAULT_TILE_CAP",
     "LENGTH_ONE_SLACK",
-    "GraphAlpha",
     "substitute_once",
     "generate_patch",
     "generate_patch_commensurable",
@@ -55,21 +54,17 @@ DEFAULT_TILE_CAP = 10**8
 LENGTH_ONE_SLACK = 1e-12
 
 
+def check_tile_cap(count: int, max_tiles: int) -> None:
+    """Refuse to materialize a patch of more than ``max_tiles`` tiles."""
+    if count > max_tiles:
+        raise ResourceLimitError(
+            f"patch would contain {count} tiles, above the cap {max_tiles}"
+        )
+
+
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha <= 0.5):
         raise ParameterError(f"alpha must lie in (0, 1/2], got {alpha!r}")
-
-
-@dataclass(frozen=True)
-class GraphAlpha:
-    """The one-vertex walk graph: two loops of the two log-lengths."""
-
-    loop_lengths: tuple[float, float]
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "GraphAlpha":
-        _check_alpha(alpha)
-        return cls((math.log(1.0 / alpha), -math.log1p(-alpha)))
 
 
 def substitute_once(tile: Tile, alpha: float) -> Patch:
@@ -169,30 +164,33 @@ def generate_patch(
         raise ParameterError(f"t must be nonnegative, got {t!r}")
     if not (0.0 <= origin_offset <= 1.0):
         raise ParameterError("origin_offset must lie between 0 and 1")
-    total = count_tiles(alpha, t)
-    if total > max_tiles:
-        raise ResourceLimitError(
-            f"patch would contain {total} tiles, above the cap {max_tiles}"
-        )
+    check_tile_cap(count_tiles(alpha, t), max_tiles)
     la, lb = math.log(alpha), math.log1p(-alpha)
     scale = math.exp(t)
     anchor = -origin_offset * scale
     beta = 1.0 - alpha
+    alpha_pow = [alpha**k for k in range(int(t / -la) + 3)]
+    beta_pow = [beta**k for k in range(int(t / -lb) + 3)]
+    lengths: dict[tuple[int, int], LengthExponent] = {}
+    # Depth-first, right child pushed first so leaves pop left to right.
+    # A right child adds the length of its left sibling to the position;
+    # along a path these terms ascend in (a, b), so the exact terms come
+    # out sorted and the running float is their left-to-right sum.
     tiles: list[Tile] = []
-    stack: list[tuple[int, int, PositionVector]] = [(0, 0, PositionVector.zero())]
+    stack: list[tuple[int, int, tuple, float]] = [(0, 0, (), 0.0)]
     while stack:
-        a, b, pos = stack.pop()
+        a, b, terms, val = stack.pop()
         if t + a * la + b * lb > LENGTH_ONE_SLACK:
-            # children: left keeps the position, right starts after it
-            stack.append((a, b + 1, pos.plus(LengthExponent(a + 1, b))))
-            stack.append((a + 1, b, pos))
+            step = alpha_pow[a + 1] * beta_pow[b]
+            stack.append((a, b + 1, terms + (((a + 1, b), 1),), val + step))
+            stack.append((a + 1, b, terms, val))
         else:
             tiles.append(
                 Tile(
-                    position=pos,
-                    length=LengthExponent(a, b),
-                    position_value=anchor + scale * pos.value(alpha),
-                    length_value=scale * alpha**a * beta**b,
+                    PositionVector._from_sorted(terms),
+                    lengths.get((a, b)) or lengths.setdefault((a, b), LengthExponent(a, b)),
+                    anchor + scale * val,
+                    scale * alpha_pow[a] * beta_pow[b],
                 )
             )
     return Patch(
@@ -214,29 +212,26 @@ def generate_patch_commensurable(
     """
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
-    total = count_tiles_commensurable(n, m, ell)
-    if total > max_tiles:
-        raise ResourceLimitError(
-            f"patch would contain {total} tiles, above the cap {max_tiles}"
-        )
+    check_tile_cap(count_tiles_commensurable(n, m, ell), max_tiles)
     alpha = solve_alpha(n, m)
     xi = alpha ** (-1.0 / n)
+    # xi**p for every power a split or a leaf can reach: 1 - n <= p <= ell
+    power = {p: xi**p for p in range(1 - n, ell + 1)}
+    lengths = {e: XiPower(-e) for e in range(1 - n, 1)}
+    # Depth-first as in generate_patch.  The right child at exponent e
+    # adds xi**(e - n); along a path these powers strictly decrease, so
+    # prepending keeps the exact terms ascending.
     tiles: list[Tile] = []
-    stack: list[tuple[int, XiSum]] = [(ell, XiSum.zero())]
+    stack: list[tuple[int, tuple]] = [(ell, ())]
     while stack:
-        e, pos = stack.pop()
+        e, terms = stack.pop()
         if e > 0:
-            stack.append((e - m, pos.plus_power(e - n)))
-            stack.append((e - n, pos))
+            p = e - n
+            stack.append((e - m, ((p, 1),) + terms))
+            stack.append((p, terms))
         else:
-            tiles.append(
-                Tile(
-                    position=pos,
-                    length=XiPower(-e),
-                    position_value=pos.value(xi),
-                    length_value=xi**e,
-                )
-            )
+            value = left_sum([power[p] for p, _ in terms])
+            tiles.append(Tile(XiSum._from_sorted(terms), lengths[e], value, power[e]))
     return Patch(
         tiles=tuple(tiles),
         support=(0.0, xi**ell),

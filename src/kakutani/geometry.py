@@ -11,16 +11,21 @@ output boundaries.  Two exact representations appear:
   of a commensurable ratio, and an ``XiSum`` is an integer-coefficient
   sum of powers of xi.  Fixed-scale (primitive) patches live here.
 
-Both position types support exact addition of a tile length, so the
-statement "the next tile starts where this one ends" never passes
-through floating point.
+Positions are prefix sums of tile lengths: the generators extend a
+position by one exact term per right child along the substitution
+tree, so the statement "the next tile starts where this one ends"
+never passes through floating point.  ``value`` folds the terms left to
+right in ascending order, the same order the generators add them in.
 """
 from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Union
+from functools import reduce
+from operator import add
+from typing import NamedTuple, Union
 
 from .errors import ParameterError
 
@@ -59,45 +64,78 @@ def length_value(exponent: LengthExponent | tuple[int, int], alpha: float) -> fl
     return alpha**a * (1.0 - alpha) ** b
 
 
-class PositionVector:
-    """Integer-coefficient combination of alpha**a * (1-alpha)**b terms.
+def left_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum, starting from the integer 0.
+
+    Unlike ``sum``, which compensates rounding from Python 3.12 on, this
+    gives the same bits on every version, and the same bits as adding
+    the values one at a time in the same order.  As with ``sum``, the
+    empty sum is the integer 0.
+    """
+    return reduce(add, values, 0)
+
+
+class _TermSum:
+    """Immutable integer-coefficient sum of terms, kept sorted by key with
+    equal keys merged and zero coefficients dropped."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
+        acc: dict = {}
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        for key, coeff in items:
+            if coeff:
+                key = self._key(key)
+                acc[key] = acc.get(key, 0) + int(coeff)
+        self._terms = tuple(sorted((k, c) for k, c in acc.items() if c))
+
+    @classmethod
+    def _from_sorted(cls, terms: tuple):
+        """Wrap terms that are already sorted, merged and nonzero."""
+        total = cls.__new__(cls)
+        total._terms = terms
+        return total
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @property
+    def terms(self) -> tuple:
+        return self._terms
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, type(self)) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(self._terms)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self._terms)!r})"
+
+
+class PositionVector(_TermSum):
+    """Integer-coefficient combination of alpha**a * (1-alpha)**b terms,
+    keyed by (a, b).
 
     Immutable.  Used for tile positions relative to the patch anchor, in
     units of the patch scale.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(
-        self,
-        terms: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]] = (),
-    ):
-        acc: dict[tuple[int, int], int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, coeff in items:
-            if coeff:
-                k = (int(key[0]), int(key[1]))
-                acc[k] = acc.get(k, 0) + int(coeff)
-        self._terms = tuple(sorted((k, c) for k, c in acc.items() if c))
-
-    @classmethod
-    def zero(cls) -> "PositionVector":
-        return cls()
-
-    @property
-    def terms(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        return self._terms
+    @staticmethod
+    def _key(key: tuple[int, int]) -> tuple[int, int]:
+        return (int(key[0]), int(key[1]))
 
     def plus(self, step: LengthExponent) -> "PositionVector":
         """This position shifted right by one tile of the given length."""
         return PositionVector(list(self._terms) + [((step.a, step.b), 1)])
 
-    def __add__(self, other: "PositionVector") -> "PositionVector":
-        return PositionVector(list(self._terms) + list(other._terms))
-
     def value(self, alpha: float) -> float:
         beta = 1.0 - alpha
-        return sum(c * alpha**a * beta**b for (a, b), c in self._terms)
+        return left_sum(c * alpha**a * beta**b for (a, b), c in self._terms)
 
     def to_xi_sum(self, n: int, m: int, shift: int = 0) -> "XiSum":
         """Rewrite over powers of xi, using alpha = xi**-n, 1-alpha = xi**-m.
@@ -108,58 +146,17 @@ class PositionVector:
         """
         return XiSum([(shift - a * n - b * m, c) for (a, b), c in self._terms])
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PositionVector) and self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash(self._terms)
+class XiSum(_TermSum):
+    """Integer-coefficient combination of powers of the inflation constant,
+    keyed by the power."""
 
-    def __repr__(self) -> str:
-        return f"PositionVector({list(self._terms)!r})"
+    __slots__ = ()
 
-
-class XiSum:
-    """Integer-coefficient combination of powers of the inflation constant."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        acc: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for power, coeff in items:
-            if coeff:
-                acc[int(power)] = acc.get(int(power), 0) + int(coeff)
-        self._terms = tuple(sorted((p, c) for p, c in acc.items() if c))
-
-    @classmethod
-    def zero(cls) -> "XiSum":
-        return cls()
-
-    @property
-    def terms(self) -> tuple[tuple[int, int], ...]:
-        return self._terms
-
-    def plus_power(self, power: int) -> "XiSum":
-        return XiSum(list(self._terms) + [(power, 1)])
-
-    def __add__(self, other: "XiSum") -> "XiSum":
-        return XiSum(list(self._terms) + list(other._terms))
-
-    def shifted(self, k: int) -> "XiSum":
-        """Multiply by xi**k."""
-        return XiSum([(p + k, c) for p, c in self._terms])
+    _key = staticmethod(int)
 
     def value(self, xi: float) -> float:
-        return sum(c * xi**p for p, c in self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, XiSum) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
-
-    def __repr__(self) -> str:
-        return f"XiSum({list(self._terms)!r})"
+        return left_sum(c * xi**p for p, c in self._terms)
 
 
 class XiPower(NamedTuple):

@@ -90,10 +90,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    @property
-    def nonzero_terms(self) -> int:
-        return sum(1 for c in self.coeffs if c)
-
     def evaluate(self, z):
         """Horner evaluation; works for int, float and complex arguments.
 
@@ -134,14 +130,6 @@ class IntPolynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPolynomial(tuple(out))
-
-    def scaled(self, k: int) -> "IntPolynomial":
-        return IntPolynomial(tuple(k * c for c in self.coeffs))
-
-    def times_x_power(self, power: int) -> "IntPolynomial":
-        if self.is_zero:
-            return self
-        return IntPolynomial((0,) * power + self.coeffs)
 
     def __divmod__(self, divisor: "IntPolynomial"):
         """Polynomial division over the integers.

@@ -348,17 +348,18 @@ def classify_spreadness(ratio: RatioClass, alpha: float | None = None) -> Spread
             mismatch=False,
         )
     n, m = ratio.n, ratio.m
-    a = solve_alpha(n, m) if alpha is None else alpha
     if n == m:
         return SpreadVerdict(
             ratio=ratio,
-            alpha=a,
+            alpha=solve_alpha(n, m) if alpha is None else alpha,
             theorem_verdict=True,
             rationale=Rationale.LATTICE,
             spectral=_lattice_report(),
             mismatch=False,
         )
-    report = solomon_verdict(substitution_matrix(build_rho(n, m)))
+    rule = build_rho(n, m)
+    a = rule.alpha if alpha is None else alpha
+    report = solomon_verdict(substitution_matrix(rule))
     theorem = Fraction(n, m) in SPREAD_RATIOS
     if report.solomon is SpreadClass.BOUNDARY:
         rationale = (

@@ -82,6 +82,16 @@ def brute_boundaries(alpha, t, slack=1e-12):
     return out
 
 
+def ascending_fold(terms, term_value):
+    """Float value of exact position terms, added one at a time with an
+    explicit ``+`` in ascending order of their keys, from the integer 0.
+    ``term_value(key)`` is the float of one unit term."""
+    total = 0
+    for key, coeff in sorted(terms):
+        total = total + coeff * term_value(key)
+    return total
+
+
 def expansion_char_poly(rows):
     """Characteristic polynomial coefficients (constant first) via
     determinant expansion of (xI - M) over exact Fractions, evaluated

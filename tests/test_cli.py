@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -368,6 +369,18 @@ class TestVerifyCover:
             capsys, "verify-cover", "--ratio", "2/1", "--ell", "40"
         )
         assert code == 4
+
+
+# SHA-256 of the stdout of each command, recorded from a known-good
+# build: the patch artifacts must stay byte-identical.
+CLI_GOLDENS = json.loads((DATA / "cli_goldens.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GOLDENS))
+def test_patch_artifact_bytes_match_golden(capsys, command):
+    code, out, _err = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_GOLDENS[command]
 
 
 class TestTopLevel:

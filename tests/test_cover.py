@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -19,9 +20,11 @@ from kakutani import (
     tile_counts,
     verify_cover,
 )
+from kakutani import cover
 from kakutani.cover import SubstitutionMatrix
+from kakutani.geometry import XiSum
 
-from conftest import bisect_root, coprime_pairs, expansion_char_poly
+from conftest import ascending_fold, bisect_root, coprime_pairs, expansion_char_poly
 
 # every three-loop rule n >= m >= k >= 1 with n <= 9 that the builder accepts
 THREE_LOOP_TRIPLES = [
@@ -269,6 +272,24 @@ class TestIteratePrimitive:
             edge = tile.position_value + tile.length_value
         assert edge == pytest.approx(xi**6, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "rule",
+        [build_rho(n, m) for n, m in [(2, 1), (3, 1), (3, 2), (4, 3), (5, 2), (7, 3)]]
+        + [build_three_interval_rule(*loops) for loops in [(2, 1, 1), (3, 2, 1), (2, 2, 1), (5, 4, 2)]],
+        ids=lambda rule: str(getattr(rule, "loops", None) or (rule.n, rule.m)),
+    )
+    def test_positions_fold_exact_terms(self, rule):
+        # bit for bit: the float position is the exact position added up
+        # term by term in ascending order, and the terms are canonical
+        xi = rule.xi
+        for ell in (0, 1, 4, 9, 14, 20):
+            if sum(tile_counts(substitution_matrix(rule), ell)) > 5000:
+                break
+            for tile in iterate_primitive(rule, ell).tiles:
+                terms = tile.position.terms
+                assert XiSum(terms) == tile.position
+                assert tile.position_value == ascending_fold(terms, lambda p: xi**p)
+
     def test_tile_cap(self):
         with pytest.raises(ResourceLimitError):
             iterate_primitive(build_rho(2, 1), 10, max_tiles=20)
@@ -299,6 +320,38 @@ class TestVerifyCover:
     def test_respects_tile_cap(self):
         with pytest.raises(ResourceLimitError):
             verify_cover(2, 1, 12, max_tiles=50)
+
+    def test_swapped_hub_children_mismatch(self, monkeypatch):
+        # put the short loop first.  For 2/1 after four steps the engine
+        # word is W(4) with W(e) = W(e - 2) + W(e - 1), W(0) = [0],
+        # W(-1) = [1]: [0, 1, 0, 1, 0, 0, 1, 0].  The swapped rule gives
+        # S(k) = S(k - 1) + S(k - 2) (the chain tile passes through),
+        # S(0) = [0], S(1) = [0, 1]: [0, 1, 0, 0, 1, 0, 1, 0].  Same
+        # length, first difference at index 3.
+        original = cover.build_rho
+
+        def swapped(n, m):
+            rule = original(n, m)
+            (first, zero), (second, offset) = rule.image_map[0]
+            hub = ((second, zero), (first, offset))
+            return dataclasses.replace(rule, image_map=(hub,) + rule.image_map[1:])
+
+        monkeypatch.setattr(cover, "build_rho", swapped)
+        report = verify_cover(2, 1, 4)
+        assert report.ok is False
+        assert not report
+        assert report.tile_count == 8
+        assert report.first_mismatch == 3
+        assert report.raw_equal is False
+
+    def test_count_mismatch_is_minus_one(self, monkeypatch):
+        # a rule for 3/1 checked against the 2/1 engine: 6 tiles against 8
+        original = cover.build_rho
+        monkeypatch.setattr(cover, "build_rho", lambda n, m: original(3, 1))
+        report = verify_cover(2, 1, 4)
+        assert report.ok is False
+        assert report.first_mismatch == -1
+        assert report.raw_equal is False
 
 
 class TestProperties:

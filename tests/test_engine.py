@@ -22,8 +22,9 @@ from kakutani import (
     solve_alpha,
     substitute_once,
 )
+from kakutani.geometry import XiSum
 
-from conftest import brute_boundaries, brute_count_tiles, coprime_pairs
+from conftest import ascending_fold, brute_boundaries, brute_count_tiles, coprime_pairs
 
 
 def unit_tile(position=0.0, length=1.0):
@@ -119,6 +120,37 @@ class TestGeneratePatch:
     def test_rejects_negative_time(self):
         with pytest.raises(ParameterError):
             generate_patch(0.3, -1.0)
+
+
+class TestPositionBits:
+    """Each float position is its exact position added up term by term,
+    in ascending order; bit for bit, not within a tolerance."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.45, 0.4, 1.0 / 3.0, 0.3, 0.2, 0.1])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.5, 5.0, 7.0])
+    def test_multiscale_patch(self, alpha, t):
+        beta = 1.0 - alpha
+        scale = math.exp(t)
+        for offset in (0.5, 0.0, 1.0):
+            anchor = -offset * scale
+            patch = generate_patch(alpha, t, origin_offset=offset)
+            for tile in patch.tiles:
+                terms = tile.position.terms
+                assert PositionVector(terms) == tile.position
+                folded = ascending_fold(terms, lambda ab: alpha ** ab[0] * beta ** ab[1])
+                assert tile.position_value == anchor + scale * folded
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 3), (5, 2), (7, 3), (1, 1)])
+    def test_commensurable_patch(self, n, m):
+        for ell in (0, 1, 4, 11, 20):
+            if count_tiles_commensurable(n, m, ell) > 5000:
+                break
+            patch = generate_patch_commensurable(n, m, ell)
+            xi = patch.info["xi"]
+            for tile in patch.tiles:
+                terms = tile.position.terms
+                assert XiSum(terms) == tile.position
+                assert tile.position_value == ascending_fold(terms, lambda p: xi**p)
 
 
 class TestCommensurablePatch:

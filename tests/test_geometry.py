@@ -48,11 +48,6 @@ class TestPositionVector:
         v = PositionVector.zero().plus(LengthExponent(1, 0)).plus(LengthExponent(1, 0))
         assert v.value(ALPHA) == pytest.approx(2 * ALPHA)
 
-    def test_add_merges_terms(self):
-        a = PositionVector.zero().plus(LengthExponent(0, 1))
-        b = PositionVector.zero().plus(LengthExponent(0, 1))
-        assert (a + b).value(ALPHA) == pytest.approx(1.4)
-
     def test_equality_is_structural(self):
         a = PositionVector.zero().plus(LengthExponent(1, 2))
         b = PositionVector.zero().plus(LengthExponent(1, 2))
@@ -70,10 +65,6 @@ class TestPositionVector:
 
 
 class TestXiSum:
-    def test_shift_scales(self):
-        s = XiSum([(0, 1), (2, 1)])
-        assert s.shifted(3) == XiSum([(3, 1), (5, 1)])
-
     def test_cancellation(self):
         s = XiSum([(1, 1), (1, -1)])
         assert s == XiSum.zero()
@@ -135,18 +126,6 @@ def test_position_vector_value_additive(steps):
         v = v.plus(LengthExponent(a, b))
         expected += ALPHA**a * 0.7**b
     assert v.value(ALPHA) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-@given(st.lists(exponents, max_size=6), st.lists(exponents, max_size=6))
-@settings(max_examples=100, deadline=None)
-def test_position_vector_add_commutes(left, right):
-    a = PositionVector.zero()
-    for s in left:
-        a = a.plus(LengthExponent(*s))
-    b = PositionVector.zero()
-    for s in right:
-        b = b.plus(LengthExponent(*s))
-    assert a + b == b + a
 
 
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=12))

@@ -25,6 +25,7 @@ from kakutani import (
     r_of_alpha,
     residual_bound,
     solomon_verdict,
+    solve_alpha,
     substitution_matrix,
     survey,
     unit_circle_factors,
@@ -254,6 +255,23 @@ class TestClassify:
         assert verdict.rationale is Rationale.INCOMMENSURABLE
         assert verdict.spread_class is SpreadClass.NOT_SPREAD
         assert verdict.spectral is None
+
+    def test_solves_alpha_once(self, monkeypatch):
+        import kakutani.cover
+        import kakutani.spectral
+
+        calls = []
+
+        def counting(n, m):
+            calls.append((n, m))
+            return solve_alpha(n, m)
+
+        monkeypatch.setattr(kakutani.cover, "solve_alpha", counting)
+        monkeypatch.setattr(kakutani.spectral, "solve_alpha", counting)
+        verdict = classify_spreadness(Commensurable(3, 2))
+        assert calls == [(3, 2)]
+        assert verdict.alpha == solve_alpha(3, 2)
+        assert classify_spreadness(Commensurable(3, 2), alpha=0.43).alpha == 0.43
 
     def test_incommensurable_needs_alpha(self):
         with pytest.raises(ParameterError):
