@@ -48,6 +48,9 @@ def main() -> int:
         help="directory for the CSV and SVG files",
     )
     args = parser.parse_args()
+    if args.depth < 11:
+        # growth_fit needs 8 windows, and the grid starts at 2**4
+        parser.error("--depth must be at least 11")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     windows = dyadic_windows(4, args.depth)
 

@@ -6,160 +6,32 @@ when the two split logarithms are commensurable, and decides whether
 the resulting point sets are uniformly spread, by exact spectral
 analysis of the substitution matrix and by direct discrepancy
 measurement.
+
+The top level holds what the README and the scripts use; everything
+else is imported from its submodule.
 """
 from ._version import __version__
-from .cover import (
-    CoverReport,
-    PrimitiveRule,
-    SubstitutionMatrix,
-    ThreeIntervalRule,
-    build_rho,
-    build_three_interval_rule,
-    char_poly,
-    iterate_primitive,
-    solve_inflation,
-    substitution_matrix,
-    tile_counts,
-    verify_cover,
-)
-from .discrepancy import (
-    DensityValue,
-    DiscrepancySeries,
-    GrowthFit,
-    asymptotic_density,
-    discrepancy_scan,
-    dyadic_windows,
-    growth_fit,
-    interval_count,
-    prefix_count,
-)
-from .engine import (
-    DEFAULT_TILE_CAP,
-    LENGTH_ONE_SLACK,
-    CFDistance,
-    chabauty_fell,
-    chabauty_fell_distance,
-    count_tiles,
-    count_tiles_commensurable,
-    delone_points,
-    generate_patch,
-    generate_patch_commensurable,
-    substitute_once,
-)
+from .cover import build_rho, substitution_matrix
+from .discrepancy import discrepancy_scan, dyadic_windows, growth_fit
+from .engine import generate_patch
 from .errors import KakutaniError, NumericError, ParameterError, ResourceLimitError
-from .geometry import (
-    LengthExponent,
-    Patch,
-    PointSet,
-    PositionVector,
-    Tile,
-    XiPower,
-    XiSum,
-)
-from .params import (
-    AlphaParam,
-    Commensurable,
-    Incommensurable,
-    RatioClass,
-    detect_commensurability,
-    r_of_alpha,
-    solve_alpha,
-)
-from .polynomials import IntPolynomial, char_poly_from_rows, cyclotomic
-from .rootfind import find_roots, residual_bound, root_residual
-from .spectral import (
-    SPREAD_RATIOS,
-    Rationale,
-    SpectralReport,
-    SpreadClass,
-    SpreadVerdict,
-    SurveyRow,
-    ThreeIntervalVerdict,
-    classify_spreadness,
-    classify_three_interval,
-    eigenspace_not_perp,
-    f_alpha_poly,
-    has_unit_circle_factor,
-    is_pv_three_interval,
-    is_pv_trinomial,
-    solomon_verdict,
-    survey,
-    unit_circle_factors,
-)
+from .params import Commensurable, solve_alpha
+from .spectral import SpreadClass, classify_spreadness
 
 __all__ = [
     "__version__",
-    "AlphaParam",
-    "CFDistance",
     "Commensurable",
-    "CoverReport",
-    "DEFAULT_TILE_CAP",
-    "DensityValue",
-    "DiscrepancySeries",
-    "GrowthFit",
-    "Incommensurable",
-    "IntPolynomial",
     "KakutaniError",
-    "LENGTH_ONE_SLACK",
-    "LengthExponent",
     "NumericError",
     "ParameterError",
-    "Patch",
-    "PointSet",
-    "PositionVector",
-    "PrimitiveRule",
-    "RatioClass",
-    "Rationale",
     "ResourceLimitError",
-    "SPREAD_RATIOS",
-    "SpectralReport",
     "SpreadClass",
-    "SpreadVerdict",
-    "SubstitutionMatrix",
-    "SurveyRow",
-    "ThreeIntervalRule",
-    "ThreeIntervalVerdict",
-    "Tile",
-    "XiPower",
-    "XiSum",
-    "asymptotic_density",
     "build_rho",
-    "build_three_interval_rule",
-    "chabauty_fell",
-    "chabauty_fell_distance",
-    "char_poly",
-    "char_poly_from_rows",
     "classify_spreadness",
-    "classify_three_interval",
-    "count_tiles",
-    "count_tiles_commensurable",
-    "cyclotomic",
-    "delone_points",
-    "detect_commensurability",
     "discrepancy_scan",
     "dyadic_windows",
-    "eigenspace_not_perp",
-    "f_alpha_poly",
-    "find_roots",
     "generate_patch",
-    "generate_patch_commensurable",
     "growth_fit",
-    "has_unit_circle_factor",
-    "interval_count",
-    "is_pv_three_interval",
-    "is_pv_trinomial",
-    "iterate_primitive",
-    "prefix_count",
-    "r_of_alpha",
-    "residual_bound",
-    "root_residual",
-    "solomon_verdict",
     "solve_alpha",
-    "solve_inflation",
-    "substitute_once",
     "substitution_matrix",
-    "survey",
-    "tile_counts",
-    "unit_circle_factors",
-    "verify_cover",
 ]

@@ -28,13 +28,13 @@ from .cover import (
     verify_cover,
 )
 from .discrepancy import (
-    asymptotic_density,
     discrepancy_scan,
     dyadic_windows,
     growth_fit,
 )
 from .engine import (
     DEFAULT_TILE_CAP,
+    SubdivisionTree,
     delone_points,
     generate_patch,
     generate_patch_commensurable,
@@ -345,7 +345,7 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
         alpha = args.alpha
         ratio = detect_commensurability(alpha, args.max_denominator)
         t = args.t
-    support = math.exp(t)
+    support = SubdivisionTree(alpha, t).support
     if args.windows is not None:
         windows = tuple(float(w) for w in args.windows.split(","))
         grid_echo: dict[str, Any] = {"windows": list(windows)}

@@ -95,11 +95,6 @@ class ThreeIntervalRule:
     def size(self) -> int:
         return len(self.length_exponents)
 
-    @property
-    def interval_lengths(self) -> tuple[float, float, float]:
-        n, m, k = self.loops
-        return (self.xi**-n, self.xi**-m, self.xi**-k)
-
 
 @dataclass(frozen=True)
 class SubstitutionMatrix:
@@ -116,10 +111,6 @@ class SubstitutionMatrix:
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    def column_sums(self) -> tuple[int, ...]:
-        k = self.size
-        return tuple(sum(self.entries[i][j] for i in range(k)) for j in range(k))
 
     def _matmul(self, other: "SubstitutionMatrix") -> "SubstitutionMatrix":
         k = self.size
@@ -326,6 +317,18 @@ def tile_counts(matrix: SubstitutionMatrix, ell: int) -> tuple[int, ...]:
     return tuple(row[0] for row in power.entries)
 
 
+def _rule_count(rule: PrimitiveRule | ThreeIntervalRule, ell: int) -> int:
+    """Number of leaves of the rule's label tree after ell steps.
+
+    The count twin of ``_rule_word``: O(size * ell) additions, where
+    ``tile_counts`` raises the whole matrix to the power ell.
+    """
+    counts = [1] * rule.size
+    for _ in range(ell):
+        counts = [sum(counts[c - 1] for c, _ in image) for image in rule.image_map]
+    return counts[0]
+
+
 def iterate_primitive(
     rule: PrimitiveRule | ThreeIntervalRule,
     ell: int,
@@ -340,7 +343,7 @@ def iterate_primitive(
     """
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
-    engine.check_tile_cap(sum(tile_counts(substitution_matrix(rule), ell)), max_tiles)
+    engine.check_tile_cap(_rule_count(rule, ell), max_tiles)
     xi = rule.xi
     children = [
         tuple((child, offset.terms) for child, offset in reversed(image))

@@ -7,10 +7,10 @@ parameters it grows like a power of the window dictated by the second
 eigenvalue; for incommensurable parameters it grows like
 window / log(window).
 
-Counting never materializes tiles.  ``prefix_count`` descends the
-substitution tree: subtrees fully inside [0, x] contribute memoized
-leaf counts, subtrees outside contribute nothing, and only the nodes
-straddling x recurse, so a query costs O(t) after an O(t^2) table
+Counting never materializes tiles.  ``prefix_count`` descends
+``engine.SubdivisionTree``: subtrees fully inside [0, x] contribute
+memoized leaf counts, subtrees outside contribute nothing, and only the
+nodes straddling x recurse, so a query costs O(t) after an O(t^2) table
 build.  The discrepancy scan goes one step further: the deviation
 profile of a subtree depends only on its exponent pair, so each pair
 gets an exact (sup, inf) of the running deviation over its span, and
@@ -22,17 +22,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cover import build_rho, substitution_matrix
-from .engine import LENGTH_ONE_SLACK
+from .engine import SubdivisionTree
 from .errors import ParameterError
 from .params import (
-    Commensurable,
     Incommensurable,
     RatioClass,
+    check_alpha,
     detect_commensurability,
 )
 
@@ -42,7 +42,6 @@ __all__ = [
     "GrowthFit",
     "asymptotic_density",
     "prefix_count",
-    "interval_count",
     "discrepancy_scan",
     "dyadic_windows",
     "growth_fit",
@@ -87,8 +86,7 @@ def asymptotic_density(alpha: float, ratio: RatioClass | None = None) -> Density
     two genuinely differ: the same alpha = 1/2 has closed form
     1/log(2) but true commensurable density 1.
     """
-    if not (0.0 < alpha <= 0.5):
-        raise ParameterError(f"alpha must lie in (0, 1/2], got {alpha!r}")
+    check_alpha(alpha)
     if ratio is None:
         ratio = detect_commensurability(alpha, 64)
     if isinstance(ratio, Incommensurable):
@@ -97,97 +95,10 @@ def asymptotic_density(alpha: float, ratio: RatioClass | None = None) -> Density
     return DensityValue(_perron_density(ratio.n, ratio.m), "perron")
 
 
-class _SubdivisionTree:
-    """Counting view of the patch of depth t anchored at zero."""
-
-    def __init__(self, alpha: float, t: float):
-        if not (0.0 < alpha <= 0.5):
-            raise ParameterError(f"alpha must lie in (0, 1/2], got {alpha!r}")
-        if t < 0.0:
-            raise ParameterError(f"t must be nonnegative, got {t!r}")
-        self.alpha = alpha
-        self.t = t
-        self.la = math.log(alpha)
-        self.lb = math.log1p(-alpha)
-        self._leaves: dict[tuple[int, int], int] = {}
-
-    def is_leaf(self, a: int, b: int) -> bool:
-        return self.t + a * self.la + b * self.lb <= LENGTH_ONE_SLACK
-
-    def width(self, a: int, b: int) -> float:
-        return math.exp(self.t + a * self.la + b * self.lb)
-
-    def leaves(self, a: int, b: int) -> int:
-        """Number of leaf tiles below the node with exponent pair (a, b)."""
-        memo = self._leaves
-        stack = [(a, b)]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            if self.is_leaf(*key):
-                memo[key] = 1
-                stack.pop()
-                continue
-            children = ((key[0] + 1, key[1]), (key[0], key[1] + 1))
-            ready = True
-            for child in children:
-                if child not in memo:
-                    stack.append(child)
-                    ready = False
-            if ready:
-                memo[key] = memo[children[0]] + memo[children[1]]
-                stack.pop()
-        return memo[(a, b)]
-
-    def total(self) -> int:
-        return self.leaves(0, 0)
-
-    def support(self) -> float:
-        return math.exp(self.t)
-
-    def prefix_count(self, x: float) -> int:
-        """Number of left endpoints in [0, x]."""
-        if x < 0.0:
-            raise ParameterError("x must be nonnegative")
-        if x > self.support() * (1.0 + 1e-12):
-            raise ParameterError("x lies beyond the patch support")
-        count = 0
-        a, b, left = 0, 0, 0.0
-        while True:
-            if self.is_leaf(a, b):
-                count += 1 if left <= x else 0
-                return count
-            wl = self.width(a + 1, b)
-            boundary = left + wl
-            if x < boundary:
-                a += 1
-            else:
-                count += self.leaves(a + 1, b)
-                left = boundary
-                b += 1
-
-    def iter_leaves(self, upto: float | None = None) -> Iterator[tuple[float, float]]:
-        """Yield (left endpoint, width) of leaves in order, floats only."""
-        limit = math.inf if upto is None else upto
-        stack = [(0, 0, 0.0)]
-        while stack:
-            a, b, left = stack.pop()
-            if left > limit:
-                continue
-            if self.is_leaf(a, b):
-                yield left, self.width(a, b)
-            else:
-                wl = self.width(a + 1, b)
-                stack.append((a, b + 1, left + wl))
-                stack.append((a + 1, b, left))
-
-
 class _DeviationProfile:
     """Exact extrema of count([0, x]) - density * x over subtree spans."""
 
-    def __init__(self, tree: _SubdivisionTree, density: float):
+    def __init__(self, tree: SubdivisionTree, density: float):
         self.tree = tree
         self.density = density
         self._hi: dict[tuple[int, int], float] = {}
@@ -231,7 +142,7 @@ class _DeviationProfile:
         d = self.density
         if x < 0.0:
             raise ParameterError("window must be nonnegative")
-        if x > tree.support() * (1.0 + 1e-12):
+        if x > tree.support * (1.0 + 1e-12):
             raise ParameterError("window lies beyond the patch support")
         best_hi = -math.inf
         best_lo = math.inf
@@ -263,15 +174,7 @@ class _DeviationProfile:
 
 def prefix_count(alpha: float, t: float, x: float) -> int:
     """Endpoints of the depth-t patch anchored at zero that fall in [0, x]."""
-    return _SubdivisionTree(alpha, t).prefix_count(x)
-
-
-def interval_count(alpha: float, t: float, lo: float, hi: float) -> int:
-    """Endpoints in the half-open window (lo, hi]; spot-check helper."""
-    if hi < lo:
-        raise ParameterError("window must satisfy lo <= hi")
-    tree = _SubdivisionTree(alpha, t)
-    return tree.prefix_count(hi) - tree.prefix_count(lo)
+    return SubdivisionTree(alpha, t).prefix_count(x)
 
 
 @dataclass(frozen=True)
@@ -321,8 +224,8 @@ def discrepancy_scan(
         raise ParameterError("need at least one window")
     ordered = tuple(float(w) for w in windows)
     density = asymptotic_density(alpha, ratio)
-    tree = _SubdivisionTree(alpha, t)
-    support = tree.support()
+    tree = SubdivisionTree(alpha, t)
+    support = tree.support
     if ordered[-1] > support * (1.0 + 1e-12):
         raise ParameterError(
             f"largest window {ordered[-1]} exceeds the patch support {support}"
@@ -345,7 +248,7 @@ def discrepancy_scan(
 
 
 def _direct_scan(
-    tree: _SubdivisionTree, density: float, windows: tuple[float, ...]
+    tree: SubdivisionTree, density: float, windows: tuple[float, ...]
 ) -> tuple[float, ...]:
     # The deviation decreases linearly between points and jumps by one
     # at each point, so its extrema over a window sit at the points,
@@ -354,7 +257,7 @@ def _direct_scan(
     running = 0.0
     wi = 0
     count = 0
-    for left, _ in tree.iter_leaves(upto=windows[-1]):
+    for left in tree.iter_leaves(windows[-1]):
         while wi < len(windows) and left > windows[wi]:
             maxima[wi] = max(running, abs(count - density * windows[wi]))
             wi += 1

@@ -6,8 +6,9 @@ a tile of length L > 1 splits into a left piece alpha*L and a right
 piece (1-alpha)*L.  Tiles of length exactly one are kept, which makes
 the family of patches a semi-flow in t.  Tiles are in bijection with
 the directed walks of length t on a one-vertex graph with two loops of
-lengths log(1/alpha) and log(1/(1-alpha)); ``count_tiles`` counts those
-walks without materializing anything.
+lengths log(1/alpha) and log(1/(1-alpha)).  ``SubdivisionTree`` is the
+tree of these splits: ``count_tiles`` and the discrepancy module count on it
+without materializing anything.
 
 Lengths of exactly one are detected in log scale with a fixed slack, so
 that e.g. alpha = 1/2 at t = log 2 yields two unit tiles and not four
@@ -18,7 +19,7 @@ greater than one" is an integer comparison.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ParameterError, ResourceLimitError
 from .geometry import (
@@ -31,12 +32,12 @@ from .geometry import (
     XiSum,
     left_sum,
 )
-from .params import check_exponent_pair, solve_alpha
+from .params import check_alpha, check_exponent_pair, solve_alpha
 
 __all__ = [
     "DEFAULT_TILE_CAP",
     "LENGTH_ONE_SLACK",
-    "substitute_once",
+    "SubdivisionTree",
     "generate_patch",
     "generate_patch_commensurable",
     "count_tiles",
@@ -62,74 +63,106 @@ def check_tile_cap(count: int, max_tiles: int) -> None:
         )
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha <= 0.5):
-        raise ParameterError(f"alpha must lie in (0, 1/2], got {alpha!r}")
+class SubdivisionTree:
+    """The alpha-Kakutani splitting tree of depth t, anchored at zero.
 
-
-def substitute_once(tile: Tile, alpha: float) -> Patch:
-    """Split one unlabelled multiscale tile into its two children."""
-    _check_alpha(alpha)
-    if tile.label is not None:
-        raise ParameterError("substitute_once acts on unlabelled multiscale tiles")
-    if not isinstance(tile.length, LengthExponent):
-        raise ParameterError("substitute_once needs an exponent-pair length")
-    a, b = tile.length
-    left_len = LengthExponent(a + 1, b)
-    right_len = LengthExponent(a, b + 1)
-    left_val = tile.length_value * alpha
-    left = Tile(
-        position=tile.position,
-        length=left_len,
-        position_value=tile.position_value,
-        length_value=left_val,
-    )
-    right = Tile(
-        position=tile.position.plus(left_len),
-        length=right_len,
-        position_value=tile.position_value + left_val,
-        length_value=tile.length_value - left_val,
-    )
-    support = (tile.position_value, tile.position_value + tile.length_value)
-    return Patch(tiles=(left, right), support=support)
-
-
-def _leaf_counts(la: float, lb: float, t: float) -> dict[tuple[int, int], int]:
-    """Leaf count per exponent pair for the substitution tree of depth t.
-
-    Iterative post-order with memoization; the recursion
-    N(a, b) = N(a+1, b) + N(a, b+1) bottoms out where the scaled length
-    e**t * alpha**a * (1-alpha)**b no longer exceeds one.
+    Node (a, b) is a tile of length e**t * alpha**a * (1-alpha)**b and a
+    leaf once that length is at most one.  Leaf counts are memoized per
+    node, so counting materializes nothing.
     """
-    memo: dict[tuple[int, int], int] = {}
-    stack = [(0, 0)]
-    while stack:
-        a, b = stack[-1]
-        if (a, b) in memo:
-            stack.pop()
-            continue
-        if t + a * la + b * lb <= LENGTH_ONE_SLACK:
-            memo[(a, b)] = 1
-            stack.pop()
-            continue
-        left, right = (a + 1, b), (a, b + 1)
-        ready = True
-        for child in (left, right):
-            if child not in memo:
-                stack.append(child)
-                ready = False
-        if ready:
-            memo[(a, b)] = memo[left] + memo[right]
-            stack.pop()
-    return memo
+
+    def __init__(self, alpha: float, t: float):
+        check_alpha(alpha)
+        if not math.isfinite(t):
+            raise ParameterError(f"t must be finite, got {t!r}")
+        if t < 0.0:
+            raise ParameterError(f"t must be nonnegative, got {t!r}")
+        try:
+            self.support = math.exp(t)
+        except OverflowError:
+            raise ParameterError(f"e**t overflows a float at t = {t!r}") from None
+        self.t = t
+        self.la = math.log(alpha)
+        self.lb = math.log1p(-alpha)
+        self._leaves: dict[tuple[int, int], int] = {}
+
+    def is_leaf(self, a: int, b: int) -> bool:
+        return self.t + a * self.la + b * self.lb <= LENGTH_ONE_SLACK
+
+    def width(self, a: int, b: int) -> float:
+        return math.exp(self.t + a * self.la + b * self.lb)
+
+    def leaves(self, a: int = 0, b: int = 0) -> int:
+        """Number of leaf tiles below node (a, b).
+
+        Iterative post-order over N(a, b) = N(a+1, b) + N(a, b+1), with
+        the leaf test inlined on locals: this is the hot loop of
+        counting.
+        """
+        memo = self._leaves
+        t, la, lb = self.t, self.la, self.lb
+        root = (a, b)
+        stack = [root]
+        while stack:
+            a, b = stack[-1]
+            if (a, b) in memo:
+                stack.pop()
+                continue
+            if t + a * la + b * lb <= LENGTH_ONE_SLACK:
+                memo[(a, b)] = 1
+                stack.pop()
+                continue
+            left, right = (a + 1, b), (a, b + 1)
+            ready = True
+            for child in (left, right):
+                if child not in memo:
+                    stack.append(child)
+                    ready = False
+            if ready:
+                memo[(a, b)] = memo[left] + memo[right]
+                stack.pop()
+        return memo[root]
+
+    def prefix_count(self, x: float) -> int:
+        """Number of left endpoints in [0, x], by one descent of the tree."""
+        if x < 0.0:
+            raise ParameterError("x must be nonnegative")
+        if x > self.support * (1.0 + 1e-12):
+            raise ParameterError("x lies beyond the patch support")
+        count = 0
+        a, b, left = 0, 0, 0.0
+        while True:
+            if self.is_leaf(a, b):
+                count += 1 if left <= x else 0
+                return count
+            boundary = left + self.width(a + 1, b)
+            if x < boundary:
+                a += 1
+            else:
+                count += self.leaves(a + 1, b)
+                left = boundary
+                b += 1
+
+    def iter_leaves(self, upto: float) -> Iterator[float]:
+        """Yield the left endpoints of the leaves up to ``upto`` in order,
+        floats only."""
+        # Kept apart from generate_patch's walk: artifacts pin both position formulas.
+        stack = [(0, 0, 0.0)]
+        while stack:
+            a, b, left = stack.pop()
+            if left > upto:
+                continue
+            if self.is_leaf(a, b):
+                yield left
+            else:
+                wl = self.width(a + 1, b)
+                stack.append((a, b + 1, left + wl))
+                stack.append((a + 1, b, left))
 
 
 def count_tiles(alpha: float, t: float) -> int:
     """Number of tiles of the patch at time t; exact integer arithmetic."""
-    _check_alpha(alpha)
-    if t < 0.0:
-        raise ParameterError(f"t must be nonnegative, got {t!r}")
-    return _leaf_counts(math.log(alpha), math.log1p(-alpha), t)[(0, 0)]
+    return SubdivisionTree(alpha, t).leaves()
 
 
 def count_tiles_commensurable(n: int, m: int, ell: int) -> int:
@@ -138,6 +171,7 @@ def count_tiles_commensurable(n: int, m: int, ell: int) -> int:
     A tile of length xi**e with e > 0 splits into lengths xi**(e-n) and
     xi**(e-m); tiles with e <= 0 are leaves.
     """
+    # Not SubdivisionTree: this is the exact integer xi-exponent tree.
     check_exponent_pair(n, m)
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
@@ -159,19 +193,18 @@ def generate_patch(
     """Materialize the patch at time t, anchored so that the inflated
     interval spans ``[-origin_offset * e**t, (1 - origin_offset) * e**t]``.
     """
-    _check_alpha(alpha)
-    if t < 0.0:
-        raise ParameterError(f"t must be nonnegative, got {t!r}")
+    tree = SubdivisionTree(alpha, t)
     if not (0.0 <= origin_offset <= 1.0):
         raise ParameterError("origin_offset must lie between 0 and 1")
-    check_tile_cap(count_tiles(alpha, t), max_tiles)
-    la, lb = math.log(alpha), math.log1p(-alpha)
-    scale = math.exp(t)
+    check_tile_cap(tree.leaves(), max_tiles)
+    la, lb = tree.la, tree.lb
+    scale = tree.support
     anchor = -origin_offset * scale
     beta = 1.0 - alpha
     alpha_pow = [alpha**k for k in range(int(t / -la) + 3)]
     beta_pow = [beta**k for k in range(int(t / -lb) + 3)]
     lengths: dict[tuple[int, int], LengthExponent] = {}
+    # Kept apart from SubdivisionTree.iter_leaves: artifacts pin both position formulas.
     # Depth-first, right child pushed first so leaves pop left to right.
     # A right child adds the length of its left sibling to the position;
     # along a path these terms ascend in (a, b), so the exact terms come

@@ -15,7 +15,7 @@ import math
 from typing import Any, Mapping, Sequence
 
 from ._version import __version__
-from .cover import PrimitiveRule, ThreeIntervalRule, substitution_matrix
+from .cover import PrimitiveRule, ThreeIntervalRule
 from .discrepancy import DiscrepancySeries
 from .errors import ParameterError
 from .geometry import Patch, PointSet
@@ -29,7 +29,6 @@ __all__ = [
     "series_to_csv",
     "patch_to_svg",
     "series_to_svg",
-    "rule_to_dict",
     "rule_to_dot",
 ]
 
@@ -186,32 +185,6 @@ def series_to_svg(
         parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="#203050"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def rule_to_dict(rule: PrimitiveRule | ThreeIntervalRule) -> dict[str, Any]:
-    """JSON-ready description: exact length exponents, real lengths,
-    the substitution images and the integer matrix in row-major order."""
-    matrix = substitution_matrix(rule)
-    if isinstance(rule, PrimitiveRule):
-        shape: dict[str, Any] = {"kind": "two_interval", "loops": [rule.n, rule.m]}
-    else:
-        shape = {"kind": "three_interval", "loops": list(rule.loops)}
-    images = [
-        [
-            {"child": child, "offset": {str(k): v for k, v in sorted(offset.terms)}}
-            for child, offset in image
-        ]
-        for image in rule.image_map
-    ]
-    return {
-        **shape,
-        "xi": rule.xi,
-        "length_convention": "prototile length = xi**(-exponent)",
-        "length_exponents": list(rule.length_exponents),
-        "prototile_lengths": list(rule.prototile_lengths),
-        "images": images,
-        "matrix": [list(row) for row in matrix.entries],
-    }
 
 
 def rule_to_dot(rule: PrimitiveRule | ThreeIntervalRule) -> str:

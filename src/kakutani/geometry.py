@@ -31,7 +31,6 @@ from .errors import ParameterError
 
 __all__ = [
     "LengthExponent",
-    "length_value",
     "PositionVector",
     "XiPower",
     "XiSum",
@@ -49,19 +48,6 @@ class LengthExponent(NamedTuple):
 
     def value(self, alpha: float) -> float:
         return alpha**self.a * (1.0 - alpha) ** self.b
-
-    def log_value(self, alpha: float) -> float:
-        return self.a * math.log(alpha) + self.b * math.log1p(-alpha)
-
-
-def length_value(exponent: LengthExponent | tuple[int, int], alpha: float) -> float:
-    """Evaluate a length exponent pair at a concrete alpha."""
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
-    a, b = exponent
-    if a < 0 or b < 0:
-        raise ParameterError(f"exponents must be nonnegative, got ({a}, {b})")
-    return alpha**a * (1.0 - alpha) ** b
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -129,22 +115,9 @@ class PositionVector(_TermSum):
     def _key(key: tuple[int, int]) -> tuple[int, int]:
         return (int(key[0]), int(key[1]))
 
-    def plus(self, step: LengthExponent) -> "PositionVector":
-        """This position shifted right by one tile of the given length."""
-        return PositionVector(list(self._terms) + [((step.a, step.b), 1)])
-
     def value(self, alpha: float) -> float:
         beta = 1.0 - alpha
         return left_sum(c * alpha**a * beta**b for (a, b), c in self._terms)
-
-    def to_xi_sum(self, n: int, m: int, shift: int = 0) -> "XiSum":
-        """Rewrite over powers of xi, using alpha = xi**-n, 1-alpha = xi**-m.
-
-        The optional shift multiplies by xi**shift, which turns a
-        position in patch-relative units into an absolute one when the
-        patch scale is xi**shift.
-        """
-        return XiSum([(shift - a * n - b * m, c) for (a, b), c in self._terms])
 
 
 class XiSum(_TermSum):

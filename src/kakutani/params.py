@@ -21,33 +21,15 @@ from fractions import Fraction
 from .errors import ParameterError
 
 __all__ = [
-    "AlphaParam",
     "Commensurable",
     "Incommensurable",
     "RatioClass",
+    "check_alpha",
     "check_exponent_pair",
     "detect_commensurability",
     "r_of_alpha",
     "solve_alpha",
 ]
-
-
-@dataclass(frozen=True)
-class AlphaParam:
-    """A validated splitting ratio with its working tolerance."""
-
-    value: float
-    tolerance: float = 1e-14
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.value <= 0.5):
-            raise ParameterError(f"alpha must lie in (0, 1/2], got {self.value!r}")
-        if not (0.0 < self.tolerance < 1e-3):
-            raise ParameterError(f"unreasonable tolerance {self.tolerance!r}")
-
-    @property
-    def complement(self) -> float:
-        return 1.0 - self.value
 
 
 @dataclass(frozen=True)
@@ -76,6 +58,12 @@ class Incommensurable:
 
 
 RatioClass = Commensurable | Incommensurable
+
+
+def check_alpha(alpha: float) -> None:
+    """Validate a splitting ratio: alpha in (0, 1/2]; NaN is refused."""
+    if not (0.0 < alpha <= 0.5):
+        raise ParameterError(f"alpha must lie in (0, 1/2], got {alpha!r}")
 
 
 def check_exponent_pair(n: int, m: int) -> None:
@@ -119,8 +107,7 @@ def solve_alpha(n: int, m: int) -> float:
 
 def r_of_alpha(alpha: float) -> float:
     """The log-length ratio ``log(alpha) / log(1 - alpha)``, always >= 1."""
-    if not (0.0 < alpha <= 0.5):
-        raise ParameterError(f"alpha must lie in (0, 1/2], got {alpha!r}")
+    check_alpha(alpha)
     return math.log(alpha) / math.log1p(-alpha)
 
 
@@ -159,8 +146,7 @@ def detect_commensurability(
     This is a bounded heuristic: a truly irrational ratio is reported
     Incommensurable only relative to the denominator bound.
     """
-    if not (0.0 < alpha <= 0.5):
-        raise ParameterError(f"alpha must lie in (0, 1/2], got {alpha!r}")
+    check_alpha(alpha)
     if max_denominator < 1:
         raise ParameterError("max_denominator must be >= 1")
     r = r_of_alpha(alpha)

@@ -17,32 +17,34 @@ import pytest
 
 from kakutani import (
     Commensurable,
-    IntPolynomial,
-    PointSet,
     build_rho,
-    build_three_interval_rule,
-    chabauty_fell_distance,
-    char_poly,
     classify_spreadness,
-    classify_three_interval,
-    count_tiles,
-    delone_points,
     discrepancy_scan,
     dyadic_windows,
-    eigenspace_not_perp,
-    f_alpha_poly,
-    find_roots,
     generate_patch,
     growth_fit,
-    iterate_primitive,
-    solomon_verdict,
     solve_alpha,
     substitution_matrix,
-    survey,
+)
+from kakutani.cover import (
+    build_three_interval_rule,
+    char_poly,
+    iterate_primitive,
     tile_counts,
     verify_cover,
 )
-from kakutani.spectral import SpreadClass
+from kakutani.engine import chabauty_fell_distance, count_tiles, delone_points
+from kakutani.geometry import PointSet
+from kakutani.polynomials import IntPolynomial
+from kakutani.rootfind import find_roots
+from kakutani.spectral import (
+    SpreadClass,
+    classify_three_interval,
+    eigenspace_not_perp,
+    f_alpha_poly,
+    solomon_verdict,
+    survey,
+)
 
 from conftest import bisect_root, coprime_pairs
 

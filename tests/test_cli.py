@@ -383,6 +383,24 @@ def test_patch_artifact_bytes_match_golden(capsys, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_GOLDENS[command]
 
 
+# A t that is not finite, or whose e**t overflows a float, is refused
+# before any tree work: the usage exit code, not a verdict code.
+@pytest.mark.parametrize(
+    "command",
+    [
+        "generate --alpha 0.3 --t inf",
+        "generate --alpha 0.3 --t nan",
+        "discrepancy --alpha 0.3 --t 1e300",
+        "discrepancy --alpha 0.3 --t nan",
+    ],
+)
+def test_bad_t_is_a_parameter_error(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 3
+    assert out == ""
+    assert "parameter error" in err
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,22 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakutani import (
-    IntPolynomial,
     ParameterError,
     ResourceLimitError,
     build_rho,
+    solve_alpha,
+    substitution_matrix,
+)
+from kakutani import cover
+from kakutani.cover import (
+    SubstitutionMatrix,
     build_three_interval_rule,
     char_poly,
-    char_poly_from_rows,
     iterate_primitive,
-    solve_alpha,
     solve_inflation,
-    substitution_matrix,
     tile_counts,
     verify_cover,
 )
-from kakutani import cover
-from kakutani.cover import SubstitutionMatrix
+from kakutani.polynomials import IntPolynomial, char_poly_from_rows
 from kakutani.geometry import XiSum
 
 from conftest import ascending_fold, bisect_root, coprime_pairs, expansion_char_poly
@@ -73,6 +74,8 @@ class TestRuleStructure:
         assert rule.size == 4
         assert rule.length_exponents == (0, 2, 1, 1)
         assert rule.prototile_lengths[0] == 1.0
+        for exponent, length in zip(rule.length_exponents, rule.prototile_lengths):
+            assert length == pytest.approx(rule.xi**-exponent, abs=1e-14)
 
     def test_hub_children_order(self):
         # the alpha piece (longer loop) comes first, at offset zero
@@ -116,8 +119,9 @@ class TestThreeIntervalRule:
     def test_tribonacci_rule(self):
         rule = build_three_interval_rule(3, 2, 1)
         assert rule.size == 4
+        assert [child for child, _ in rule.image_map[0]] == [2, 4, 1]
         assert rule.polynomial.coeffs == (-1, -1, -1, 1)
-        assert sum(rule.interval_lengths) == pytest.approx(1.0, abs=1e-12)
+        assert sum(rule.xi**-c for c in rule.loops) == pytest.approx(1.0, abs=1e-12)
 
     def test_polynomial_vanishes_at_xi(self):
         for loops in [(2, 1, 1), (3, 2, 1), (4, 2, 1), (5, 1, 1), (5, 4, 2)]:
@@ -148,7 +152,7 @@ class TestSubstitutionMatrix:
         # hub image has one child per loop; chains are single children
         for n, m in [(3, 2), (5, 2), (7, 4)]:
             matrix = substitution_matrix(build_rho(n, m))
-            sums = matrix.column_sums()
+            sums = [sum(column) for column in zip(*matrix.entries)]
             assert sums[0] == 2
             assert all(s == 1 for s in sums[1:])
 
@@ -293,6 +297,17 @@ class TestIteratePrimitive:
     def test_tile_cap(self):
         with pytest.raises(ResourceLimitError):
             iterate_primitive(build_rho(2, 1), 10, max_tiles=20)
+
+    @pytest.mark.parametrize(
+        "rule", [build_rho(3, 2), build_three_interval_rule(3, 2, 1)], ids=["3/2", "3,2,1"]
+    )
+    def test_tile_cap_is_exact(self, rule):
+        # refused one tile short of the patch, admitted at its exact size
+        ell = 12
+        count = sum(tile_counts(substitution_matrix(rule), ell))
+        with pytest.raises(ResourceLimitError):
+            iterate_primitive(rule, ell, max_tiles=count - 1)
+        assert len(iterate_primitive(rule, ell, max_tiles=count)) == count
 
     def test_rejects_negative_ell(self):
         with pytest.raises(ParameterError):

@@ -7,22 +7,18 @@ from hypothesis import strategies as st
 
 from kakutani import (
     Commensurable,
-    Incommensurable,
     ParameterError,
-    asymptotic_density,
-    count_tiles,
     discrepancy_scan,
     dyadic_windows,
     generate_patch,
     growth_fit,
-    interval_count,
-    prefix_count,
-    r_of_alpha,
     solve_alpha,
 )
-from kakutani.discrepancy import DiscrepancySeries, _SubdivisionTree
+from kakutani.discrepancy import DiscrepancySeries, asymptotic_density, prefix_count
+from kakutani.engine import SubdivisionTree, count_tiles
+from kakutani.params import Incommensurable, r_of_alpha
 
-from conftest import brute_boundaries
+from conftest import brute_boundaries, brute_count_tiles
 
 GOLDEN_ALPHA = 0.38196601125010515  # solve_alpha(2, 1)
 
@@ -89,9 +85,10 @@ class TestPrefixCount:
     def test_total_equals_count_tiles(self):
         for alpha in (0.25, 1.0 / 3.0, GOLDEN_ALPHA):
             for t in (3.0, 7.0, 11.0):
-                tree = _SubdivisionTree(alpha, t)
-                assert tree.total() == count_tiles(alpha, t)
-                assert tree.prefix_count(tree.support()) == tree.total()
+                tree = SubdivisionTree(alpha, t)
+                assert tree.leaves() == count_tiles(alpha, t)
+                assert tree.leaves() == brute_count_tiles(alpha, t)
+                assert tree.prefix_count(tree.support) == tree.leaves()
 
     def test_monotone_in_x(self):
         alpha = 0.3
@@ -105,15 +102,6 @@ class TestPrefixCount:
             prefix_count(1.0 / 3.0, 2.0, -0.5)
         with pytest.raises(ParameterError):
             prefix_count(1.0 / 3.0, 2.0, math.exp(2.0) * 1.5)
-
-    def test_interval_count(self):
-        alpha = 1.0 / 3.0
-        t = math.log(3.0)
-        assert interval_count(alpha, t, 0.0, 3.0) == 3
-        assert interval_count(alpha, t, 0.5, 1.5) == 1
-        assert interval_count(alpha, t, 1.5, 2.5) == 2
-        with pytest.raises(ParameterError):
-            interval_count(alpha, t, 2.0, 1.0)
 
 
 class TestScan:
@@ -280,8 +268,8 @@ class TestProperties:
         st.floats(min_value=0.0, max_value=6.0),
     )
     def test_prefix_at_support_counts_all(self, alpha, t):
-        tree = _SubdivisionTree(alpha, t)
-        assert tree.prefix_count(tree.support()) == tree.total()
+        tree = SubdivisionTree(alpha, t)
+        assert tree.prefix_count(tree.support) == tree.leaves()
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -1,0 +1,82 @@
+"""The documented entry points: the README library block, the script and
+the top-level names they import."""
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import kakutani
+from kakutani import SpreadClass, growth_fit, substitution_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "run_discrepancy.py"
+
+
+def script_env():
+    src = str(Path(kakutani.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def test_readme_library_block_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    # the values the block's comments promise
+    assert namespace["verdict"].spectral.solomon is SpreadClass.SPREAD
+    assert namespace["verdict"].spectral.lambda1 == 1.618033988749895
+    assert substitution_matrix(namespace["rule"]).is_primitive()
+    assert growth_fit(namespace["series"]).best == "w_over_log_w"
+
+
+def test_discrepancy_script_writes_three_regimes(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "--depth", "11", "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=script_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    names = ("spread_3_2", "power_7_3", "unbounded_third")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}.{ext}" for name in names for ext in ("csv", "svg")
+    )
+    assert [line.split()[0] for line in result.stdout.splitlines()[:3]] == list(names)
+
+
+def test_discrepancy_script_refuses_too_few_windows(tmp_path):
+    # 2**4 .. 2**10 is 7 windows, one short of what a growth fit needs
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "--depth", "10", "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=script_env(),
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert not any(tmp_path.iterdir())
+
+
+def test_public_names():
+    assert sorted(kakutani.__all__) == [
+        "Commensurable",
+        "KakutaniError",
+        "NumericError",
+        "ParameterError",
+        "ResourceLimitError",
+        "SpreadClass",
+        "__version__",
+        "build_rho",
+        "classify_spreadness",
+        "discrepancy_scan",
+        "dyadic_windows",
+        "generate_patch",
+        "growth_fit",
+        "solve_alpha",
+        "substitution_matrix",
+    ]
+    for name in kakutani.__all__:
+        assert hasattr(kakutani, name), name

@@ -5,59 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakutani import (
-    LengthExponent,
-    ParameterError,
-    PointSet,
-    PositionVector,
-    ResourceLimitError,
-    Tile,
+from kakutani import ParameterError, ResourceLimitError, generate_patch, solve_alpha
+from kakutani.engine import (
     chabauty_fell,
     chabauty_fell_distance,
     count_tiles,
     count_tiles_commensurable,
     delone_points,
-    generate_patch,
     generate_patch_commensurable,
-    solve_alpha,
-    substitute_once,
 )
-from kakutani.geometry import XiSum
+from kakutani.geometry import PointSet, PositionVector, XiSum
 
 from conftest import ascending_fold, brute_boundaries, brute_count_tiles, coprime_pairs
-
-
-def unit_tile(position=0.0, length=1.0):
-    return Tile(
-        position=PositionVector.zero(),
-        length=LengthExponent(0, 0),
-        position_value=position,
-        length_value=length,
-    )
-
-
-class TestSubstituteOnce:
-    def test_splits_in_two(self):
-        patch = substitute_once(unit_tile(), 0.3)
-        assert len(patch.tiles) == 2
-        assert patch.tiles[0].length_value == pytest.approx(0.3)
-        assert patch.tiles[1].length_value == pytest.approx(0.7)
-        assert patch.tiles[1].position_value == pytest.approx(0.3)
-
-    def test_preserves_support(self):
-        patch = substitute_once(unit_tile(position=2.0), 0.25)
-        assert patch.support == pytest.approx((2.0, 3.0))
-
-    def test_rejects_labelled_tile(self):
-        bad = Tile(
-            position=PositionVector.zero(),
-            length=LengthExponent(0, 0),
-            position_value=0.0,
-            length_value=1.0,
-            label=1,
-        )
-        with pytest.raises(ParameterError):
-            substitute_once(bad, 0.3)
 
 
 class TestCountTiles:

@@ -1,24 +1,15 @@
 import json
 
-import pytest
-
-from kakutani import (
-    build_rho,
-    build_three_interval_rule,
-    delone_points,
-    discrepancy_scan,
-    dyadic_windows,
-    iterate_primitive,
-    substitution_matrix,
-    survey,
-)
+from kakutani import build_rho, discrepancy_scan, dyadic_windows
+from kakutani.cover import iterate_primitive
+from kakutani.engine import delone_points
+from kakutani.spectral import survey
 from kakutani._version import __version__
 from kakutani.exports import (
     json_envelope,
     patch_to_csv,
     patch_to_svg,
     points_to_csv,
-    rule_to_dict,
     rule_to_dot,
     series_to_csv,
     series_to_svg,
@@ -104,27 +95,6 @@ class TestSvg:
 
 
 class TestRuleViews:
-    def test_dict_two_interval(self):
-        rule = build_rho(3, 2)
-        data = rule_to_dict(rule)
-        assert data["kind"] == "two_interval"
-        assert data["loops"] == [3, 2]
-        assert data["length_convention"] == "prototile length = xi**(-exponent)"
-        assert data["length_exponents"] == list(rule.length_exponents)
-        for exponent, length in zip(data["length_exponents"], data["prototile_lengths"]):
-            assert length == pytest.approx(rule.xi**-exponent, abs=1e-14)
-        assert data["matrix"] == [
-            list(row) for row in substitution_matrix(rule).entries
-        ]
-
-    def test_dict_three_interval(self):
-        data = rule_to_dict(build_three_interval_rule(3, 2, 1))
-        assert data["kind"] == "three_interval"
-        assert data["loops"] == [3, 2, 1]
-        assert len(data["images"]) == 4
-        hub = data["images"][0]
-        assert [child["child"] for child in hub] == [2, 4, 1]
-
     def test_dot_structure(self):
         rule = build_rho(3, 2)
         text = rule_to_dot(rule)

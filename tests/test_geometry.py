@@ -1,12 +1,11 @@
-import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakutani import (
+from kakutani import ParameterError
+from kakutani.geometry import (
     LengthExponent,
-    ParameterError,
     Patch,
     PointSet,
     PositionVector,
@@ -33,35 +32,21 @@ class TestLengthExponent:
         e = LengthExponent(2, 1)
         assert e.value(ALPHA) == pytest.approx(ALPHA**2 * 0.7)
 
-    def test_log_value(self):
-        e = LengthExponent(1, 3)
-        assert e.log_value(ALPHA) == pytest.approx(
-            math.log(ALPHA) + 3 * math.log(0.7)
-        )
-
 
 class TestPositionVector:
     def test_zero_value(self):
         assert PositionVector.zero().value(ALPHA) == 0.0
 
     def test_plus_accumulates(self):
-        v = PositionVector.zero().plus(LengthExponent(1, 0)).plus(LengthExponent(1, 0))
+        # equal keys merge: two alpha-steps are one term of coefficient 2
+        v = PositionVector([((1, 0), 1), ((1, 0), 1)])
+        assert v.terms == (((1, 0), 2),)
         assert v.value(ALPHA) == pytest.approx(2 * ALPHA)
 
     def test_equality_is_structural(self):
-        a = PositionVector.zero().plus(LengthExponent(1, 2))
-        b = PositionVector.zero().plus(LengthExponent(1, 2))
+        a = PositionVector([((1, 2), 1), ((0, 1), 1)])
+        b = PositionVector([((0, 1), 1), ((1, 2), 1)])
         assert a == b and hash(a) == hash(b)
-
-    def test_to_xi_sum_matches_float(self):
-        # alpha for ratio 3/1: alpha = xi**-3, 1 - alpha = xi**-1
-        from kakutani import solve_alpha
-
-        alpha = solve_alpha(3, 1)
-        xi = alpha ** (-1.0 / 3.0)
-        v = PositionVector.zero().plus(LengthExponent(1, 0)).plus(LengthExponent(1, 2))
-        converted = v.to_xi_sum(3, 1, shift=5)
-        assert converted.value(xi) == pytest.approx(xi**5 * v.value(alpha), rel=1e-12)
 
 
 class TestXiSum:
@@ -120,10 +105,9 @@ exponents = st.tuples(
 @given(st.lists(exponents, max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_position_vector_value_additive(steps):
-    v = PositionVector.zero()
+    v = PositionVector([((a, b), 1) for a, b in steps])
     expected = 0.0
     for a, b in steps:
-        v = v.plus(LengthExponent(a, b))
         expected += ALPHA**a * 0.7**b
     assert v.value(ALPHA) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 

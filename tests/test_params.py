@@ -5,27 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakutani import (
-    AlphaParam,
-    Commensurable,
+from kakutani import Commensurable, ParameterError, solve_alpha
+from kakutani.params import (
     Incommensurable,
-    ParameterError,
+    check_alpha,
     detect_commensurability,
     r_of_alpha,
-    solve_alpha,
 )
 
 from conftest import alpha_oracle, coprime_pairs
 
 
 class TestAlphaParam:
+    """``check_alpha``, the one validation of the splitting ratio."""
+
     def test_accepts_half(self):
-        assert AlphaParam(0.5).value == 0.5
+        check_alpha(0.5)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 0.5 + 1e-9, 1.0, float("nan")])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ParameterError):
-            AlphaParam(bad)
+        with pytest.raises(ParameterError, match=r"alpha must lie in \(0, 1/2\], got"):
+            check_alpha(bad)
 
 
 class TestCommensurable:

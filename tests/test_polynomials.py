@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kakutani.polynomials
-from kakutani import IntPolynomial, ParameterError, char_poly_from_rows, cyclotomic
+from kakutani import ParameterError
+from kakutani.polynomials import IntPolynomial, char_poly_from_rows, cyclotomic
 
 from conftest import expansion_char_poly
 

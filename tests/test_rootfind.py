@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakutani import (
-    IntPolynomial,
-    NumericError,
-    ParameterError,
-    find_roots,
-    residual_bound,
-    root_residual,
-)
+from kakutani import NumericError, ParameterError
+from kakutani.polynomials import IntPolynomial
+from kakutani.rootfind import find_roots, residual_bound, root_residual
 
 from conftest import bisect_root, quadratic_roots
 

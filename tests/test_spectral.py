@@ -7,26 +7,25 @@ from hypothesis import strategies as st
 
 from kakutani import (
     Commensurable,
-    Incommensurable,
-    IntPolynomial,
     ParameterError,
-    SPREAD_RATIOS,
     build_rho,
-    build_three_interval_rule,
     classify_spreadness,
+    solve_alpha,
+    substitution_matrix,
+)
+from kakutani.cover import build_three_interval_rule
+from kakutani.params import Incommensurable, r_of_alpha
+from kakutani.polynomials import IntPolynomial, cyclotomic
+from kakutani.rootfind import find_roots, residual_bound
+from kakutani.spectral import (
+    SPREAD_RATIOS,
     classify_three_interval,
-    cyclotomic,
     eigenspace_not_perp,
     f_alpha_poly,
-    find_roots,
     has_unit_circle_factor,
     is_pv_three_interval,
     is_pv_trinomial,
-    r_of_alpha,
-    residual_bound,
     solomon_verdict,
-    solve_alpha,
-    substitution_matrix,
     survey,
     unit_circle_factors,
 )
