@@ -300,14 +300,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         payload = {
             "support": list(patch.support),
-            "tile_count": len(patch.tiles),
+            "tile_count": len(patch),
             "tiles": [
-                {
-                    "position": tile.position_value,
-                    "length": tile.length_value,
-                    "label": tile.label,
-                }
-                for tile in patch.tiles
+                {"position": position, "length": length, "label": label}
+                for position, length, label in zip(
+                    patch.positions(), patch.lengths(), patch.labels()
+                )
             ],
         }
         _emit(json_envelope(payload, config), args.out)

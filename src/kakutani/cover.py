@@ -36,7 +36,7 @@ from itertools import chain
 
 from . import engine
 from .errors import ParameterError
-from .geometry import Patch, Tile, XiPower, XiSum, left_sum
+from .geometry import Patch, XiPower, XiSum, left_sum
 from .params import check_exponent_pair, solve_alpha
 from .polynomials import IntPolynomial
 
@@ -345,42 +345,59 @@ def iterate_primitive(
         raise ParameterError("ell must be nonnegative")
     engine.check_tile_cap(_rule_count(rule, ell), max_tiles)
     xi = rule.xi
-    children = [
-        tuple((child, offset.terms) for child, offset in reversed(image))
-        for image in rule.image_map
-    ]
+    children = [tuple(reversed(image)) for image in rule.image_map]
     # a label whose image is one child at offset zero just passes through
-    through = [image[0][0] if len(image) == 1 and not image[0][1] else 0 for image in children]
-    lengths = [XiPower(e) for e in rule.length_exponents]
-    low = min(p for image in children for _, offset in image for p, _ in offset)
+    through = [image[0][0] if len(image) == 1 and not image[0][1].terms else 0 for image in children]
+    # What a label pushes depends on the steps still to go alone: each
+    # child, right to left, with its offset terms scaled by xi**left.
+    pushes = [
+        None
+        if through[label]
+        else [
+            tuple(
+                (child, left - 1, tuple((p + left, c) for p, c in offset.terms))
+                for child, offset in image
+            )
+            for left in range(ell + 1)
+        ]
+        for label, image in enumerate(children)
+    ]
+    low = min(p for image in children for _, offset in image for p, _ in offset.terms)
     power = {p: xi**p for p in range(low + 1, ell + 1)}
-    # With two loops only the second hub child has an offset, one power
-    # that strictly decreases along a path: prepending keeps the terms
-    # sorted.  Three loops can repeat a power, so those are merged.
-    exact = XiSum._from_sorted if len(children[0]) == 2 else XiSum
-    tiles: list[Tile] = []
+    labels: list[int] = []
+    found: list[tuple] = []
     stack: list[tuple[int, int, tuple]] = [(1, ell, ())]
+    pop, push = stack.pop, stack.append
     while stack:
-        label, left, terms = stack.pop()
+        label, left, terms = pop()
         while left and through[label - 1]:
             label, left = through[label - 1], left - 1
         if left:
-            for child, offset in children[label - 1]:
-                shifted = tuple((p + left, c) for p, c in offset) if offset else ()
-                stack.append((child, left - 1, shifted + terms))
+            for child, rest, shifted in pushes[label - 1][left]:
+                push((child, rest, shifted + terms))
         else:
-            pos = exact(terms)
-            tiles.append(
-                Tile(
-                    pos,
-                    lengths[label - 1],
-                    left_sum([c * power[p] for p, c in pos.terms]),
-                    rule.prototile_lengths[label - 1],
-                    label,
-                )
-            )
-    info = {"ell": ell, "xi": xi, "rule_size": rule.size}
-    return Patch(tiles=tuple(tiles), support=(0.0, xi**ell), info=info)
+            labels.append(label)
+            found.append(terms)
+    # With two loops only the second hub child has an offset, one power
+    # that strictly decreases along a path: prepending keeps the terms
+    # sorted.  Three loops can repeat a power, so those are merged.
+    exact_terms = found if len(children[0]) == 2 else [XiSum(terms).terms for terms in found]
+
+    def exact() -> tuple[list[XiSum], list[XiPower]]:
+        lengths = [XiPower(e) for e in rule.length_exponents]
+        return (
+            [XiSum._from_sorted(terms) for terms in exact_terms],
+            [lengths[label - 1] for label in labels],
+        )
+
+    return Patch(
+        [left_sum([c * power[p] for p, c in terms]) for terms in exact_terms],
+        [rule.prototile_lengths[label - 1] for label in labels],
+        (0.0, xi**ell),
+        exact,
+        labels=labels,
+        info={"ell": ell, "xi": xi, "rule_size": rule.size},
+    )
 
 
 @dataclass(frozen=True)

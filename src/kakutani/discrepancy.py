@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .cover import build_rho, substitution_matrix
-from .engine import SubdivisionTree
-from .errors import ParameterError
+from .engine import DEFAULT_TILE_CAP, SubdivisionTree
+from .errors import ParameterError, ResourceLimitError
 from .params import (
     Incommensurable,
     RatioClass,
@@ -140,8 +140,6 @@ class _DeviationProfile:
         including left limits at the tile boundaries."""
         tree = self.tree
         d = self.density
-        if x < 0.0:
-            raise ParameterError("window must be nonnegative")
         if x > tree.support * (1.0 + 1e-12):
             raise ParameterError("window lies beyond the patch support")
         best_hi = -math.inf
@@ -218,11 +216,16 @@ def discrepancy_scan(
     ``mode="profile"`` (the default) evaluates the exact maximum over
     every boundary point and left limit via subtree deviation profiles.
     ``mode="direct"`` enumerates the boundary points one by one; it is
-    the cross-check and only sensible for small t.
+    the cross-check and only sensible for small t.  It is refused up
+    front, with ResourceLimitError, when the density * window points it
+    would enumerate, or the ids of its walk table, exceed
+    ``engine.DEFAULT_TILE_CAP``.
     """
     if not windows:
         raise ParameterError("need at least one window")
     ordered = tuple(float(w) for w in windows)
+    if not all(0.0 <= w < math.inf for w in ordered):
+        raise ParameterError("windows must be finite and nonnegative")
     density = asymptotic_density(alpha, ratio)
     tree = SubdivisionTree(alpha, t)
     support = tree.support
@@ -234,6 +237,13 @@ def discrepancy_scan(
         profile = _DeviationProfile(tree, density.value)
         maxima = tuple(profile.max_abs_upto(w) for w in ordered)
     elif mode == "direct":
+        # the scan walks about density * window leaves: refuse before any work
+        walk = density.value * ordered[-1]
+        if walk > DEFAULT_TILE_CAP:
+            raise ResourceLimitError(
+                f"a direct scan to {ordered[-1]} walks about {walk:.3g} leaves, "
+                f"above the cap {DEFAULT_TILE_CAP}"
+            )
         maxima = _direct_scan(tree, density.value, ordered)
     else:
         raise ParameterError(f"unknown scan mode {mode!r}")
@@ -253,19 +263,43 @@ def _direct_scan(
     # The deviation decreases linearly between points and jumps by one
     # at each point, so its extrema over a window sit at the points,
     # their left limits, and the window edge itself.
+    upto = windows[-1]
+    # Every leaf at or left of upto lies below the deepest node (top, 0)
+    # of the leftmost path whose right child starts at or left of upto.
+    top = 0
+    while not tree.is_leaf(top, 0) and tree.width(top + 1, 0) > upto:
+        top += 1
+    # Kept apart from generate_patch's walk: artifacts pin both position formulas.
+    row, pairs, leaf = tree.walk_table(top, upto)
+    step = [None if lf else tree.width(a + 1, b) for (a, b), lf in zip(pairs, leaf)]
     maxima = [0.0] * len(windows)
     running = 0.0
-    wi = 0
     count = 0
-    for left in tree.iter_leaves(windows[-1]):
-        while wi < len(windows) and left > windows[wi]:
-            maxima[wi] = max(running, abs(count - density * windows[wi]))
+    wi = 0
+    edge = windows[0]
+    stack = [(0, 0.0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        k, left = pop()
+        if not leaf[k]:
+            right = left + step[k]
+            if right <= upto:
+                push((k + 1, right))
+            push((k + row, left))
+            continue
+        while left > edge:
+            maxima[wi] = max(running, abs(count - density * edge))
             wi += 1
-        if wi >= len(windows):
-            return tuple(maxima)
-        running = max(running, abs(count - density * left))
+            edge = windows[wi]
+        # the left limit at the point, then the jump by one
+        x = density * left
+        low = abs(count - x)
         count += 1
-        running = max(running, count - density * left)
+        high = count - x
+        if low > running:
+            running = low
+        if high > running:
+            running = high
     for j in range(wi, len(windows)):
         maxima[j] = max(running, abs(count - density * windows[j]))
     return tuple(maxima)

@@ -8,7 +8,8 @@ the family of patches a semi-flow in t.  Tiles are in bijection with
 the directed walks of length t on a one-vertex graph with two loops of
 lengths log(1/alpha) and log(1/(1-alpha)).  ``SubdivisionTree`` is the
 tree of these splits: ``count_tiles`` and the discrepancy module count on it
-without materializing anything.
+without materializing anything, and ``generate_patch`` and the direct
+discrepancy scan walk it through tables indexed by exponent pair.
 
 Lengths of exactly one are detected in log scale with a fixed slack, so
 that e.g. alpha = 1/2 at t = log 2 yields two unit tiles and not four
@@ -19,7 +20,7 @@ greater than one" is an integer comparison.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ParameterError, ResourceLimitError
 from .geometry import (
@@ -27,7 +28,6 @@ from .geometry import (
     Patch,
     PointSet,
     PositionVector,
-    Tile,
     XiPower,
     XiSum,
     left_sum,
@@ -143,21 +143,49 @@ class SubdivisionTree:
                 left = boundary
                 b += 1
 
-    def iter_leaves(self, upto: float) -> Iterator[float]:
-        """Yield the left endpoints of the leaves up to ``upto`` in order,
-        floats only."""
-        # Kept apart from generate_patch's walk: artifacts pin both position formulas.
-        stack = [(0, 0, 0.0)]
-        while stack:
-            a, b, left = stack.pop()
-            if left > upto:
-                continue
-            if self.is_leaf(a, b):
-                yield left
-            else:
-                wl = self.width(a + 1, b)
-                stack.append((a, b + 1, left + wl))
-                stack.append((a + 1, b, left))
+    def walk_table(
+        self, top: int = 0, upto: float = math.inf
+    ) -> tuple[int, list[tuple[int, int]], list[bool]]:
+        """Node ids for a depth-first walk of the subtree at node (top, 0).
+
+        Whether a node is a leaf, and how long its children are, depend
+        on its exponent pair alone, so a walk looks them up by node id
+        instead of working them out at every node.  Node (a, b) has id
+        (a - top) * row + b, its left child id + row and its right child
+        id + 1.  Returns row, the pair of each id and the leaf flag of
+        each id; a caller builds its other per-pair tables from the pairs.
+
+        A walk that pushes a right child only when it starts at or before
+        ``upto``, with (top + 1, 0) no longer than ``upto``, gets a table
+        sized to the nodes it reaches.  A table of more than
+        ``DEFAULT_TILE_CAP`` ids is refused before it is built.
+        """
+        t, la, lb = self.t, self.la, self.lb
+        # past the deepest child a walk reaches, with one spare row and
+        # column; a leaf at (top, 0) still gets its id 0
+        depth = max(t + top * la, 0.0)
+        rows = int(depth / -la) + 3
+        if upto == math.inf:
+            row = int(depth / -lb) + 3
+        else:
+            # Below row top every node starts at or before upto, so those
+            # rows end at their leaves; row top ends where its right child
+            # first starts past upto, found with the walk's own sums.
+            row = int(max(depth + la, 0.0) / -lb) + 3
+            b, left = 0, 0.0
+            while b < DEFAULT_TILE_CAP and not self.is_leaf(top, b):
+                left += self.width(top + 1, b)
+                if left > upto:
+                    break
+                b += 1
+            row = max(row, b + 2)
+        if rows * row > DEFAULT_TILE_CAP:
+            raise ResourceLimitError(
+                f"a walk table of {rows} x {row} ids is above the cap {DEFAULT_TILE_CAP}"
+            )
+        pairs = [(a, b) for a in range(top, top + rows) for b in range(row)]
+        leaf = [t + a * la + b * lb <= LENGTH_ONE_SLACK for a, b in pairs]
+        return row, pairs, leaf
 
 
 def count_tiles(alpha: float, t: float) -> int:
@@ -197,38 +225,45 @@ def generate_patch(
     if not (0.0 <= origin_offset <= 1.0):
         raise ParameterError("origin_offset must lie between 0 and 1")
     check_tile_cap(tree.leaves(), max_tiles)
-    la, lb = tree.la, tree.lb
     scale = tree.support
     anchor = -origin_offset * scale
     beta = 1.0 - alpha
-    alpha_pow = [alpha**k for k in range(int(t / -la) + 3)]
-    beta_pow = [beta**k for k in range(int(t / -lb) + 3)]
-    lengths: dict[tuple[int, int], LengthExponent] = {}
-    # Kept apart from SubdivisionTree.iter_leaves: artifacts pin both position formulas.
+    # every power a table row, its left child or a column reaches
+    alpha_pow = [alpha**k for k in range(int(t / -tree.la) + 4)]
+    beta_pow = [beta**k for k in range(int(t / -tree.lb) + 4)]
+    row, pairs, leaf = tree.walk_table()
+    step = [alpha_pow[a + 1] * beta_pow[b] for a, b in pairs]
+    # the exact term a right child adds: its left sibling's exponent pair
+    term = [((a + 1, b), 1) for a, b in pairs]
     # Depth-first, right child pushed first so leaves pop left to right.
     # A right child adds the length of its left sibling to the position;
     # along a path these terms ascend in (a, b), so the exact terms come
     # out sorted and the running float is their left-to-right sum.
-    tiles: list[Tile] = []
-    stack: list[tuple[int, int, tuple, float]] = [(0, 0, (), 0.0)]
+    leaves: list[tuple[int, tuple, float]] = []
+    stack: list[tuple[int, tuple, float]] = [(0, (), 0.0)]
+    pop, push, keep = stack.pop, stack.append, leaves.append
     while stack:
-        a, b, terms, val = stack.pop()
-        if t + a * la + b * lb > LENGTH_ONE_SLACK:
-            step = alpha_pow[a + 1] * beta_pow[b]
-            stack.append((a, b + 1, terms + (((a + 1, b), 1),), val + step))
-            stack.append((a + 1, b, terms, val))
+        node = pop()
+        k, terms, val = node
+        if leaf[k]:
+            keep(node)
         else:
-            tiles.append(
-                Tile(
-                    PositionVector._from_sorted(terms),
-                    lengths.get((a, b)) or lengths.setdefault((a, b), LengthExponent(a, b)),
-                    anchor + scale * val,
-                    scale * alpha_pow[a] * beta_pow[b],
-                )
-            )
+            push((k + 1, terms + (term[k],), val + step[k]))
+            push((k + row, terms, val))
+    size = [scale * alpha_pow[a] * beta_pow[b] for a, b in pairs]
+
+    def exact() -> tuple[list[PositionVector], list[LengthExponent]]:
+        exponents = {k: LengthExponent(*pairs[k]) for k in {k for k, _, _ in leaves}}
+        return (
+            [PositionVector._from_sorted(terms) for _, terms, _ in leaves],
+            [exponents[k] for k, _, _ in leaves],
+        )
+
     return Patch(
-        tiles=tuple(tiles),
-        support=(anchor, anchor + scale),
+        [anchor + scale * val for _, _, val in leaves],
+        [size[k] for k, _, _ in leaves],
+        (anchor, anchor + scale),
+        exact,
         info={"alpha": alpha, "t": t, "origin_offset": origin_offset},
     )
 
@@ -250,24 +285,34 @@ def generate_patch_commensurable(
     xi = alpha ** (-1.0 / n)
     # xi**p for every power a split or a leaf can reach: 1 - n <= p <= ell
     power = {p: xi**p for p in range(1 - n, ell + 1)}
-    lengths = {e: XiPower(-e) for e in range(1 - n, 1)}
     # Depth-first as in generate_patch.  The right child at exponent e
     # adds xi**(e - n); along a path these powers strictly decrease, so
     # prepending keeps the exact terms ascending.
-    tiles: list[Tile] = []
+    leaves: list[tuple[int, tuple]] = []
     stack: list[tuple[int, tuple]] = [(ell, ())]
+    pop, push, keep = stack.pop, stack.append, leaves.append
     while stack:
-        e, terms = stack.pop()
+        node = pop()
+        e, terms = node
         if e > 0:
             p = e - n
-            stack.append((e - m, ((p, 1),) + terms))
-            stack.append((p, terms))
+            push((e - m, ((p, 1),) + terms))
+            push((p, terms))
         else:
-            value = left_sum([power[p] for p, _ in terms])
-            tiles.append(Tile(XiSum._from_sorted(terms), lengths[e], value, power[e]))
+            keep(node)
+
+    def exact() -> tuple[list[XiSum], list[XiPower]]:
+        exponents = {e: XiPower(-e) for e in range(1 - n, 1)}
+        return (
+            [XiSum._from_sorted(terms) for _, terms in leaves],
+            [exponents[e] for e, _ in leaves],
+        )
+
     return Patch(
-        tiles=tuple(tiles),
-        support=(0.0, xi**ell),
+        [left_sum([power[p] for p, _ in terms]) for _, terms in leaves],
+        [power[e] for e, _ in leaves],
+        (0.0, xi**ell),
+        exact,
         info={"n": n, "m": m, "ell": ell, "alpha": alpha, "xi": xi},
     )
 

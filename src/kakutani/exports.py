@@ -76,8 +76,10 @@ def _num(value: float) -> str:
 
 def patch_to_csv(patch: Patch, config: Mapping[str, Any]) -> str:
     rows = [
-        (_num(tile.position_value), _num(tile.length_value), tile.label or "")
-        for tile in patch.tiles
+        (_num(position), _num(length), label or "")
+        for position, length, label in zip(
+            patch.positions(), patch.lengths(), patch.labels()
+        )
     ]
     return _csv_text(("position", "length", "label"), rows, config)
 
@@ -139,9 +141,9 @@ def patch_to_svg(
         _SVG_HEAD.format(w=width, h=height),
         _svg_comment(config),
     ]
-    for tile in patch.tiles:
-        x = margin + (tile.position_value - lo) * scale
-        w = tile.length_value * scale
+    for position, length in zip(patch.positions(), patch.lengths()):
+        x = margin + (position - lo) * scale
+        w = length * scale
         parts.append(
             f'<rect x="{x:.3f}" y="{margin}" width="{w:.3f}" '
             f'height="{bar_height}" fill="#dce6f2" stroke="#203050" '

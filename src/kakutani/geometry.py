@@ -16,15 +16,20 @@ position by one exact term per right child along the substitution
 tree, so the statement "the next tile starts where this one ends"
 never passes through floating point.  ``value`` folds the terms left to
 right in ascending order, the same order the generators add them in.
+
+A ``Patch`` holds its floats and labels as columns; the ``Tile``
+objects, with their exact positions and lengths, are built only when a
+caller asks for ``tiles``.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from itertools import islice
+from operator import add, lt
 from typing import NamedTuple, Union
 
 from .errors import ParameterError
@@ -160,36 +165,89 @@ class Tile:
     label: int | None = None
 
 
-@dataclass(frozen=True)
 class Patch:
-    """A finite, contiguous, left-to-right run of tiles."""
+    """A finite, contiguous, left-to-right run of tiles, held as columns.
 
-    tiles: tuple[Tile, ...]
-    support: tuple[float, float]
-    info: Mapping[str, object] = field(default_factory=dict, compare=False, repr=False)
+    Tile i starts at ``positions()[i]`` and has length ``lengths()[i]``
+    and label ``labels()[i]``, which is None throughout a multiscale
+    patch.  ``exact`` returns the exact positions and the exact lengths
+    of the tiles, in order; ``tiles`` calls it on first access and keeps
+    the ``Tile`` objects it builds, so a caller that reads only the
+    columns builds none.  A patch is immutable; equality, hash and repr
+    are by tiles and support, the info left out.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.tiles:
+    __slots__ = ("_support", "_info", "_positions", "_lengths", "_labels", "_exact", "_tiles")
+
+    def __init__(
+        self,
+        positions: Sequence[float],
+        lengths: Sequence[float],
+        support: tuple[float, float],
+        exact: Callable[[], tuple[Iterable[ExactPosition], Iterable[ExactLength]]],
+        labels: Sequence[int] | None = None,
+        info: Mapping[str, object] | None = None,
+    ) -> None:
+        if not positions:
             raise ParameterError("a patch must contain at least one tile")
-        vals = [t.position_value for t in self.tiles]
-        if any(y <= x for x, y in zip(vals, vals[1:])):
+        if not all(map(lt, positions, islice(positions, 1, None))):
             raise ParameterError("tile positions must be strictly increasing")
+        if len(lengths) != len(positions) or (
+            labels is not None and len(labels) != len(positions)
+        ):
+            raise ParameterError("every column needs one entry per tile")
+        self._positions = tuple(positions)
+        self._lengths = tuple(lengths)
+        self._labels = None if labels is None else tuple(labels)
+        self._exact = exact
+        self._tiles: tuple[Tile, ...] | None = None
+        self._support = support
+        self._info = {} if info is None else info
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return self._support
+
+    @property
+    def info(self) -> Mapping[str, object]:
+        return self._info
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Patch) and (self.tiles, self._support) == (
+            other.tiles,
+            other._support,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.tiles, self._support))
+
+    def __repr__(self) -> str:
+        return f"Patch(tiles={self.tiles!r}, support={self._support!r})"
 
     def __len__(self) -> int:
-        return len(self.tiles)
+        return len(self._positions)
+
+    @property
+    def tiles(self) -> tuple[Tile, ...]:
+        if self._tiles is None:
+            where, size = self._exact()
+            self._tiles = tuple(
+                map(Tile, where, size, self._positions, self._lengths, self.labels())
+            )
+        return self._tiles
 
     def positions(self) -> tuple[float, ...]:
-        return tuple(t.position_value for t in self.tiles)
+        return self._positions
 
     def lengths(self) -> tuple[float, ...]:
-        return tuple(t.length_value for t in self.tiles)
+        return self._lengths
 
     def labels(self) -> tuple[int | None, ...]:
-        return tuple(t.label for t in self.tiles)
+        return (None,) * len(self) if self._labels is None else self._labels
 
     def boundaries(self) -> tuple[float, ...]:
         """All tile boundaries, including the right edge of the support."""
-        return self.positions() + (self.support[1],)
+        return self._positions + (self._support[1],)
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,50 @@ def brute_boundaries(alpha, t, slack=1e-12):
     return out
 
 
+def leaves_upto_per_node(alpha, t, upto, slack=1e-12):
+    """Left endpoints up to ``upto`` of the leaves of the depth-t tree
+    anchored at zero, in order, floats only.
+
+    A depth-first walk that tests every node for a leaf and works out
+    its left child's width with ``exp``, node by node, with the same
+    float expressions as ``engine.SubdivisionTree``: the per-node walk
+    that the direct scan's per-pair tables replace.
+    """
+    la, lb = math.log(alpha), math.log1p(-alpha)
+    stack = [(0, 0, 0.0)]
+    while stack:
+        a, b, left = stack.pop()
+        if left > upto:
+            continue
+        if t + a * la + b * lb <= slack:
+            yield left
+        else:
+            wl = math.exp(t + (a + 1) * la + b * lb)
+            stack.append((a, b + 1, left + wl))
+            stack.append((a + 1, b, left))
+
+
+def direct_scan_per_node(alpha, t, density, windows):
+    """Max of |count([0, x]) - density * x| over each window, scanning
+    the points of ``leaves_upto_per_node`` one at a time: at each point
+    the left limit and the value after the jump, and at each window edge
+    the value there."""
+    maxima = [0.0] * len(windows)
+    running = 0.0
+    wi = 0
+    count = 0
+    for left in leaves_upto_per_node(alpha, t, windows[-1]):
+        while left > windows[wi]:
+            maxima[wi] = max(running, abs(count - density * windows[wi]))
+            wi += 1
+        running = max(running, abs(count - density * left))
+        count += 1
+        running = max(running, count - density * left)
+    for j in range(wi, len(windows)):
+        maxima[j] = max(running, abs(count - density * windows[j]))
+    return tuple(maxima)
+
+
 def ascending_fold(terms, term_value):
     """Float value of exact position terms, added one at a time with an
     explicit ``+`` in ascending order of their keys, from the integer 0.

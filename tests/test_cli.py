@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,10 @@ import pytest
 
 from kakutani import __version__
 from kakutani.cli import main
+from kakutani.discrepancy import asymptotic_density
+from kakutani.geometry import Tile
+
+from conftest import direct_scan_per_node
 
 DATA = Path(__file__).parent / "data"
 
@@ -381,6 +386,70 @@ def test_patch_artifact_bytes_match_golden(capsys, command):
     code, out, _err = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_GOLDENS[command]
+
+
+# The CLI reads the patch columns and builds no Tile object.
+@pytest.mark.parametrize(
+    "command",
+    [
+        "generate --alpha 0.4 --t 8 --format csv",
+        "generate --alpha 0.4 --t 6 --format json",
+        "generate --alpha 0.3 --t 7 --format svg",
+        "generate --alpha 0.4 --t 8 --points",
+        "generate --ratio 3/2 --ell 25 --format json",
+        "generate --ratio 2/1 --ell 12 --points",
+        "generate --ratio 1/1 --ell 6 --format csv",
+    ],
+)
+def test_generate_builds_no_tile(capsys, monkeypatch, command):
+    def no_tile(self, *args, **kwargs):
+        raise AssertionError("a Tile was built")
+
+    monkeypatch.setattr(Tile, "__init__", no_tile)
+    code, out, _err = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_GOLDENS[command]
+
+
+def _limit_memory():
+    import resource
+
+    # 2 GiB of address space: a refusal must not allocate its way there
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_direct_scan_past_the_cap_is_refused_fast():
+    # it walked every leaf below e**700 and ran past 60 s before the cap
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "kakutani", "discrepancy", "--alpha", "0.3", "--t", "700", "--mode", "direct"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=env,
+        preexec_fn=_limit_memory,
+    )
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert "resource limit" in result.stderr
+
+
+def test_direct_scan_small_alpha_stays_small():
+    # Row 0 of this tree has 12M nodes and the scan to 16 reaches about a
+    # hundred of them; a walk table over the whole row ran out of memory.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "kakutani", "discrepancy", "--alpha", "1e-6", "--t", "12", "--windows", "4,16", "--mode", "direct"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=env,
+        preexec_fn=_limit_memory,
+    )
+    assert result.returncode == 0, result.stderr
+    windows = (4.0, 16.0)
+    want = direct_scan_per_node(1e-6, 12.0, asymptotic_density(1e-6).value, windows)
+    assert result.stdout.splitlines()[-2:] == [f"{w!r},{m!r}" for w, m in zip(windows, want)]
 
 
 # A t that is not finite, or whose e**t overflows a float, is refused

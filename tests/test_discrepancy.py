@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from kakutani import (
     Commensurable,
     ParameterError,
+    ResourceLimitError,
     discrepancy_scan,
     dyadic_windows,
+    engine,
     generate_patch,
     growth_fit,
     solve_alpha,
@@ -18,7 +21,12 @@ from kakutani.discrepancy import DiscrepancySeries, asymptotic_density, prefix_c
 from kakutani.engine import SubdivisionTree, count_tiles
 from kakutani.params import Incommensurable, r_of_alpha
 
-from conftest import brute_boundaries, brute_count_tiles
+from conftest import (
+    brute_boundaries,
+    brute_count_tiles,
+    direct_scan_per_node,
+    leaves_upto_per_node,
+)
 
 GOLDEN_ALPHA = 0.38196601125010515  # solve_alpha(2, 1)
 
@@ -112,6 +120,83 @@ class TestScan:
             fast = discrepancy_scan(alpha, t, windows, mode="profile")
             slow = discrepancy_scan(alpha, t, windows, mode="direct")
             assert fast.max_disc == pytest.approx(slow.max_disc, abs=1e-9)
+
+    def test_direct_equals_per_node_walk(self):
+        # bit for bit: the per-pair tables give the floats of a walk that
+        # works out every node on its own
+        rng = random.Random(20261018)
+        cases = [(rng.uniform(0.05, 0.5), rng.uniform(0.0, 9.5)) for _ in range(26)]
+        cases += [(0.5, 6.0), (1.0 / 3.0, 8.0), (GOLDEN_ALPHA, 9.0), (solve_alpha(3, 2), 7.5)]
+        for i, (alpha, t) in enumerate(cases):
+            support = math.exp(t)
+            # every third grid lies below the first tile's right end
+            top = rng.uniform(0.0, alpha) if i % 3 == 0 else rng.uniform(0.01, 1.0) * support
+            windows = tuple(top / 2.0**j for j in range(6, -1, -1))
+            series = discrepancy_scan(alpha, t, windows, mode="direct")
+            assert series.max_disc == direct_scan_per_node(alpha, t, series.density, windows)
+
+    def test_small_alpha_table_follows_the_walk(self, monkeypatch):
+        # For a small alpha, row 0 of the tree is long: 12M nodes at alpha
+        # 1e-6 and t = 12, of which a scan to 16 reaches about a hundred.
+        # The table holds a few ids per leaf the walk reaches, not the row.
+        sizes = []
+        walk_table = SubdivisionTree.walk_table
+
+        def recorded(self, *args):
+            row, pairs, leaf = walk_table(self, *args)
+            sizes.append(len(leaf))
+            return row, pairs, leaf
+
+        monkeypatch.setattr(SubdivisionTree, "walk_table", recorded)
+        cases = [
+            (1e-6, 12.0, 16.0),
+            (1e-4, 11.98, 16.0),  # row 1 reached to its last node
+            (1e-3, 12.0, 64.0),
+            (1.15e-5, 6.741, 17.08),
+            (2.95e-5, 8.035, 17.37),
+            (3.79e-5, 0.985, 2.0),
+            (0.00211, 4.197, 52.15),
+            (0.000739, 11.351, 23.54),
+            (1.55e-6, 7.292, 1e-3),  # inside the first tile
+            (0.0168, 0.244, 35.46),  # past the support
+        ]
+        for alpha, t, upto in cases:
+            windows = (min(upto, math.exp(t)) / 4.0, min(upto, math.exp(t)))
+            series = discrepancy_scan(alpha, t, windows, mode="direct")
+            assert series.max_disc == direct_scan_per_node(alpha, t, series.density, windows)
+            walked = sum(1 for _ in leaves_upto_per_node(alpha, t, windows[-1]))
+            assert sizes[-1] <= 5 * walked + 16
+
+    def test_walk_table_refused_before_it_is_built(self, monkeypatch):
+        tree = SubdivisionTree(0.3, 10.0)
+        row, pairs, leaf = tree.walk_table()
+        assert len(leaf) == len(pairs)
+        monkeypatch.setattr(engine, "DEFAULT_TILE_CAP", len(leaf) - 1)
+        with pytest.raises(ResourceLimitError):
+            tree.walk_table()
+        # the sums along row top stop at the cap too: this row has 1e9 nodes
+        monkeypatch.setattr(engine, "DEFAULT_TILE_CAP", 1000)
+        with pytest.raises(ResourceLimitError):
+            SubdivisionTree(1e-9, 1.0).walk_table(0, 1.0)
+
+    def test_direct_refuses_large_walks_up_front(self, monkeypatch):
+        # the estimate density * window decides before any tree work
+        def no_tree_work(*args):
+            raise AssertionError("tree work before the cap check")
+
+        monkeypatch.setattr(SubdivisionTree, "walk_table", no_tree_work)
+        monkeypatch.setattr(SubdivisionTree, "leaves", no_tree_work)
+        with pytest.raises(ResourceLimitError):
+            discrepancy_scan(0.3, 700.0, [16.0, 2.0**1000], mode="direct")
+        density = asymptotic_density(0.3).value
+        with pytest.raises(ResourceLimitError):
+            discrepancy_scan(0.3, 40.0, [1.01e8 / density], mode="direct")
+
+    def test_rejects_bad_windows(self):
+        for bad in (-1.0, math.inf, math.nan):
+            for mode in ("profile", "direct"):
+                with pytest.raises(ParameterError):
+                    discrepancy_scan(1.0 / 3.0, 2.0, [bad], mode=mode)
 
     def test_series_fields(self):
         alpha = 1.0 / 3.0

@@ -14,7 +14,8 @@ from kakutani.engine import (
     delone_points,
     generate_patch_commensurable,
 )
-from kakutani.geometry import PointSet, PositionVector, XiSum
+from kakutani.cover import build_rho, build_three_interval_rule, iterate_primitive
+from kakutani.geometry import LengthExponent, PointSet, PositionVector, XiPower, XiSum
 
 from conftest import ascending_fold, brute_boundaries, brute_count_tiles, coprime_pairs
 
@@ -110,6 +111,54 @@ class TestPositionBits:
                 terms = tile.position.terms
                 assert XiSum(terms) == tile.position
                 assert tile.position_value == ascending_fold(terms, lambda p: xi**p)
+
+
+class TestColumns:
+    """The columns a generator returns are the fields of the tiles that
+    the patch builds from them on request."""
+
+    @staticmethod
+    def assert_columns_match_tiles(patch):
+        tiles = patch.tiles
+        assert len(tiles) == len(patch)
+        assert patch.positions() == tuple(tile.position_value for tile in tiles)
+        assert patch.lengths() == tuple(tile.length_value for tile in tiles)
+        assert patch.labels() == tuple(tile.label for tile in tiles)
+
+    @pytest.mark.parametrize("alpha,t", [(0.5, 0.0), (0.3, 4.0), (0.41, 7.5), (0.12, 6.0)])
+    def test_multiscale(self, alpha, t):
+        patch = generate_patch(alpha, t, origin_offset=0.25)
+        self.assert_columns_match_tiles(patch)
+        beta = 1.0 - alpha
+        for tile in patch.tiles:
+            assert type(tile.position) is PositionVector
+            assert type(tile.length) is LengthExponent
+            a, b = tile.length
+            assert tile.length_value == math.exp(t) * alpha**a * beta**b
+            assert tile.label is None
+
+    @pytest.mark.parametrize("n,m,ell", [(1, 1, 5), (2, 1, 9), (3, 2, 14), (7, 3, 25)])
+    def test_commensurable(self, n, m, ell):
+        patch = generate_patch_commensurable(n, m, ell)
+        self.assert_columns_match_tiles(patch)
+        xi = patch.info["xi"]
+        for tile in patch.tiles:
+            assert type(tile.position) is XiSum
+            assert type(tile.length) is XiPower
+            assert tile.length_value == xi ** -tile.length.exponent
+
+    @pytest.mark.parametrize(
+        "rule",
+        [build_rho(2, 1), build_rho(5, 3), build_three_interval_rule(3, 2, 1), build_three_interval_rule(2, 2, 1)],
+        ids=["2/1", "5/3", "3,2,1", "2,2,1"],
+    )
+    def test_fixed_scale(self, rule):
+        patch = iterate_primitive(rule, 9)
+        self.assert_columns_match_tiles(patch)
+        for tile in patch.tiles:
+            assert type(tile.position) is XiSum
+            assert tile.length == XiPower(rule.length_exponents[tile.label - 1])
+            assert tile.length_value == rule.prototile_lengths[tile.label - 1]
 
 
 class TestCommensurablePatch:

@@ -17,14 +17,16 @@ from kakutani.geometry import (
 ALPHA = 0.3
 
 
-def make_tile(position, length, label=None):
-    return Tile(
-        position=PositionVector.zero(),
-        length=LengthExponent(0, 0),
-        position_value=position,
-        length_value=length,
-        label=label,
-    )
+def make_patch(positions, lengths, support, labels=None):
+    """A patch built from columns; every tile at the exact origin."""
+
+    def exact():
+        return (
+            [PositionVector.zero()] * len(positions),
+            [LengthExponent(0, 0)] * len(positions),
+        )
+
+    return Patch(positions, lengths, support, exact, labels=labels)
 
 
 class TestLengthExponent:
@@ -65,20 +67,63 @@ class TestXiSum:
 class TestPatch:
     def test_requires_tiles(self):
         with pytest.raises(ParameterError):
-            Patch(tiles=(), support=(0.0, 1.0))
+            make_patch((), (), (0.0, 1.0))
 
     def test_requires_increasing_positions(self):
-        tiles = (make_tile(0.0, 1.0), make_tile(0.0, 1.0))
         with pytest.raises(ParameterError):
-            Patch(tiles=tiles, support=(0.0, 2.0))
+            make_patch((0.0, 0.0), (1.0, 1.0), (0.0, 2.0))
+        with pytest.raises(ParameterError):
+            make_patch((1.0, 0.0), (1.0, 1.0), (0.0, 2.0))
+
+    def test_requires_one_entry_per_tile(self):
+        with pytest.raises(ParameterError):
+            make_patch((0.0, 1.0), (1.0,), (0.0, 2.0))
+        with pytest.raises(ParameterError):
+            make_patch((0.0, 1.0), (1.0, 1.0), (0.0, 2.0), labels=(1,))
 
     def test_accessors(self):
-        tiles = (make_tile(0.0, 1.0, label=1), make_tile(1.0, 0.5, label=2))
-        patch = Patch(tiles=tiles, support=(0.0, 1.5))
+        patch = make_patch((0.0, 1.0), (1.0, 0.5), (0.0, 1.5), labels=(1, 2))
+        assert len(patch) == 2
         assert patch.positions() == (0.0, 1.0)
         assert patch.lengths() == (1.0, 0.5)
         assert patch.labels() == (1, 2)
         assert patch.boundaries() == (0.0, 1.0, 1.5)
+        assert make_patch((0.0,), (1.0,), (0.0, 1.0)).labels() == (None,)
+
+    def test_tiles_built_once_from_columns(self):
+        calls = []
+
+        def exact():
+            calls.append(1)
+            return [PositionVector.zero()] * 2, [LengthExponent(0, 0)] * 2
+
+        patch = Patch((0.0, 1.0), (1.0, 0.5), (0.0, 1.5), exact, labels=(1, 2))
+        assert calls == []
+        want = (
+            Tile(PositionVector.zero(), LengthExponent(0, 0), 0.0, 1.0, 1),
+            Tile(PositionVector.zero(), LengthExponent(0, 0), 1.0, 0.5, 2),
+        )
+        assert patch.tiles == want
+        assert patch.tiles is patch.tiles
+        assert calls == [1]
+
+    def test_value_semantics(self):
+        # equality, hash and repr by tiles and support, the info left out
+        a = make_patch((0.0, 1.0), (1.0, 0.5), (0.0, 1.5))
+        b = Patch(
+            a.positions(),
+            a.lengths(),
+            a.support,
+            lambda: ([PositionVector.zero()] * 2, [LengthExponent(0, 0)] * 2),
+            info={"note": 1},
+        )
+        assert a == b and hash(a) == hash(b)
+        assert a != make_patch((0.0, 1.0), (1.0, 0.5), (0.0, 1.6))
+        assert a != make_patch((0.0, 1.0), (1.0, 0.5), (0.0, 1.5), labels=(1, 2))
+        assert repr(a) == f"Patch(tiles={a.tiles!r}, support=(0.0, 1.5))"
+        for name in ("support", "info"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
 
 
 class TestPointSet:
