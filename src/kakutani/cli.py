@@ -4,7 +4,9 @@ Every command writes a single deterministic artifact (JSON, CSV, SVG or
 DOT) to stdout or to --out.  Verdict commands use the exit code to
 report the classification: 0 for Spread, 1 for NotSpread, 2 for
 Boundary or unresolved.  Codes above 2 signal errors, so shell
-pipelines can branch on the trichotomy safely.
+pipelines can branch on the trichotomy safely: 3 usage, 4 resource
+limit (a cap, or memory running out), 5 numeric failure or any other
+internal error, reported in one line on stderr.
 
 The only environment influence is KAKUTANI_MAX_TILES, an override for
 the tile-count safety cap; everything else comes from the arguments,
@@ -531,6 +533,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_RESOURCE
     except NumericError as exc:
         print(f"kakutani: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError:
+        print("kakutani: resource limit: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
+    except Exception as exc:
+        # never a verdict code, and one line instead of a traceback
+        print(f"kakutani: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

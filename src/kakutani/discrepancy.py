@@ -9,12 +9,15 @@ window / log(window).
 
 Counting never materializes tiles.  ``prefix_count`` descends
 ``engine.SubdivisionTree``: subtrees fully inside [0, x] contribute
-memoized leaf counts, subtrees outside contribute nothing, and only the
-nodes straddling x recurse, so a query costs O(t) after an O(t^2) table
-build.  The discrepancy scan goes one step further: the deviation
-profile of a subtree depends only on its exponent pair, so each pair
-gets an exact (sup, inf) of the running deviation over its span, and
-the maximum over a window is assembled from O(t) of these profiles.
+their leaf counts, subtrees outside contribute nothing, and only the
+nodes straddling x recurse.  A leaf count is a sum of binomials over
+the tree's staircase of internal pairs, one per row, so a query makes
+O(t) steps of O(t) binomials each and stores one integer per row.  The
+discrepancy scan goes one step further: the deviation profile of a
+subtree depends only on its exponent pair, so each internal pair gets
+an exact (sup, inf) of the running deviation over its span, together
+with its leaf count, in a table filled row by row along the staircase,
+and the maximum over a window is assembled from O(t) of these entries.
 The result equals an exact scan over every tile boundary and its left
 limit, at cost independent of the number of points.
 """
@@ -24,10 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .cover import build_rho, substitution_matrix
-from .engine import DEFAULT_TILE_CAP, SubdivisionTree
+from .engine import DEFAULT_TILE_CAP, LENGTH_ONE_SLACK, SubdivisionTree
 from .errors import ParameterError, ResourceLimitError
 from .params import (
     Incommensurable,
@@ -64,6 +65,8 @@ def _perron_density(n: int, m: int) -> float:
     weight v[0], so points per unit length converge to
     sum(u) * v[0] / <v, u>.
     """
+    import numpy as np  # imported on first use: a package import loads no numpy
+
     if n == m == 1:
         return 1.0
     matrix = substitution_matrix(build_rho(n, m))
@@ -96,75 +99,109 @@ def asymptotic_density(alpha: float, ratio: RatioClass | None = None) -> Density
 
 
 class _DeviationProfile:
-    """Exact extrema of count([0, x]) - density * x over subtree spans."""
+    """Exact extrema of count([0, x]) - density * x over subtree spans.
+
+    The table entry of an internal pair holds the sup and inf of the
+    deviation over its subtree's span and the subtree's leaf count.  The
+    internal pairs form the tree's staircase, so the entries sit in one
+    list per row, filled from the row's end leftward: an entry needs the
+    one below it, in the next row, and the one to its right.
+    """
 
     def __init__(self, tree: SubdivisionTree, density: float):
+        pairs = tree.internal_pairs()
+        if pairs > DEFAULT_TILE_CAP:
+            raise ResourceLimitError(
+                f"a profile table of {pairs} pairs is above the cap {DEFAULT_TILE_CAP}"
+            )
         self.tree = tree
         self.density = density
-        self._hi: dict[tuple[int, int], float] = {}
-        self._lo: dict[tuple[int, int], float] = {}
+        self._ends = ends = tree.row_ends()
+        # entry k of row a is the pair (a, ends[a] - k)
+        self._rows: list[list[tuple[float, float, int]]] = [[] for _ in ends]
 
-    def _tables(self, a: int, b: int) -> tuple[float, float]:
-        hi, lo = self._hi, self._lo
-        tree = self.tree
+    def _leaf(self, a: int, b: int) -> tuple[float, float, int]:
+        # the deviation jumps to 1 at the left endpoint and then decays
+        # linearly toward the right edge
+        return (1.0, 1.0 - self.density * self.tree.width(a, b), 1)
+
+    def _tables(self, a: int, b: int) -> tuple[float, float, int]:
+        ends = self._ends
+        if a >= len(ends) or ends[a] < b:
+            return self._leaf(a, b)
+        k = ends[a] - b
+        if k >= len(self._rows[a]):
+            self._fill(a, b)
+        return self._rows[a][k]
+
+    def _fill(self, top: int, first: int) -> None:
+        """Fill the entries of the subtree at internal pair (top, first),
+        the rows bottom up."""
+        t, la, lb = self.tree.t, self.tree.la, self.tree.lb
         d = self.density
-        stack = [(a, b)]
-        while stack:
-            key = stack[-1]
-            if key in hi:
-                stack.pop()
-                continue
-            if tree.is_leaf(*key):
-                # the deviation jumps to 1 at the left endpoint and then
-                # decays linearly toward the right edge
-                hi[key] = 1.0
-                lo[key] = 1.0 - d * tree.width(*key)
-                stack.pop()
-                continue
-            left = (key[0] + 1, key[1])
-            right = (key[0], key[1] + 1)
-            ready = True
-            for child in (left, right):
-                if child not in hi:
-                    stack.append(child)
-                    ready = False
-            if ready:
-                step = tree.leaves(*left) - d * tree.width(*left)
-                hi[key] = max(hi[left], step + hi[right])
-                lo[key] = min(lo[left], step + lo[right])
-                stack.pop()
-        return hi[(a, b)], lo[(a, b)]
+        exp = math.exp
+        ends, rows = self._ends, self._rows
+        last = top
+        while last + 1 < len(ends) and ends[last + 1] >= first:
+            last += 1
+        below: list[tuple[float, float, int]] = []
+        below_end = -1
+        for a in range(last, top - 1, -1):
+            end = ends[a]
+            row = rows[a]
+            right = row[-1] if row else self._leaf(a, end + 1)
+            for b in range(end - len(row), first - 1, -1):
+                # the left child (a + 1, b): its entry, or a leaf of this width
+                width = exp(t + (a + 1) * la + b * lb)
+                if b <= below_end:
+                    left = below[below_end - b]
+                else:
+                    left = (1.0, 1.0 - d * width, 1)
+                step = left[2] - d * width
+                right = (
+                    max(left[0], step + right[0]),
+                    min(left[1], step + right[1]),
+                    left[2] + right[2],
+                )
+                row.append(right)
+            below, below_end = row, end
 
     def max_abs_upto(self, x: float) -> float:
         """sup over 0 <= y <= x of |count([0, y]) - density * y|,
         including left limits at the tile boundaries."""
         tree = self.tree
+        t, la, lb = tree.t, tree.la, tree.lb
         d = self.density
+        exp = math.exp
         if x > tree.support * (1.0 + 1e-12):
             raise ParameterError("window lies beyond the patch support")
         best_hi = -math.inf
         best_lo = math.inf
         a, b, left, acc = 0, 0, 0.0, 0.0
         while True:
-            width = tree.width(a, b)
-            if x >= left + width:
-                hi, lo = self._tables(a, b)
+            # the leaf test and the width, as in SubdivisionTree
+            log_width = t + a * la + b * lb
+            if x >= left + exp(log_width):
+                hi, lo, _count = self._tables(a, b)
                 best_hi = max(best_hi, acc + hi)
                 best_lo = min(best_lo, acc + lo)
                 break
-            if tree.is_leaf(a, b):
+            if log_width <= LENGTH_ONE_SLACK:
                 if left <= x:
                     best_hi = max(best_hi, acc + 1.0)
                     best_lo = min(best_lo, acc + 1.0 - d * (x - left))
                 break
-            wl = tree.width(a + 1, b)
+            wl = exp(t + (a + 1) * la + b * lb)
             if x < left + wl:
                 a += 1
                 continue
-            hi, lo = self._tables(a + 1, b)
-            best_hi = max(best_hi, acc + hi)
-            best_lo = min(best_lo, acc + lo)
-            acc += tree.leaves(a + 1, b) - d * wl
+            # the count comes with the profile, from the same table entry
+            hi, lo, count = self._tables(a + 1, b)
+            if acc + hi > best_hi:
+                best_hi = acc + hi
+            if acc + lo < best_lo:
+                best_lo = acc + lo
+            acc += count - d * wl
             left += wl
             b += 1
         return max(best_hi, -best_lo, 0.0)
@@ -216,10 +253,11 @@ def discrepancy_scan(
     ``mode="profile"`` (the default) evaluates the exact maximum over
     every boundary point and left limit via subtree deviation profiles.
     ``mode="direct"`` enumerates the boundary points one by one; it is
-    the cross-check and only sensible for small t.  It is refused up
-    front, with ResourceLimitError, when the density * window points it
-    would enumerate, or the ids of its walk table, exceed
-    ``engine.DEFAULT_TILE_CAP``.
+    the cross-check and only sensible for small t.  Each mode is refused
+    up front, with ResourceLimitError, above ``engine.DEFAULT_TILE_CAP``:
+    the profile when the tree has more internal pairs, each a table
+    entry, and the direct scan when it would walk more leaves (counted
+    exactly, by ``prefix_count``) or its walk table would hold more ids.
     """
     if not windows:
         raise ParameterError("need at least one window")
@@ -237,12 +275,12 @@ def discrepancy_scan(
         profile = _DeviationProfile(tree, density.value)
         maxima = tuple(profile.max_abs_upto(w) for w in ordered)
     elif mode == "direct":
-        # the scan walks about density * window leaves: refuse before any work
-        walk = density.value * ordered[-1]
+        # the scan walks every leaf up to the largest window: count them first
+        walk = tree.prefix_count(ordered[-1], stop=DEFAULT_TILE_CAP)
         if walk > DEFAULT_TILE_CAP:
             raise ResourceLimitError(
-                f"a direct scan to {ordered[-1]} walks about {walk:.3g} leaves, "
-                f"above the cap {DEFAULT_TILE_CAP}"
+                f"a direct scan to {ordered[-1]} walks more than "
+                f"{DEFAULT_TILE_CAP} leaves, the cap"
             )
         maxima = _direct_scan(tree, density.value, ordered)
     else:
@@ -329,6 +367,8 @@ def growth_fit(series: DiscrepancySeries) -> GrowthFit:
     the simpler model, so a flat series reads as constant even though a
     power law with exponent zero fits it equally well.
     """
+    import numpy as np  # imported on first use: a package import loads no numpy
+
     windows = np.asarray(series.windows, dtype=float)
     values = np.asarray(series.max_disc, dtype=float)
     if len(windows) < 8:

@@ -67,8 +67,9 @@ class SubdivisionTree:
     """The alpha-Kakutani splitting tree of depth t, anchored at zero.
 
     Node (a, b) is a tile of length e**t * alpha**a * (1-alpha)**b and a
-    leaf once that length is at most one.  Leaf counts are memoized per
-    node, so counting materializes nothing.
+    leaf once that length is at most one.  Leaf counts are sums of
+    binomials over the staircase of internal pairs, one row at a time,
+    so counting materializes and memoizes no node.
     """
 
     def __init__(self, alpha: float, t: float):
@@ -84,7 +85,7 @@ class SubdivisionTree:
         self.t = t
         self.la = math.log(alpha)
         self.lb = math.log1p(-alpha)
-        self._leaves: dict[tuple[int, int], int] = {}
+        self._ends: list[int] | None = None
 
     def is_leaf(self, a: int, b: int) -> bool:
         return self.t + a * self.la + b * self.lb <= LENGTH_ONE_SLACK
@@ -92,39 +93,70 @@ class SubdivisionTree:
     def width(self, a: int, b: int) -> float:
         return math.exp(self.t + a * self.la + b * self.lb)
 
-    def leaves(self, a: int = 0, b: int = 0) -> int:
-        """Number of leaf tiles below node (a, b).
+    def row_ends(self) -> list[int]:
+        """Last internal column of each row: entry a is the largest b with
+        (a, b) internal, for every row a whose node (a, 0) is internal.
 
-        Iterative post-order over N(a, b) = N(a+1, b) + N(a, b+1), with
-        the leaf test inlined on locals: this is the hot loop of
-        counting.
+        The leaf test is monotone in a and in b (float rounding is), so
+        the internal pairs form a staircase: row a holds 0 .. B(a), and
+        B(a) does not grow with a.  Each B(a) is guessed in closed form
+        and settled by the leaf test itself, with a galloping search
+        that ends even where the guess is far off.
         """
-        memo = self._leaves
-        t, la, lb = self.t, self.la, self.lb
-        root = (a, b)
-        stack = [root]
-        while stack:
-            a, b = stack[-1]
-            if (a, b) in memo:
-                stack.pop()
-                continue
-            if t + a * la + b * lb <= LENGTH_ONE_SLACK:
-                memo[(a, b)] = 1
-                stack.pop()
-                continue
-            left, right = (a + 1, b), (a, b + 1)
-            ready = True
-            for child in (left, right):
-                if child not in memo:
-                    stack.append(child)
-                    ready = False
-            if ready:
-                memo[(a, b)] = memo[left] + memo[right]
-                stack.pop()
-        return memo[root]
+        if self._ends is None:
+            t, la, lb = self.t, self.la, self.lb
+            ends: list[int] = []
+            a = 0
+            while t + a * la > LENGTH_ONE_SLACK:
+                base = t + a * la
+                lo = hi = max(0, int((base - LENGTH_ONE_SLACK) / -lb))
+                # gallop until lo is internal and hi a leaf, then bisect
+                step = 1
+                while base + hi * lb > LENGTH_ONE_SLACK:
+                    lo, hi, step = hi, hi + step, 2 * step
+                while lo > 0 and base + lo * lb <= LENGTH_ONE_SLACK:
+                    lo, hi, step = max(0, lo - step), lo, 2 * step
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if base + mid * lb > LENGTH_ONE_SLACK:
+                        lo = mid
+                    else:
+                        hi = mid
+                ends.append(lo)
+                a += 1
+            self._ends = ends
+        return self._ends
 
-    def prefix_count(self, x: float) -> int:
-        """Number of left endpoints in [0, x], by one descent of the tree."""
+    def leaves(self, a: int = 0, b: int = 0) -> int:
+        """Number of leaf tiles below node (a, b), counted on the staircase.
+
+        Every internal pair (a + i, b + j) of the subtree is reached by
+        comb(i + j, i) paths, all through internal pairs, and a full
+        binary tree has one more leaf than internal nodes.  Summing a
+        row's paths by the hockey-stick identity gives
+        1 + sum over rows i of comb(i + B(a + i) - b + 1, i + 1).
+        """
+        ends = self.row_ends()
+        total = 1
+        for row in range(a, len(ends)):
+            end = ends[row]
+            if end < b:
+                break
+            i = row - a
+            total += math.comb(i + end - b + 1, i + 1)
+        return total
+
+    def internal_pairs(self) -> int:
+        """Number of internal exponent pairs: the size of a per-pair table."""
+        return sum(end + 1 for end in self.row_ends())
+
+    def prefix_count(self, x: float, stop: float = math.inf) -> int:
+        """Number of left endpoints in [0, x], by one descent of the tree.
+
+        Every right step of the descent adds at least one, so with a
+        finite ``stop`` the descent takes at most ``stop`` of them: it
+        returns its count as soon as that passes ``stop``.
+        """
         if x < 0.0:
             raise ParameterError("x must be nonnegative")
         if x > self.support * (1.0 + 1e-12):
@@ -140,6 +172,8 @@ class SubdivisionTree:
                 a += 1
             else:
                 count += self.leaves(a + 1, b)
+                if count > stop:
+                    return count
                 left = boundary
                 b += 1
 

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cover import (
     SubstitutionMatrix,
     build_rho,
@@ -194,6 +192,8 @@ def eigenspace_not_perp(matrix: SubstitutionMatrix, eigenvalue: complex) -> bool
     the test passes when some basis vector has |<1, v>| above tolerance.
     Raises if ``eigenvalue`` is not actually an eigenvalue.
     """
+    import numpy as np  # imported on first use: a package import loads no numpy
+
     size = matrix.size
     work = np.array(matrix.entries, dtype=complex)
     work -= eigenvalue * np.eye(size)

@@ -66,6 +66,102 @@ def brute_count_tiles(alpha, t, slack=1e-12):
     return walk(t)
 
 
+def memo_leaves(alpha, t, a=0, b=0, slack=1e-12, memo=None):
+    """Leaves below node (a, b) of the depth-t tree by the per-node memo
+    N(a, b) = N(a + 1, b) + N(a, b + 1), with the leaf test
+    ``t + a*la + b*lb <= slack`` evaluated at every pair."""
+    la, lb = math.log(alpha), math.log1p(-alpha)
+    memo = {} if memo is None else memo
+    stack = [(a, b)]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+        elif t + key[0] * la + key[1] * lb <= slack:
+            memo[key] = 1
+            stack.pop()
+        else:
+            left, right = (key[0] + 1, key[1]), (key[0], key[1] + 1)
+            missing = [child for child in (left, right) if child not in memo]
+            if missing:
+                stack.extend(missing)
+            else:
+                memo[key] = memo[left] + memo[right]
+                stack.pop()
+    return memo[(a, b)]
+
+
+class TwoPassProfile:
+    """Exact extrema of count([0, x]) - density * x, the two-pass way:
+    per-pair memos of the sup and the inf of the deviation over each
+    subtree's span, with the leaf counts read from ``memo_leaves``.  The
+    same float expressions as ``discrepancy._DeviationProfile``."""
+
+    def __init__(self, alpha, t, density, slack=1e-12):
+        self.t, self.la, self.lb = t, math.log(alpha), math.log1p(-alpha)
+        self.alpha, self.density, self.slack = alpha, density, slack
+        self.support = math.exp(t)
+        self._hi, self._lo, self._counts = {}, {}, {}
+
+    def is_leaf(self, a, b):
+        return self.t + a * self.la + b * self.lb <= self.slack
+
+    def width(self, a, b):
+        return math.exp(self.t + a * self.la + b * self.lb)
+
+    def leaves(self, a, b):
+        return memo_leaves(self.alpha, self.t, a, b, self.slack, self._counts)
+
+    def tables(self, a, b):
+        hi, lo, d = self._hi, self._lo, self.density
+        stack = [(a, b)]
+        while stack:
+            key = stack[-1]
+            if key in hi:
+                stack.pop()
+                continue
+            if self.is_leaf(*key):
+                hi[key] = 1.0
+                lo[key] = 1.0 - d * self.width(*key)
+                stack.pop()
+                continue
+            left, right = (key[0] + 1, key[1]), (key[0], key[1] + 1)
+            missing = [child for child in (left, right) if child not in hi]
+            if missing:
+                stack.extend(missing)
+                continue
+            step = self.leaves(*left) - d * self.width(*left)
+            hi[key] = max(hi[left], step + hi[right])
+            lo[key] = min(lo[left], step + lo[right])
+            stack.pop()
+        return hi[(a, b)], lo[(a, b)]
+
+    def max_abs_upto(self, x):
+        d = self.density
+        best_hi, best_lo = -math.inf, math.inf
+        a, b, left, acc = 0, 0, 0.0, 0.0
+        while True:
+            if x >= left + self.width(a, b):
+                hi, lo = self.tables(a, b)
+                best_hi, best_lo = max(best_hi, acc + hi), min(best_lo, acc + lo)
+                break
+            if self.is_leaf(a, b):
+                if left <= x:
+                    best_hi = max(best_hi, acc + 1.0)
+                    best_lo = min(best_lo, acc + 1.0 - d * (x - left))
+                break
+            wl = self.width(a + 1, b)
+            if x < left + wl:
+                a += 1
+                continue
+            hi, lo = self.tables(a + 1, b)
+            best_hi, best_lo = max(best_hi, acc + hi), min(best_lo, acc + lo)
+            acc += self.leaves(a + 1, b) - d * wl
+            left += wl
+            b += 1
+        return max(best_hi, -best_lo, 0.0)
+
+
 def brute_boundaries(alpha, t, slack=1e-12):
     """Left endpoints of the anchored patch, floats, by direct recursion."""
     la, lb = math.log(alpha), math.log1p(-alpha)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kakutani import __version__
+from kakutani import __version__, cli
 from kakutani.cli import main
 from kakutani.discrepancy import asymptotic_density
 from kakutani.geometry import Tile
@@ -450,6 +450,46 @@ def test_direct_scan_small_alpha_stays_small():
     windows = (4.0, 16.0)
     want = direct_scan_per_node(1e-6, 12.0, asymptotic_density(1e-6).value, windows)
     assert result.stdout.splitlines()[-2:] == [f"{w!r},{m!r}" for w, m in zip(windows, want)]
+
+
+# The count of these patches is a sum of binomials on the staircase of
+# the tree: 1e-6 held a per-pair count memo too large for memory (exit 1
+# with a MemoryError), and 0.3 at t = 700 took 1.8 s to count.
+@pytest.mark.parametrize("alpha, t", [("1e-6", "14"), ("0.3", "700")])
+def test_generate_past_the_cap_is_refused(alpha, t):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "kakutani", "generate", "--alpha", alpha, "--t", t],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=env,
+        preexec_fn=_limit_memory,
+    )
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert "resource limit" in result.stderr
+
+
+# Nothing escapes main as a traceback or a verdict code.  The commands
+# raise without allocating anything.
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (MemoryError(), 4, "kakutani: resource limit: out of memory"),
+        (RecursionError("too deep"), 5, "kakutani: internal error: RecursionError: too deep"),
+        (KeyError("x"), 5, "kakutani: internal error: KeyError: 'x'"),
+    ],
+)
+def test_uncaught_errors_get_their_own_exit_code(capsys, monkeypatch, error, code, message):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_classify", fail)
+    assert main(["classify", "--ratio", "3/2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
 
 
 # A t that is not finite, or whose e**t overflows a float, is refused

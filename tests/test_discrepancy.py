@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from kakutani import (
     Commensurable,
     ParameterError,
     ResourceLimitError,
+    discrepancy,
     discrepancy_scan,
     dyadic_windows,
     engine,
@@ -22,6 +24,7 @@ from kakutani.engine import SubdivisionTree, count_tiles
 from kakutani.params import Incommensurable, r_of_alpha
 
 from conftest import (
+    TwoPassProfile,
     brute_boundaries,
     brute_count_tiles,
     direct_scan_per_node,
@@ -180,17 +183,70 @@ class TestScan:
             SubdivisionTree(1e-9, 1.0).walk_table(0, 1.0)
 
     def test_direct_refuses_large_walks_up_front(self, monkeypatch):
-        # the estimate density * window decides before any tree work
-        def no_tree_work(*args):
-            raise AssertionError("tree work before the cap check")
+        # the exact count of the leaves to walk decides, before the walk
+        # table is built
+        window = 2.0**12
+        walk = SubdivisionTree(0.3, 10.0).prefix_count(window)
+        monkeypatch.setattr(discrepancy, "DEFAULT_TILE_CAP", walk)
+        discrepancy_scan(0.3, 10.0, [window], mode="direct")
+        # the estimate density * window guessed about 1.08e6 leaves here,
+        # where the scan walks 99
+        discrepancy_scan(1e-6, 12.0, [16.0], mode="direct")
 
-        monkeypatch.setattr(SubdivisionTree, "walk_table", no_tree_work)
-        monkeypatch.setattr(SubdivisionTree, "leaves", no_tree_work)
+        def no_walk(*args):
+            raise AssertionError("walk table built before the cap check")
+
+        monkeypatch.setattr(SubdivisionTree, "walk_table", no_walk)
+        monkeypatch.setattr(discrepancy, "DEFAULT_TILE_CAP", walk - 1)
+        with pytest.raises(ResourceLimitError):
+            discrepancy_scan(0.3, 10.0, [window], mode="direct")
+        monkeypatch.setattr(discrepancy, "DEFAULT_TILE_CAP", 10**8)
         with pytest.raises(ResourceLimitError):
             discrepancy_scan(0.3, 700.0, [16.0, 2.0**1000], mode="direct")
         density = asymptotic_density(0.3).value
         with pytest.raises(ResourceLimitError):
             discrepancy_scan(0.3, 40.0, [1.01e8 / density], mode="direct")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_profile_equals_the_two_pass_profile(self, seed):
+        # ten seeded scans each, commensurable (3/2, 7/3, 2/1) and
+        # irrational, windows from 2 to the whole support
+        rng = random.Random(f"profile:{seed}")
+        for k in range(10):
+            if k % 2:
+                n, m = rng.choice([(3, 2), (7, 3), (2, 1)])
+                alpha = solve_alpha(n, m)
+                t = rng.randint(8, 40) * math.log(1.0 / alpha) / n
+                ratio = Commensurable(n, m)
+            else:
+                alpha, t, ratio = rng.uniform(0.05, 0.5), rng.uniform(3.0, 18.0), None
+            top = int(t / math.log(2.0))
+            windows = tuple(
+                w for w in (2.0**e * rng.uniform(1.0, 1.4) for e in range(1, top + 1))
+                if w < math.exp(t)
+            ) + (math.exp(t),)
+            series = discrepancy_scan(alpha, t, windows, ratio=ratio)
+            oracle = TwoPassProfile(alpha, t, series.density)
+            assert series.max_disc == tuple(oracle.max_abs_upto(w) for w in windows)
+
+    def test_profile_table_refused_before_it_is_built(self, monkeypatch):
+        tree = SubdivisionTree(0.3, 10.0)
+        pairs = tree.internal_pairs()
+        monkeypatch.setattr(discrepancy, "DEFAULT_TILE_CAP", pairs)
+        discrepancy_scan(0.3, 10.0, [2.0**14])
+        monkeypatch.setattr(discrepancy, "DEFAULT_TILE_CAP", pairs - 1)
+        with pytest.raises(ResourceLimitError):
+            discrepancy_scan(0.3, 10.0, [2.0])
+        # 5e8 pairs in row 0: refused from the staircase alone
+        monkeypatch.setattr(discrepancy, "DEFAULT_TILE_CAP", 10**8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                discrepancy_scan(1e-9, 0.5, [1.0])
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_bad_windows(self):
         for bad in (-1.0, math.inf, math.nan):

@@ -80,3 +80,18 @@ def test_public_names():
     ]
     for name in kakutani.__all__:
         assert hasattr(kakutani, name), name
+
+
+def test_package_import_loads_no_numpy():
+    # numpy is imported by the three functions that use it, on first use
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import kakutani, kakutani.cli, sys; assert 'numpy' not in sys.modules",
+        ],
+        capture_output=True,
+        text=True,
+        env=script_env(),
+    )
+    assert result.returncode == 0, result.stderr

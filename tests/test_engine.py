@@ -1,12 +1,14 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakutani import ParameterError, ResourceLimitError, generate_patch, solve_alpha
+from kakutani import ParameterError, ResourceLimitError, engine, generate_patch, solve_alpha
 from kakutani.engine import (
+    SubdivisionTree,
     chabauty_fell,
     chabauty_fell_distance,
     count_tiles,
@@ -17,7 +19,13 @@ from kakutani.engine import (
 from kakutani.cover import build_rho, build_three_interval_rule, iterate_primitive
 from kakutani.geometry import LengthExponent, PointSet, PositionVector, XiPower, XiSum
 
-from conftest import ascending_fold, brute_boundaries, brute_count_tiles, coprime_pairs
+from conftest import (
+    ascending_fold,
+    brute_boundaries,
+    brute_count_tiles,
+    coprime_pairs,
+    memo_leaves,
+)
 
 
 class TestCountTiles:
@@ -42,6 +50,76 @@ class TestCountTiles:
         g = math.log(1.0 / alpha) / n
         for ell in range(0, 16):
             assert count_tiles_commensurable(n, m, ell) == count_tiles(alpha, ell * g)
+
+
+def _staircase_cases(seed, count):
+    """Seeded (alpha, t, (a0, b0), on_lattice): alpha log-uniform in
+    [1e-6, 1/2] with t small enough for the per-node memo, and every
+    fourth case with t on a point i*|la| + j*|lb| of the lattice or
+    within 2e-12 of one, where the leaf test sits on its slack (dyadic
+    t at alpha = 1/2)."""
+    rng = random.Random(seed)
+    for k in range(count):
+        alpha = 0.5 if k % 8 == 7 else 10.0 ** rng.uniform(-6.0, math.log10(0.5))
+        la, lb = math.log(alpha), math.log1p(-alpha)
+        # about 10**4 pairs in the memo: rows t/|la| times columns t/|lb|
+        budget = min(1e4 * -lb, math.sqrt(1e4 * la * lb), 25.0)
+        t = rng.uniform(0.0, budget)
+        on_lattice = k % 4 == 3
+        if on_lattice:
+            j = rng.randint(0, int(budget / -lb))
+            i = rng.randint(0, max(0, int((budget + j * lb) / -la)))
+            t = max(0.0, i * -la + j * -lb + rng.choice([0.0, 1e-12, -1e-12, 2e-12, -2e-12]))
+        yield alpha, t, (rng.randint(0, 3), rng.randint(0, 3)), on_lattice
+
+
+class TestStaircase:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_leaves_equal_the_memo_and_brute_recursion(self, seed):
+        for alpha, t, (a0, b0), on_lattice in _staircase_cases(seed, 40):
+            tree = SubdivisionTree(alpha, t)
+            memo: dict = {}
+            total = memo_leaves(alpha, t, memo=memo)
+            assert tree.leaves() == total == count_tiles(alpha, t)
+            # the recursion sums its logs along the path, so it may round
+            # differently on the slack: compared off the lattice only
+            if total <= 20000 and t < 800 * -tree.lb and not on_lattice:
+                assert total == brute_count_tiles(alpha, t)
+            # a subtree root off the origin, its row neighbours and children
+            for a, b in ((a0, b0), (a0 + 1, b0), (a0, b0 + 1), (0, b0), (a0, 0)):
+                assert tree.leaves(a, b) == memo_leaves(alpha, t, a, b, memo=memo)
+            internal = sum(1 for a, b in memo if t + a * tree.la + b * tree.lb > 1e-12)
+            assert tree.internal_pairs() == internal
+
+    def test_row_ends_settle_the_float_test(self):
+        # past 2**53 columns the closed-form guess is off by many units,
+        # and the search gallops to bracket the last internal column
+        extreme = [(1e-18, 1.0), (3e-17, 25.0), (1e-200, 1.0), (1e-200, 700.0)]
+        cases = [(alpha, t) for alpha, t, _root, _lattice in _staircase_cases(11, 60)]
+        for alpha, t in cases + extreme:
+            tree = SubdivisionTree(alpha, t)
+            ends = tree.row_ends()
+            assert ends == sorted(ends, reverse=True)
+            assert tree.is_leaf(len(ends), 0)
+            for a, end in enumerate(ends):
+                assert not tree.is_leaf(a, end) and tree.is_leaf(a, end + 1)
+
+    def test_exact_at_dyadic_depth(self):
+        # alpha = 1/2 halves every tile: 2**1001 leaves, a 302-digit count
+        assert count_tiles(0.5, 1000.5 * math.log(2.0)) == 2**1001
+
+    def test_small_alpha_counts_without_a_memo(self):
+        # the per-node memo took 336 MiB for (1e-5, 12) and ran out of
+        # memory for (1e-6, 14)
+        count_tiles(0.3, 1.0)
+        tracemalloc.start()
+        try:
+            counts = [count_tiles(1e-5, 12.0), count_tiles(1e-6, 14.0)]
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert min(counts) > engine.DEFAULT_TILE_CAP
 
 
 class TestGeneratePatch:
