@@ -56,6 +56,7 @@ from .params import Commensurable, detect_commensurability, solve_alpha
 from .spectral import (
     Rationale,
     SpreadClass,
+    check_spectral_degree,
     classify_spreadness,
     classify_three_interval,
     f_alpha_poly,
@@ -317,6 +318,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     n, m = _parse_ratio(args.ratio)
     pair = Commensurable(n, m)
+    check_spectral_degree(n)
     report = solomon_verdict(substitution_matrix(build_rho(n, m)))
     config = {"command": "spectrum", "ratio": args.ratio, "format": "json"}
     payload = {

@@ -52,6 +52,14 @@ def find_roots(poly: IntPolynomial, max_iter: int = _ABERTH_MAX_ITER) -> tuple[c
     Raises NumericError if the iteration fails to meet the residual
     bound ``1e-12 * (1 + |z|)**degree``.
     """
+    return _roots_and_residuals(poly, max_iter)[0]
+
+
+def _roots_and_residuals(
+    poly: IntPolynomial, max_iter: int = _ABERTH_MAX_ITER
+) -> tuple[tuple[complex, ...], tuple[float, ...]]:
+    """``find_roots`` together with the residual ``root_residual(poly, z)``
+    of each root, which the bound check has already computed."""
     if poly.is_zero:
         raise ParameterError("the zero polynomial has no well-defined roots")
     reduced, zero_mult = poly.strip_zero_roots()
@@ -61,20 +69,45 @@ def find_roots(poly: IntPolynomial, max_iter: int = _ABERTH_MAX_ITER) -> tuple[c
         roots.extend(_aberth(reduced, max_iter))
     roots.sort(key=_sort_key)
     full_degree = poly.degree
+    coeffs = [float(c) for c in reversed(poly.coeffs)]
+    residuals = []
     for z in roots:
-        res = root_residual(poly, z)
+        res = abs(_horner(coeffs, z))
         if res > residual_bound(full_degree, z):
             raise NumericError(
                 f"root residual {res:.3e} exceeds bound at z={z!r} "
                 f"for {poly!r}"
             )
-    return tuple(roots)
+        residuals.append(res)
+    return tuple(roots), tuple(residuals)
+
+
+def _horner_pair(steps: list[tuple[float, float]], last: float, z: complex):
+    """p(z) and p'(z) in one loop.
+
+    ``steps`` pairs each descending coefficient of p but the constant
+    with the aligned coefficient of p', and ``last`` is the constant.
+    Each value follows its own Horner recurrence in ``_horner``'s order.
+    A zero coefficient adds nothing: adding an exact 0.0 could only
+    flip the sign of a zero part, never a nonzero bit.
+    """
+    p = dp = 0j
+    for c, d in steps:
+        if c:
+            p = p * z + c
+            dp = dp * z + d
+        else:
+            p = p * z
+            dp = dp * z
+    return p * z + last, dp
 
 
 def _aberth(poly: IntPolynomial, max_iter: int) -> list[complex]:
     degree = poly.degree
     coeffs = [float(c) for c in reversed(poly.coeffs)]  # descending
     dcoeffs = [float(c) for c in reversed(poly.derivative().coeffs)]
+    steps = list(zip(coeffs, dcoeffs))
+    last = coeffs[-1]
     lead = coeffs[0]
     radius = 1.0 + max(abs(c / lead) for c in coeffs[1:]) if degree else 1.0
     offset = math.pi / (2.0 * degree)
@@ -87,17 +120,21 @@ def _aberth(poly: IntPolynomial, max_iter: int) -> list[complex]:
         biggest = 0.0
         for i in range(degree):
             zi = z[i]
-            p = _horner(coeffs, zi)
+            p, dp = _horner_pair(steps, last, zi)
             if p == 0:
                 continue
-            dp = _horner(dcoeffs, zi)
             if dp == 0:
                 # nudge off a critical point, deterministically
                 z[i] = zi + 1e-8 * (1 + 1j)
                 biggest = math.inf
                 continue
             ratio = p / dp
-            rep = sum(1.0 / (zi - z[j]) for j in range(degree) if j != i)
+            # Gauss-Seidel: z[:i] already holds this sweep's updates;
+            # one running sum from int 0, in index order
+            rep = sum(
+                [1.0 / (zi - w) for w in z[i + 1:]],
+                sum([1.0 / (zi - w) for w in z[:i]]),
+            )
             denom = 1.0 - ratio * rep
             step = ratio if denom == 0 else ratio / denom
             z[i] = zi - step
@@ -114,8 +151,7 @@ def _aberth(poly: IntPolynomial, max_iter: int) -> list[complex]:
     for i in range(degree):
         zi = z[i]
         for _ in range(_NEWTON_STEPS):
-            p = _horner(coeffs, zi)
-            dp = _horner(dcoeffs, zi)
+            p, dp = _horner_pair(steps, last, zi)
             if p == 0 or dp == 0:
                 break
             nxt = zi - p / dp

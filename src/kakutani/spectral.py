@@ -9,6 +9,22 @@ set is uniformly spread if that eigenvalue has modulus below one and is
 not if the modulus exceeds one.  Modulus exactly one is out of scope of
 the criterion and reported as Boundary, never silently resolved.
 
+Here ell is always 2, with no linear algebra.  Every rule is a flower:
+one hub with loops of c_1 ... c_p edges, p >= 2, and its nonzero
+eigenvalues are the roots of 1 = sum(lambda**-c_i).  For such a root
+lambda the right eigenvector is 1 at the hub and lambda**-s at step s
+of each loop, so every eigenspace is a line, and its entries sum to
+
+    1 + sum_i sum_{s=1}^{c_i - 1} lambda**-s
+      = 1 + (p - lambda * sum_i lambda**-c_i) / (lambda - 1)
+      = (p - 1) / (lambda - 1),
+
+which is never 0 (lambda = 1 is no root: sum(1) = p >= 2).  So no
+eigenspace is orthogonal to the all-ones vector, and the criterion
+watches the second eigenvalue.  ``eigenspace_not_perp`` is the SVD test
+this replaces; the package no longer calls it, and it stays public for
+the benchmark's traced replay.
+
 The nonzero spectrum here is the root set of f(x) = x^n - x^(n-m) - 1.
 Numerically deciding "modulus one" is hopeless at the boundary, so an
 exact test runs alongside the numerics: for these trinomials a root on
@@ -36,7 +52,7 @@ from .cover import (
     char_poly,
     substitution_matrix,
 )
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .params import (
     Commensurable,
     Incommensurable,
@@ -45,7 +61,7 @@ from .params import (
     solve_alpha,
 )
 from .polynomials import IntPolynomial, cyclotomic
-from .rootfind import find_roots, root_residual
+from .rootfind import _roots_and_residuals
 
 __all__ = [
     "SpreadClass",
@@ -59,6 +75,8 @@ __all__ = [
     "is_pv_trinomial",
     "is_pv_three_interval",
     "eigenspace_not_perp",
+    "MAX_SPECTRAL_DEGREE",
+    "check_spectral_degree",
     "solomon_verdict",
     "classify_spreadness",
     "classify_three_interval",
@@ -78,6 +96,12 @@ _MODULUS_SLACK = 1e-9
 _PERP_TOL = 1e-9
 _EIGENVALUE_TOL = 1e-6
 _CYCLOTOMIC_ORDER_BOUND = 60
+
+#: Largest degree of a nonzero spectrum the Solomon test will root-find.
+#: One pure-Python Aberth sweep costs ~degree**2 and the sweep count grows
+#: with the degree: ``classify`` took 8-9 s at degree 450 and 11 s at 500
+#: (2-vCPU Xeon, CPython 3.11).  Larger spectra are refused up front.
+MAX_SPECTRAL_DEGREE = 450
 
 
 class SpreadClass(str, enum.Enum):
@@ -134,10 +158,18 @@ def unit_circle_factors(
         orders: tuple[int, ...] = (6,)
     else:
         orders = tuple(range(1, order_bound + 1))
+    # cyclotomic(k) divides x^k - 1, so it divides poly exactly when it
+    # divides poly mod x^k - 1: the terms folded onto degrees below k
+    terms = [(power, c) for power, c in enumerate(poly.coeffs) if c]
     found = []
     for order in orders:
         phi = cyclotomic(order)
-        if phi.degree <= poly.degree and poly.is_divisible_by(phi):
+        if phi.degree > poly.degree:
+            continue
+        folded = [0] * order
+        for power, c in terms:
+            folded[power % order] += c
+        if IntPolynomial(tuple(folded)).is_divisible_by(phi):
             found.append(phi)
     return tuple(found)
 
@@ -241,17 +273,32 @@ def _lattice_report() -> SpectralReport:
     )
 
 
+def check_spectral_degree(degree: int) -> None:
+    """Refuse a nonzero spectrum of degree above ``MAX_SPECTRAL_DEGREE``."""
+    if degree > MAX_SPECTRAL_DEGREE:
+        raise ResourceLimitError(
+            f"a spectrum of degree {degree} is above the limit {MAX_SPECTRAL_DEGREE}"
+        )
+
+
 def solomon_verdict(matrix: SubstitutionMatrix) -> SpectralReport:
     """Apply the Solomon criterion to a substitution matrix.
 
     The characteristic polynomial is computed exactly, its power of x
-    stripped exactly, and the remaining roots found numerically.  Near
-    the unit circle the exact cyclotomic-divisibility test overrides the
-    numerics; a modulus within tolerance of one without an exact factor
-    is reported Boundary with the unresolved flag set.
+    stripped exactly, and the remaining roots found numerically.  The
+    criterion watches the second root, ``ell = 2``, with no eigenspace
+    computed: the eigenvector of a nonzero eigenvalue lambda of a flower
+    with p loops, scaled to 1 at the hub, sums to (p - 1) / (lambda - 1),
+    never 0 (module docstring).  Near the unit circle the exact
+    cyclotomic-divisibility test overrides the numerics; a modulus
+    within tolerance of one without an exact factor is reported Boundary
+    with the unresolved flag set.  A spectrum of degree above
+    ``MAX_SPECTRAL_DEGREE`` is refused with ResourceLimitError before
+    any root is sought.
     """
     poly = char_poly(matrix)
     reduced, _zeros = poly.strip_zero_roots()
+    check_spectral_degree(reduced.degree)
     if reduced.degree < 1:
         raise ParameterError("substitution matrix has empty nonzero spectrum")
     if reduced.degree == 1:
@@ -266,24 +313,14 @@ def solomon_verdict(matrix: SubstitutionMatrix) -> SpectralReport:
             ell=0,
             solomon=SpreadClass.SPREAD,
         )
-    roots = find_roots(reduced)
-    residuals = tuple(root_residual(reduced, z) for z in roots)
+    roots, residuals = _roots_and_residuals(reduced)
     lambda1 = roots[0]
     if abs(lambda1.imag) > _MODULUS_SLACK or lambda1.real <= 1.0:
         raise ParameterError(
             f"leading eigenvalue {lambda1!r} is not a real inflation factor"
         )
     unit_exact = has_unit_circle_factor(reduced)
-    ell = None
-    for index in range(1, len(roots)):
-        if eigenspace_not_perp(matrix, roots[index]):
-            ell = index + 1
-            break
-    if ell is None:
-        raise ParameterError(
-            "no eigenvalue beyond the first meets the all-ones test"
-        )
-    watched = abs(roots[ell - 1])
+    watched = abs(roots[1])
     unresolved = False
     if watched > 1.0 + _MODULUS_SLACK:
         verdict = SpreadClass.NOT_SPREAD
@@ -300,7 +337,7 @@ def solomon_verdict(matrix: SubstitutionMatrix) -> SpectralReport:
         has_unit_modulus_eigenvalue=unit_exact,
         roots=roots,
         residuals=residuals,
-        ell=ell,
+        ell=2,
         solomon=verdict,
         unresolved=unresolved,
     )
@@ -357,6 +394,7 @@ def classify_spreadness(ratio: RatioClass, alpha: float | None = None) -> Spread
             spectral=_lattice_report(),
             mismatch=False,
         )
+    check_spectral_degree(n)  # before the rule and its matrix are built
     rule = build_rho(n, m)
     a = rule.alpha if alpha is None else alpha
     report = solomon_verdict(substitution_matrix(rule))
@@ -406,6 +444,7 @@ def classify_three_interval(n: int, m: int, k: int) -> ThreeIntervalVerdict:
     families is tested exactly; the Solomon criterion runs on the
     constructed matrix as an independent check.
     """
+    check_spectral_degree(n)  # before the rule and its matrix are built
     rule = build_three_interval_rule(n, m, k)
     report = solomon_verdict(substitution_matrix(rule))
     family = _pv_three_interval_family(rule.polynomial)

@@ -306,6 +306,18 @@ def coprime_pairs(max_n, min_n=2):
     ]
 
 
+def coprime_triples(max_n):
+    """Loop counts (n, m, k) of every three-loop rule with n <= max_n:
+    n >= m >= k >= 1, gcd = 1, not all equal."""
+    return [
+        (n, m, k)
+        for n in range(2, max_n + 1)
+        for m in range(1, n + 1)
+        for k in range(1, m + 1)
+        if math.gcd(math.gcd(n, m), k) == 1 and not n == m == k
+    ]
+
+
 @pytest.fixture(scope="session")
 def pv_pairs():
     return ((2, 1), (3, 2), (3, 1), (4, 1))

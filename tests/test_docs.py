@@ -83,15 +83,26 @@ def test_public_names():
 
 
 def test_package_import_loads_no_numpy():
-    # numpy is imported by the three functions that use it, on first use
+    # numpy is imported on first use by the Perron density and the growth
+    # fit; importing the package and the spectral commands load none
+    program = """
+import sys
+import kakutani, kakutani.cli
+assert 'numpy' not in sys.modules
+for args in (
+    ['classify', '--ratio', '3/2'],
+    ['spectrum', '--ratio', '7/3'],
+    ['survey', '--max-n', '12'],
+    ['three-interval', '--loops', '3,2,1'],
+):
+    assert kakutani.cli.main(args) in (0, 1, 2), args
+assert 'numpy' not in sys.modules
+"""
     result = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import kakutani, kakutani.cli, sys; assert 'numpy' not in sys.modules",
-        ],
+        [sys.executable, "-c", program],
         capture_output=True,
         text=True,
         env=script_env(),
     )
     assert result.returncode == 0, result.stderr
+    assert '"command": "three-interval"' in result.stdout

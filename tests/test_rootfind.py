@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from kakutani import NumericError, ParameterError
 from kakutani.polynomials import IntPolynomial
-from kakutani.rootfind import find_roots, residual_bound, root_residual
+from kakutani.rootfind import (
+    _roots_and_residuals,
+    find_roots,
+    residual_bound,
+    root_residual,
+)
 
 from conftest import bisect_root, quadratic_roots
 
@@ -85,6 +90,16 @@ class TestContracts:
         poly = IntPolynomial.from_terms({9: 1, 2: -1, 0: -1})
         for z in find_roots(poly):
             assert root_residual(poly, z) <= residual_bound(poly.degree, z)
+
+    def test_checked_residuals_are_root_residuals(self):
+        for poly in (
+            IntPolynomial.from_terms({9: 1, 2: -1, 0: -1}),
+            IntPolynomial.from_terms({8: 3, 5: -2, 4: 7, 3: 1}),  # x^3 split off
+            IntPolynomial.from_terms({4: 1, 3: -2, 0: 5}),
+        ):
+            roots, residuals = _roots_and_residuals(poly)
+            assert roots == find_roots(poly)
+            assert residuals == tuple(root_residual(poly, z) for z in roots)
 
     def test_conjugate_closure(self):
         poly = IntPolynomial.from_terms({5: 1, 4: -1, 2: -1, 0: -1})

@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 from kakutani import (
     Commensurable,
     ParameterError,
+    ResourceLimitError,
     build_rho,
     classify_spreadness,
     solve_alpha,
     substitution_matrix,
 )
+from kakutani.cli import main
 from kakutani.cover import build_three_interval_rule
 from kakutani.params import Incommensurable, r_of_alpha
 from kakutani.polynomials import IntPolynomial, cyclotomic
 from kakutani.rootfind import find_roots, residual_bound
 from kakutani.spectral import (
+    MAX_SPECTRAL_DEGREE,
     SPREAD_RATIOS,
     classify_three_interval,
     eigenspace_not_perp,
@@ -31,7 +34,7 @@ from kakutani.spectral import (
 )
 from kakutani.spectral import Rationale, SpreadClass
 
-from conftest import bisect_root, coprime_pairs, quadratic_roots
+from conftest import bisect_root, coprime_pairs, coprime_triples, quadratic_roots
 
 PV_PAIRS = {(2, 1), (3, 2), (3, 1), (4, 1)}
 SIXTH_ROOT_PAIRS = {(5, 1), (7, 5), (11, 1), (11, 7)}
@@ -111,6 +114,27 @@ class TestUnitCircleFactors:
         # x^4 - x^3 - x - 1 = (x^2 + 1)(x^2 - x - 1) has the order-4 factor
         other = IntPolynomial.from_terms({4: 1, 3: -1, 1: -1, 0: -1})
         assert cyclotomic(4) in unit_circle_factors(other)
+
+    def test_folded_sweep_matches_full_division(self):
+        # the sweep divides p mod x^k - 1; the oracle divides p itself
+        def divided(poly):
+            return tuple(
+                phi
+                for phi in map(cyclotomic, range(1, 61))
+                if phi.degree <= poly.degree and poly.is_divisible_by(phi)
+            )
+
+        polys = [
+            build_three_interval_rule(*loops).polynomial
+            for loops in coprime_triples(12)
+        ]
+        polys += [
+            cyclotomic(a) * cyclotomic(b) * f_alpha_poly(3, 2)
+            for a in (1, 2, 4, 12, 30)
+            for b in (3, 5, 7, 60)
+        ]
+        for poly in polys:
+            assert unit_circle_factors(poly) == divided(poly), poly
 
     def test_cyclotomic_detects_itself(self):
         assert unit_circle_factors(cyclotomic(5)) == (cyclotomic(5),)
@@ -217,6 +241,61 @@ class TestSolomonVerdict:
         report = solomon_verdict(substitution_matrix(build_rho(9, 4)))
         mods = [abs(z) for z in report.roots]
         assert all(a >= b - 1e-12 for a, b in zip(mods, mods[1:]))
+
+
+class TestDegreeBudget:
+    """Spectra of degree above MAX_SPECTRAL_DEGREE are refused before any
+    root is sought.  The root finder is replaced by one that only reports
+    the degree it was handed, so no test here starts a large solve."""
+
+    class Solved(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_root_solve(self, monkeypatch):
+        import kakutani.spectral
+
+        def report(poly):
+            raise self.Solved(f"degree {poly.degree}")
+
+        monkeypatch.setattr(kakutani.spectral, "_roots_and_residuals", report)
+
+    def test_limit_is_reached_but_not_passed(self):
+        with pytest.raises(self.Solved, match=f"degree {MAX_SPECTRAL_DEGREE}$"):
+            solomon_verdict(substitution_matrix(build_rho(MAX_SPECTRAL_DEGREE, 1)))
+        with pytest.raises(ResourceLimitError, match="above the limit"):
+            solomon_verdict(substitution_matrix(build_rho(MAX_SPECTRAL_DEGREE + 1, 1)))
+
+    def test_refused_before_the_rule_is_built(self, monkeypatch):
+        import kakutani.spectral
+
+        def unbuilt(*loops):
+            raise AssertionError(f"built a rule for {loops}")
+
+        monkeypatch.setattr(kakutani.spectral, "build_rho", unbuilt)
+        monkeypatch.setattr(kakutani.spectral, "build_three_interval_rule", unbuilt)
+        with pytest.raises(ResourceLimitError):
+            classify_spreadness(Commensurable(10**6, 1))
+        with pytest.raises(ResourceLimitError):
+            classify_three_interval(10**6, 3, 1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["classify", "--ratio", f"{MAX_SPECTRAL_DEGREE + 1}/1"],
+            ["spectrum", "--ratio", "1000000/3"],
+            ["three-interval", "--loops", "1000,3,1"],
+        ],
+    )
+    def test_cli_exit_code(self, capsys, args):
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("kakutani: resource limit: a spectrum of degree")
+
+    def test_cli_accepts_301_over_300(self, capsys):
+        # the patched root finder is reached: exit 5 names its sentinel
+        assert main(["classify", "--ratio", "301/300"]) == 5
+        assert "Solved: degree 301" in capsys.readouterr().err
 
 
 class TestClassify:
