@@ -36,7 +36,7 @@ from itertools import chain
 
 from . import engine
 from .errors import ParameterError
-from .geometry import Patch, XiPower, XiSum, left_sum
+from .geometry import Patch, XiPower, XiSum, left_sum, unit_sums
 from .params import check_exponent_pair, solve_alpha
 from .polynomials import IntPolynomial
 
@@ -348,18 +348,15 @@ def iterate_primitive(
     children = [tuple(reversed(image)) for image in rule.image_map]
     # a label whose image is one child at offset zero just passes through
     through = [image[0][0] if len(image) == 1 and not image[0][1].terms else 0 for image in children]
-    # What a label pushes depends on the steps still to go alone: each
-    # child, right to left, with its offset terms scaled by xi**left.
-    pushes = [
-        None
-        if through[label]
-        else [
-            tuple(
-                (child, left - 1, tuple((p + left, c) for p, c in offset.terms))
-                for child, offset in image
-            )
-            for left in range(ell + 1)
-        ]
+    # What a label does depends on the steps still to go alone: it
+    # pushes each child but the leftmost, right to left, and goes on into
+    # the leftmost, each with its offset terms scaled by xi**left.
+    def moves(image, left):
+        scaled = [(child, left - 1, tuple((p + left, c) for p, c in at.terms)) for child, at in image]
+        return tuple(scaled[:-1]), scaled[-1]
+
+    plans = [
+        None if through[label] else [moves(image, left) for left in range(ell + 1)]
         for label, image in enumerate(children)
     ]
     low = min(p for image in children for _, offset in image for p, _ in offset.terms)
@@ -370,18 +367,22 @@ def iterate_primitive(
     pop, push = stack.pop, stack.append
     while stack:
         label, left, terms = pop()
-        while left and through[label - 1]:
-            label, left = through[label - 1], left - 1
-        if left:
-            for child, rest, shifted in pushes[label - 1][left]:
-                push((child, rest, shifted + terms))
-        else:
-            labels.append(label)
-            found.append(terms)
-    # With two loops only the second hub child has an offset, one power
-    # that strictly decreases along a path: prepending keeps the terms
-    # sorted.  Three loops can repeat a power, so those are merged.
-    exact_terms = found if len(children[0]) == 2 else [XiSum(terms).terms for terms in found]
+        while left:
+            if through[label - 1]:
+                label, left = through[label - 1], left - 1
+                continue
+            rights, (label, left, shifted) = plans[label - 1][left]
+            for child, rest, offset in rights:
+                push((child, rest, offset + terms))
+            terms = shifted + terms
+        labels.append(label)
+        found.append(terms)
+    # With two loops only the second hub child has an offset, one power of
+    # coefficient one that strictly decreases along a path: prepending
+    # keeps the terms sorted.  Three loops can repeat a power, so those
+    # are merged.
+    two_loops = len(children[0]) == 2
+    exact_terms = found if two_loops else [XiSum(terms).terms for terms in found]
 
     def exact() -> tuple[list[XiSum], list[XiPower]]:
         lengths = [XiPower(e) for e in rule.length_exponents]
@@ -391,7 +392,9 @@ def iterate_primitive(
         )
 
     return Patch(
-        [left_sum([c * power[p] for p, c in terms]) for terms in exact_terms],
+        unit_sums(found, power)
+        if two_loops
+        else [left_sum([c * power[p] for p, c in terms]) for terms in exact_terms],
         [rule.prototile_lengths[label - 1] for label in labels],
         (0.0, xi**ell),
         exact,

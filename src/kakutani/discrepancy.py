@@ -307,31 +307,39 @@ def _direct_scan(
     top = 0
     while not tree.is_leaf(top, 0) and tree.width(top + 1, 0) > upto:
         top += 1
-    # Kept apart from generate_patch's walk: artifacts pin both position formulas.
+    # generate_patch's walk, streamed: a right child past upto is dropped,
+    # and each leaf is handled where it is found, with no list of leaves.
     row, pairs, leaf = tree.walk_table(top, upto)
     step = [None if lf else tree.width(a + 1, b) for (a, b), lf in zip(pairs, leaf)]
     maxima = [0.0] * len(windows)
     running = 0.0
-    count = 0
+    count = 0.0  # a float holds every count below the cap exactly
     wi = 0
     edge = windows[0]
-    stack = [(0, 0.0)]
+    stack = [(-1, 0.0)]  # popping the sentinel ends the walk
     pop, push = stack.pop, stack.append
-    while stack:
-        k, left = pop()
-        if not leaf[k]:
-            right = left + step[k]
-            if right <= upto:
-                push((k + 1, right))
-            push((k + row, left))
-            continue
+    k, val = 0, 0.0
+    while k >= 0:
+        left = val
+        if leaf[k]:
+            k, val = pop()
+        else:
+            right = val + step[k]
+            if not leaf[k + row]:
+                if right <= upto:
+                    push((k + 1, right))
+                k += row
+                continue
+            # a leaf left child, then its right sibling inline
+            k, val = (k + 1, right) if right <= upto else pop()
         while left > edge:
             maxima[wi] = max(running, abs(count - density * edge))
             wi += 1
             edge = windows[wi]
-        # the left limit at the point, then the jump by one
+        # the left limit at the point, then the jump by one; the limit
+        # matters only below zero, where it is -(count - x), bit for bit
         x = density * left
-        low = abs(count - x)
+        low = x - count
         count += 1
         high = count - x
         if low > running:

@@ -9,7 +9,10 @@ the directed walks of length t on a one-vertex graph with two loops of
 lengths log(1/alpha) and log(1/(1-alpha)).  ``SubdivisionTree`` is the
 tree of these splits: ``count_tiles`` and the discrepancy module count on it
 without materializing anything, and ``generate_patch`` and the direct
-discrepancy scan walk it through tables indexed by exponent pair.
+discrepancy scan walk it through tables indexed by exponent pair, down
+left spines and along rows of leaf children with no push per leaf.
+``generate_patch`` sums float positions alone; the exact terms are
+built by the same walk when ``patch.tiles`` first asks for them.
 
 Lengths of exactly one are detected in log scale with a fixed slack, so
 that e.g. alpha = 1/2 at t = log 2 yields two unit tiles and not four
@@ -30,7 +33,7 @@ from .geometry import (
     PositionVector,
     XiPower,
     XiSum,
-    left_sum,
+    unit_sums,
 )
 from .params import check_alpha, check_exponent_pair, solve_alpha
 
@@ -155,27 +158,37 @@ class SubdivisionTree:
 
         Every right step of the descent adds at least one, so with a
         finite ``stop`` the descent takes at most ``stop`` of them: it
-        returns its count as soon as that passes ``stop``.
+        returns its count as soon as that passes ``stop``, or, along a row
+        of leaf children, as soon as the steps still needed fit below x.
         """
         if x < 0.0:
             raise ParameterError("x must be nonnegative")
         if x > self.support * (1.0 + 1e-12):
             raise ParameterError("x lies beyond the patch support")
+        ends = self.row_ends()
         count = 0
         a, b, left = 0, 0, 0.0
         while True:
             if self.is_leaf(a, b):
                 count += 1 if left <= x else 0
                 return count
-            boundary = left + self.width(a + 1, b)
-            if x < boundary:
+            width = self.width(a + 1, b)
+            if x < left + width:
                 a += 1
-            else:
-                count += self.leaves(a + 1, b)
-                if count > stop:
-                    return count
-                left = boundary
-                b += 1
+                continue
+            leaf_child = a + 1 >= len(ends) or ends[a + 1] < b
+            count += 1 if leaf_child else self.leaves(a + 1, b)
+            if count > stop:
+                return count
+            if leaf_child and stop < math.inf:
+                # need more steps pass stop; each adds to left at most this
+                # width and a rounding of 2**-53 of a sum that stays below x
+                need = int(stop - count) + 1
+                most = width * (1.0 + 2.0**-40) + x * 2.0**-50
+                if need <= ends[a] - b and left + (need + 1) * most <= x:
+                    return count + need
+            left += width
+            b += 1
 
     def walk_table(
         self, top: int = 0, upto: float = math.inf
@@ -246,6 +259,32 @@ def count_tiles_commensurable(n: int, m: int, ell: int) -> int:
     return counts[ell]
 
 
+def _leaf_walk(row: int, leaf: list[bool], step: list, start) -> tuple[list[int], list]:
+    """Ids of the leaves of a walk table's tree, left to right, and the
+    sums ``... + step[k] + start`` over the right steps of their paths:
+    down left spines, pushing right children, and along rows of leaf
+    children with no push.  ``+`` adds floats and joins tuples, so one
+    walk sums positions or collects exact terms, the last step's first."""
+    ids: list[int] = []
+    sums: list = []
+    stack = [(-1, start)]  # popping the sentinel ends the walk
+    pop, push = stack.pop, stack.append
+    k, val = 0, start
+    while k >= 0:
+        if leaf[k]:
+            ids.append(k)
+            sums.append(val)
+            k, val = pop()
+        elif leaf[k + row]:
+            ids.append(k + row)
+            sums.append(val)
+            val, k = step[k] + val, k + 1
+        else:
+            push((k + 1, step[k] + val))
+            k += row
+    return ids, sums
+
+
 def generate_patch(
     alpha: float,
     t: float,
@@ -267,35 +306,22 @@ def generate_patch(
     beta_pow = [beta**k for k in range(int(t / -tree.lb) + 4)]
     row, pairs, leaf = tree.walk_table()
     step = [alpha_pow[a + 1] * beta_pow[b] for a, b in pairs]
-    # the exact term a right child adds: its left sibling's exponent pair
-    term = [((a + 1, b), 1) for a, b in pairs]
-    # Depth-first, right child pushed first so leaves pop left to right.
-    # A right child adds the length of its left sibling to the position;
-    # along a path these terms ascend in (a, b), so the exact terms come
-    # out sorted and the running float is their left-to-right sum.
-    leaves: list[tuple[int, tuple, float]] = []
-    stack: list[tuple[int, tuple, float]] = [(0, (), 0.0)]
-    pop, push, keep = stack.pop, stack.append, leaves.append
-    while stack:
-        node = pop()
-        k, terms, val = node
-        if leaf[k]:
-            keep(node)
-        else:
-            push((k + 1, terms + (term[k],), val + step[k]))
-            push((k + row, terms, val))
+    ids, sums = _leaf_walk(row, leaf, step, 0.0)
     size = [scale * alpha_pow[a] * beta_pow[b] for a, b in pairs]
 
     def exact() -> tuple[list[PositionVector], list[LengthExponent]]:
-        exponents = {k: LengthExponent(*pairs[k]) for k in {k for k, _, _ in leaves}}
+        # A right step adds the exact term of its left sibling; these
+        # ascend along a path, so a path read backwards is sorted.
+        _, terms = _leaf_walk(row, leaf, [(((a + 1, b), 1),) for a, b in pairs], ())
+        exponents = {k: LengthExponent(*pairs[k]) for k in set(ids)}
         return (
-            [PositionVector._from_sorted(terms) for _, terms, _ in leaves],
-            [exponents[k] for k, _, _ in leaves],
+            [PositionVector._from_sorted(path[::-1]) for path in terms],
+            [exponents[k] for k in ids],
         )
 
     return Patch(
-        [anchor + scale * val for _, _, val in leaves],
-        [size[k] for k, _, _ in leaves],
+        [anchor + scale * val for val in sums],
+        [size[k] for k in ids],
         (anchor, anchor + scale),
         exact,
         info={"alpha": alpha, "t": t, "origin_offset": origin_offset},
@@ -319,32 +345,25 @@ def generate_patch_commensurable(
     xi = alpha ** (-1.0 / n)
     # xi**p for every power a split or a leaf can reach: 1 - n <= p <= ell
     power = {p: xi**p for p in range(1 - n, ell + 1)}
-    # Depth-first as in generate_patch.  The right child at exponent e
-    # adds xi**(e - n); along a path these powers strictly decrease, so
-    # prepending keeps the exact terms ascending.
-    leaves: list[tuple[int, tuple]] = []
-    stack: list[tuple[int, tuple]] = [(ell, ())]
-    pop, push, keep = stack.pop, stack.append, leaves.append
-    while stack:
-        node = pop()
-        e, terms = node
-        if e > 0:
-            p = e - n
-            push((e - m, ((p, 1),) + terms))
-            push((p, terms))
-        else:
-            keep(node)
+    # generate_patch's walk over the pairs (a, b) of exponent ell - a*n - b*m.
+    # A right step at exponent e adds xi**(e - n); these powers strictly
+    # decrease along a path, last step first, so the terms come out sorted.
+    row = ell // m + 2
+    exponent = [ell - a * n - b * m for a in range(ell // n + 2) for b in range(row)]
+    step = [((e - n, 1),) for e in exponent]
+    ids, found = _leaf_walk(row, [e <= 0 for e in exponent], step, ())
+    exps = [exponent[k] for k in ids]
 
     def exact() -> tuple[list[XiSum], list[XiPower]]:
         exponents = {e: XiPower(-e) for e in range(1 - n, 1)}
         return (
-            [XiSum._from_sorted(terms) for _, terms in leaves],
-            [exponents[e] for e, _ in leaves],
+            [XiSum._from_sorted(terms) for terms in found],
+            [exponents[e] for e in exps],
         )
 
     return Patch(
-        [left_sum([power[p] for p, _ in terms]) for _, terms in leaves],
-        [power[e] for e, _ in leaves],
+        unit_sums(found, power),
+        [power[e] for e in exps],
         (0.0, xi**ell),
         exact,
         info={"n": n, "m": m, "ell": ell, "alpha": alpha, "xi": xi},

@@ -66,6 +66,17 @@ def left_sum(values: Iterable[float]) -> float:
     return reduce(add, values, 0)
 
 
+def unit_sums(paths: Iterable[tuple], power: Mapping[int, float]) -> list[float]:
+    """``left_sum([power[p] for p, _ in terms])`` for each path, with no list."""
+    sums = []
+    for terms in paths:
+        total = 0
+        for p, _ in terms:
+            total = total + power[p]
+        sums.append(total)
+    return sums
+
+
 class _TermSum:
     """Immutable integer-coefficient sum of terms, kept sorted by key with
     equal keys merged and zero coefficients dropped."""

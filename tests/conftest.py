@@ -8,6 +8,7 @@ then evidence, not circularity.
 """
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,26 @@ def memo_leaves(alpha, t, a=0, b=0, slack=1e-12, memo=None):
                 memo[key] = memo[left] + memo[right]
                 stack.pop()
     return memo[(a, b)]
+
+
+def prefix_count_per_node(alpha, t, x, stop=math.inf, slack=1e-12):
+    """The descent of ``SubdivisionTree.prefix_count`` one right step at
+    a time: each step adds its left child's leaves from ``memo_leaves``,
+    and the count is returned as soon as it passes ``stop``."""
+    la, lb = math.log(alpha), math.log1p(-alpha)
+    memo = {}
+    count, a, b, left = 0, 0, 0, 0.0
+    while True:
+        if t + a * la + b * lb <= slack:
+            return count + (1 if left <= x else 0)
+        boundary = left + math.exp(t + (a + 1) * la + b * lb)
+        if x < boundary:
+            a += 1
+            continue
+        count += memo_leaves(alpha, t, a + 1, b, slack, memo)
+        if count > stop:
+            return count
+        left, b = boundary, b + 1
 
 
 class TwoPassProfile:
@@ -176,6 +197,94 @@ def brute_boundaries(alpha, t, slack=1e-12):
 
     walk(0.0, t)
     return out
+
+
+def walk_cases(seed, count, max_tiles=3000):
+    """Seeded (alpha, t) with at most ``max_tiles`` leaves: alpha
+    log-uniform in [1e-6, 1/2], and every other t on a point
+    i*|log alpha| + j*|log(1-alpha)| of the lattice or within 2e-12 of
+    one, where the leaf test sits on its slack."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        alpha = 10.0 ** rng.uniform(-6.0, math.log10(0.5))
+        la, lb = math.log(alpha), math.log1p(-alpha)
+        # about 10**4 pairs in the memo that counts the leaves
+        budget = min(1e4 * -lb, math.sqrt(1e4 * la * lb), 12.0)
+        i, j = rng.randint(0, int(budget / -la)), rng.randint(0, int(budget / -lb))
+        t = i * -la + j * -lb if k % 2 else rng.uniform(0.0, budget)
+        while memo_leaves(alpha, t) > max_tiles:
+            i, j = i // 2, j // 2
+            t = i * -la + j * -lb if k % 2 else t / 2.0
+        if k % 2:
+            t = max(0.0, t + rng.choice([0.0, 1e-12, -1e-12, 2e-12, -2e-12]))
+        cases.append((alpha, t))
+    return cases
+
+
+def patch_per_node(alpha, t, origin_offset=0.5, slack=1e-12):
+    """The leaves of ``engine.generate_patch`` by the walk its row-run
+    walk replaced: depth first, both children of every internal node
+    pushed, right first, with the leaf test, the powers and the exact
+    term of each right child worked out at every node, in the package's
+    float expressions.  Returns the exponent pairs, float positions,
+    float lengths and exact position terms of the leaves, in order."""
+    la, lb = math.log(alpha), math.log1p(-alpha)
+    beta, scale = 1.0 - alpha, math.exp(t)
+    anchor = -origin_offset * scale
+    pairs, positions, lengths, terms = [], [], [], []
+    stack = [(0, 0, (), 0.0)]
+    while stack:
+        a, b, path, val = stack.pop()
+        if t + a * la + b * lb <= slack:
+            pairs.append((a, b))
+            positions.append(anchor + scale * val)
+            lengths.append(scale * alpha**a * beta**b)
+            terms.append(path)
+        else:
+            step = alpha ** (a + 1) * beta**b
+            stack.append((a, b + 1, path + (((a + 1, b), 1),), val + step))
+            stack.append((a + 1, b, path, val))
+    return pairs, positions, lengths, terms
+
+
+def xi_patch_per_node(n, m, ell):
+    """Leaf exponents and exact position terms, in order, of the tree in
+    which xi**e with e > 0 splits into xi**(e - n), xi**(e - m) and the
+    right child adds xi**(e - n): the walk of both children per node."""
+    exponents, terms = [], []
+    stack = [(ell, ())]
+    while stack:
+        e, path = stack.pop()
+        if e > 0:
+            stack.append((e - m, ((e - n, 1),) + path))
+            stack.append((e - n, path))
+        else:
+            exponents.append(e)
+            terms.append(path)
+    return exponents, terms
+
+
+def rule_patch_per_node(image_map, ell):
+    """Labels and exact position terms, as sorted (power, coefficient)
+    pairs, of the leaves of a fixed-scale rule's label tree after ell
+    steps from the hub, by recursion: a child made with ``left`` steps
+    to go adds its offset times xi**left."""
+    labels, terms = [], []
+
+    def walk(label, left, path):
+        if left == 0:
+            merged = {}
+            for p, c in path:
+                merged[p] = merged.get(p, 0) + c
+            labels.append(label)
+            terms.append(tuple(sorted(merged.items())))
+            return
+        for child, offset in image_map[label - 1]:
+            walk(child, left - 1, path + [(p + left, c) for p, c in offset.terms])
+
+    walk(1, ell, [])
+    return labels, terms
 
 
 def leaves_upto_per_node(alpha, t, upto, slack=1e-12):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -429,6 +430,25 @@ def test_direct_scan_past_the_cap_is_refused_fast():
         env=env,
         preexec_fn=_limit_memory,
     )
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert "resource limit" in result.stderr
+
+
+def test_direct_scan_of_a_long_leaf_row_is_refused_fast():
+    # row 0 holds 1e9 leaf children and the window 2 about 7e8 of them:
+    # counting them one right step at a time took 50-80 s to refuse
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "kakutani", "discrepancy", "--alpha", "1e-9", "--t", "1", "--windows", "2", "--mode", "direct"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=env,
+        preexec_fn=_limit_memory,
+    )
+    assert time.perf_counter() - start < 5.0
     assert result.returncode == 4
     assert result.stdout == ""
     assert "resource limit" in result.stderr

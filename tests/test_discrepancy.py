@@ -29,6 +29,8 @@ from conftest import (
     brute_count_tiles,
     direct_scan_per_node,
     leaves_upto_per_node,
+    prefix_count_per_node,
+    walk_cases,
 )
 
 GOLDEN_ALPHA = 0.38196601125010515  # solve_alpha(2, 1)
@@ -108,6 +110,33 @@ class TestPrefixCount:
         counts = [prefix_count(alpha, t, float(x)) for x in xs]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
+    def test_stop_equals_the_per_step_descent(self):
+        # small alphas give long rows of leaf children, where the count
+        # returns on a bound instead of stepping: it must return the
+        # count the steps would reach
+        rng = random.Random("stop")
+        for alpha, t in walk_cases("stop", 24):
+            tree = SubdivisionTree(alpha, t)
+            for x in [tree.support] + [rng.uniform(0.0, tree.support) for _ in range(5)]:
+                full = tree.prefix_count(x)
+                assert full == prefix_count_per_node(alpha, t, x)
+                for stop in (0, full // 3, full - 1, rng.uniform(0.0, full), full, math.inf):
+                    assert tree.prefix_count(x, stop) == prefix_count_per_node(alpha, t, x, stop)
+
+    def test_stop_on_a_long_row_of_leaf_children(self, monkeypatch):
+        # row 0 has 1e9 leaf children, 7e8 of them below x = 2: a step
+        # each took 0.5 s to pass a million
+        widths = []
+        width = SubdivisionTree.width
+        monkeypatch.setattr(
+            SubdivisionTree, "width", lambda self, a, b: widths.append(b) or width(self, a, b)
+        )
+        tree = SubdivisionTree(1e-9, 1.0)
+        assert tree.prefix_count(2.0, stop=10**6) == 10**6 + 1
+        assert tree.prefix_count(2.0, stop=10**8) == 10**8 + 1
+        assert tree.prefix_count(1e-6, stop=10**8) == prefix_count_per_node(1e-9, 1.0, 1e-6)
+        assert len(widths) < 1000
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
             prefix_count(1.0 / 3.0, 2.0, -0.5)
@@ -130,6 +159,8 @@ class TestScan:
         rng = random.Random(20261018)
         cases = [(rng.uniform(0.05, 0.5), rng.uniform(0.0, 9.5)) for _ in range(26)]
         cases += [(0.5, 6.0), (1.0 / 3.0, 8.0), (GOLDEN_ALPHA, 9.0), (solve_alpha(3, 2), 7.5)]
+        # t on the lattice i*|log alpha| + j*|log(1-alpha)|, or within 2e-12
+        cases += walk_cases("direct", 40)
         for i, (alpha, t) in enumerate(cases):
             support = math.exp(t)
             # every third grid lies below the first tile's right end
@@ -137,6 +168,28 @@ class TestScan:
             windows = tuple(top / 2.0**j for j in range(6, -1, -1))
             series = discrepancy_scan(alpha, t, windows, mode="direct")
             assert series.max_disc == direct_scan_per_node(alpha, t, series.density, windows)
+            # windows on points, the last of them kept by the walk
+            points = list(leaves_upto_per_node(alpha, t, support))
+            windows = tuple(sorted(set(rng.sample(points, min(3, len(points))))))
+            series = discrepancy_scan(alpha, t, windows, mode="direct")
+            assert series.max_disc == direct_scan_per_node(alpha, t, series.density, windows)
+
+    def test_direct_scan_streams(self):
+        # 260,045 leaves, each handled where the walk finds it: a list of
+        # their float positions alone would hold over 8 MB.  (Tracing
+        # makes the walk some 30 times slower, so the tree is no larger.)
+        alpha, t = 1.0 / 3.0, 12.0
+        leaves = count_tiles(alpha, t)
+        windows = (math.exp(t) / 64.0, math.exp(t) / 2.0, math.exp(t))
+        discrepancy_scan(alpha, 3.0, (1.0,), mode="direct")
+        tracemalloc.start()
+        try:
+            series = discrepancy_scan(alpha, t, windows, mode="direct")
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert series.max_disc[-1] >= abs(leaves - series.density * math.exp(t))
 
     def test_small_alpha_table_follows_the_walk(self, monkeypatch):
         # For a small alpha, row 0 of the tree is long: 12M nodes at alpha

@@ -25,6 +25,10 @@ from conftest import (
     brute_count_tiles,
     coprime_pairs,
     memo_leaves,
+    patch_per_node,
+    rule_patch_per_node,
+    walk_cases,
+    xi_patch_per_node,
 )
 
 
@@ -189,6 +193,50 @@ class TestPositionBits:
                 terms = tile.position.terms
                 assert XiSum(terms) == tile.position
                 assert tile.position_value == ascending_fold(terms, lambda p: xi**p)
+
+
+class TestLeafWalks:
+    """The row-run walks give, with ==, the leaves of the walks that test
+    and push both children of every node, and the lazily built exact
+    terms of those walks."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multiscale_equals_the_per_node_walk(self, seed):
+        for k, (alpha, t) in enumerate(walk_cases(f"patch:{seed}", 40, max_tiles=600)):
+            offset = (0.5, 0.0, 1.0, 0.3)[k % 4]
+            patch = generate_patch(alpha, t, origin_offset=offset)
+            pairs, positions, lengths, terms = patch_per_node(alpha, t, offset)
+            assert patch.positions() == tuple(positions)
+            assert patch.lengths() == tuple(lengths)
+            assert [tuple(tile.length) for tile in patch.tiles] == pairs
+            assert [tile.position.terms for tile in patch.tiles] == terms
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 2), (5, 3), (7, 3), (9, 2), (41, 20)])
+    def test_commensurable_equals_the_per_node_walk(self, n, m):
+        for ell in (0, 1, 2, n, n + m, 17, 45):
+            if count_tiles_commensurable(n, m, ell) > 20000:
+                continue
+            patch = generate_patch_commensurable(n, m, ell)
+            exponents, terms = xi_patch_per_node(n, m, ell)
+            assert [-tile.length.exponent for tile in patch.tiles] == exponents
+            assert [tile.position.terms for tile in patch.tiles] == terms
+            xi = patch.info["xi"]
+            assert patch.positions() == tuple(ascending_fold(path, lambda p: xi**p) for path in terms)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [build_rho(2, 1), build_rho(3, 2), build_rho(7, 3), build_three_interval_rule(3, 2, 1),
+         build_three_interval_rule(2, 2, 1), build_three_interval_rule(5, 3, 3)],
+        ids=["2/1", "3/2", "7/3", "3,2,1", "2,2,1", "5,3,3"],
+    )
+    def test_fixed_scale_equals_the_per_node_walk(self, rule):
+        for ell in (0, 1, 2, 5, 9, 14):
+            patch = iterate_primitive(rule, ell)
+            labels, terms = rule_patch_per_node(rule.image_map, ell)
+            assert list(patch.labels()) == labels
+            assert [tile.position.terms for tile in patch.tiles] == terms
+            xi = rule.xi
+            assert patch.positions() == tuple(ascending_fold(path, lambda p: xi**p) for path in terms)
 
 
 class TestColumns:
