@@ -26,7 +26,6 @@ from .cover import (
     build_rho,
     build_three_interval_rule,
     iterate_primitive,
-    substitution_matrix,
     verify_cover,
 )
 from .discrepancy import (
@@ -319,12 +318,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     n, m = _parse_ratio(args.ratio)
     pair = Commensurable(n, m)
     check_spectral_degree(n)
-    report = solomon_verdict(substitution_matrix(build_rho(n, m)))
+    rule = build_rho(n, m)
+    report = solomon_verdict(rule.loops)
     config = {"command": "spectrum", "ratio": args.ratio, "format": "json"}
     payload = {
         "n": n,
         "m": m,
-        "alpha": solve_alpha(n, m),
+        "alpha": rule.alpha,
         **_spectral_dict(report),
     }
     _emit(json_envelope(payload, config), args.out)
@@ -399,6 +399,7 @@ def _cmd_three_interval(args: argparse.Namespace) -> int:
         "format": args.format,
     }
     if args.format == "dot":
+        check_spectral_degree(n)  # the graph has a vertex per loop edge
         _emit(rule_to_dot(build_three_interval_rule(n, m, k)), args.out)
         return 0
     verdict = classify_three_interval(n, m, k)

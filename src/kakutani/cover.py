@@ -22,11 +22,16 @@ sum of the lengths to its left, so the check compares the two words of
 length exponents.
 
 The same machinery with three loops produces the three-interval rules
-used by ``classify_three_interval``.
+used by ``classify_three_interval``: ``LoopRule`` is one rule type for
+any loop tuple, and ``build_rho`` and ``build_three_interval_rule``
+validate the loops and build it.
 
 Every cycle of the subdivided graph passes through the hub, so the
-characteristic polynomial follows from the loop counts alone:
-``char_poly`` reads them off the matrix and returns x^K - sum x^(K - c).
+characteristic polynomial follows from the loop counts alone: it is
+x^K - sum x^(K - c), and with its power of x stripped it is
+``LoopRule.polynomial``, which the spectral verdicts take from the
+loops.  ``char_poly`` reads the loops back off a matrix, to check a
+matrix against the flower it claims to be.
 """
 from __future__ import annotations
 
@@ -37,12 +42,11 @@ from itertools import chain
 from . import engine
 from .errors import ParameterError
 from .geometry import Patch, XiPower, XiSum, left_sum, unit_sums
-from .params import check_exponent_pair, solve_alpha
+from .params import _loop_alpha, check_exponent_pair
 from .polynomials import IntPolynomial
 
 __all__ = [
-    "PrimitiveRule",
-    "ThreeIntervalRule",
+    "LoopRule",
     "SubstitutionMatrix",
     "CoverReport",
     "build_rho",
@@ -50,20 +54,22 @@ __all__ = [
     "substitution_matrix",
     "char_poly",
     "iterate_primitive",
-    "tile_counts",
     "verify_cover",
-    "solve_inflation",
 ]
 
 ImageMap = tuple[tuple[tuple[int, XiSum], ...], ...]
 
 
 @dataclass(frozen=True)
-class PrimitiveRule:
-    """Fixed-scale substitution covering the two-interval multiscale rule."""
+class LoopRule:
+    """Fixed-scale substitution of a flower with loops c_1 >= ... >= c_p.
 
-    n: int
-    m: int
+    The prototile lengths are powers of xi, the root xi > 1 of
+    sum(xi**-c_i) = 1; ``alpha`` is the length xi**-c_1 of the first
+    hub piece.  Only the loop counts are part of the combinatorics.
+    """
+
+    loops: tuple[int, ...]
     alpha: float
     xi: float
     length_exponents: tuple[int, ...]
@@ -74,26 +80,11 @@ class PrimitiveRule:
     def size(self) -> int:
         return len(self.length_exponents)
 
-
-@dataclass(frozen=True)
-class ThreeIntervalRule:
-    """Fixed-scale substitution for a three-way split with loop counts (n, m, k).
-
-    The three interval lengths are xi**-n, xi**-m, xi**-k; only their
-    log proportions n : m : k are part of the combinatorics, the lengths
-    themselves are pinned by requiring the pieces to sum to one.
-    """
-
-    loops: tuple[int, int, int]
-    xi: float
-    length_exponents: tuple[int, ...]
-    prototile_lengths: tuple[float, ...]
-    image_map: ImageMap
-    polynomial: IntPolynomial
-
     @property
-    def size(self) -> int:
-        return len(self.length_exponents)
+    def polynomial(self) -> IntPolynomial:
+        """x**c_1 - sum(x**(c_1 - c_i)): the relation of xi, and the
+        characteristic polynomial with its power of x stripped."""
+        return _loop_polynomial(self.loops[0], self.loops)
 
 
 @dataclass(frozen=True)
@@ -122,22 +113,6 @@ class SubstitutionMatrix:
             )
         )
 
-    def power(self, ell: int) -> "SubstitutionMatrix":
-        """Exact matrix power by repeated squaring."""
-        if ell < 0:
-            raise ParameterError("matrix power must be nonnegative")
-        k = self.size
-        result = SubstitutionMatrix(
-            tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-        )
-        base = self
-        while ell:
-            if ell & 1:
-                result = result._matmul(base)
-            base = base._matmul(base)
-            ell >>= 1
-        return result
-
     def is_primitive(self) -> bool:
         """Some power has all entries positive; checked up to size**2."""
         k = self.size
@@ -149,85 +124,55 @@ class SubstitutionMatrix:
         return False
 
 
-def solve_inflation(loop_counts: tuple[int, ...]) -> float:
-    """The inflation constant: the xi > 1 with sum(xi**-c) = 1.
-
-    The left side is strictly decreasing in xi, larger than one at
-    xi = 1 and smaller than one for xi = p + 1 with p loops, so
-    bisection applies.
-    """
-    if any(c < 1 for c in loop_counts) or len(loop_counts) < 2:
-        raise ParameterError("need at least two loops with positive edge counts")
-
-    def excess(x: float) -> float:
-        return sum(x**-c for c in loop_counts) - 1.0
-
-    lo, hi = 1.0, float(len(loop_counts) + 1)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _loop_rule(counts: tuple[int, ...], xi: float) -> tuple[tuple[int, ...], ImageMap]:
-    """Length exponents and image map for the subdivided multi-loop graph.
+def _loop_rule(loops: tuple[int, ...]) -> LoopRule:
+    """The rule of the subdivided flower with the given loops, longest first.
 
     Label 1 is the hub.  Loop i (zero-based, in the given order)
-    contributes counts[i] - 1 chain labels, consecutively.  Hub children
+    contributes loops[i] - 1 chain labels, consecutively.  Hub children
     are emitted in loop order with exact cumulative offsets; chain
     prototiles are pass-through.
     """
-    if math.gcd(*counts) != 1:
-        raise ParameterError(f"loop counts {counts} must be coprime overall")
-    size = 1 + sum(c - 1 for c in counts)
+    alpha = _loop_alpha(loops)
+    xi = alpha ** (-1.0 / loops[0])
+    size = 1 + sum(c - 1 for c in loops)
     exponents = [0] * size
     starts: list[int] = []
     nxt = 2
-    for c in counts:
+    for c in loops:
         starts.append(nxt)
         for s in range(1, c):
             exponents[nxt + s - 2] = c - s
         nxt += c - 1
 
     hub_children = tuple(
-        (starts[i] if c >= 2 else 1, XiSum((-d, 1) for d in counts[:i]))
-        for i, c in enumerate(counts)
+        (starts[i] if c >= 2 else 1, XiSum((-d, 1) for d in loops[:i]))
+        for i, c in enumerate(loops)
     )
     images: list[tuple[tuple[int, XiSum], ...]] = [hub_children]
-    for i, c in enumerate(counts):
+    for i, c in enumerate(loops):
         for s in range(1, c):
             label = starts[i] + s - 1
             succ = label + 1 if s <= c - 2 else 1
             images.append(((succ, XiSum.zero()),))
-    return tuple(exponents), tuple(images)
+    return LoopRule(
+        loops=loops,
+        alpha=alpha,
+        xi=xi,
+        length_exponents=tuple(exponents),
+        prototile_lengths=tuple(xi**-e for e in exponents),
+        image_map=tuple(images),
+    )
 
 
-def build_rho(n: int, m: int) -> PrimitiveRule:
+def build_rho(n: int, m: int) -> LoopRule:
     """The covering fixed-scale rule for the commensurable ratio n/m."""
     check_exponent_pair(n, m)
     if n == m:
         raise ParameterError("the lattice ratio (1, 1) needs no cover")
-    alpha = solve_alpha(n, m)
-    xi = alpha ** (-1.0 / n)
-    exponents, images = _loop_rule((n, m), xi)
-    lengths = tuple(xi**-e for e in exponents)
-    return PrimitiveRule(
-        n=n,
-        m=m,
-        alpha=alpha,
-        xi=xi,
-        length_exponents=exponents,
-        prototile_lengths=lengths,
-        image_map=images,
-    )
+    return _loop_rule((n, m))
 
 
-def build_three_interval_rule(n: int, m: int, k: int) -> ThreeIntervalRule:
+def build_three_interval_rule(n: int, m: int, k: int) -> LoopRule:
     """Fixed-scale rule for a three-way split with loop counts n >= m >= k."""
     if not (n >= m >= k >= 1):
         raise ParameterError(f"need n >= m >= k >= 1, got ({n}, {m}, {k})")
@@ -235,19 +180,10 @@ def build_three_interval_rule(n: int, m: int, k: int) -> ThreeIntervalRule:
         raise ParameterError(f"loop counts ({n}, {m}, {k}) must be coprime overall")
     if n == m == k:
         raise ParameterError("equal loop counts give the trivial lattice split")
-    xi = solve_inflation((n, m, k))
-    exponents, images = _loop_rule((n, m, k), xi)
-    return ThreeIntervalRule(
-        loops=(n, m, k),
-        xi=xi,
-        length_exponents=exponents,
-        prototile_lengths=tuple(xi**-e for e in exponents),
-        image_map=images,
-        polynomial=_loop_polynomial(n, (n, m, k)),
-    )
+    return _loop_rule((n, m, k))
 
 
-def substitution_matrix(rule: PrimitiveRule | ThreeIntervalRule) -> SubstitutionMatrix:
+def substitution_matrix(rule: LoopRule) -> SubstitutionMatrix:
     """Count prototile copies in each image of the rule."""
     size = rule.size
     counts = [[0] * size for _ in range(size)]
@@ -311,17 +247,10 @@ def char_poly(matrix: SubstitutionMatrix) -> IntPolynomial:
     return _loop_polynomial(size, tuple(loops))
 
 
-def tile_counts(matrix: SubstitutionMatrix, ell: int) -> tuple[int, ...]:
-    """Exact prototile counts after ell steps applied to the hub tile."""
-    power = matrix.power(ell)
-    return tuple(row[0] for row in power.entries)
-
-
-def _rule_count(rule: PrimitiveRule | ThreeIntervalRule, ell: int) -> int:
+def _rule_count(rule: LoopRule, ell: int) -> int:
     """Number of leaves of the rule's label tree after ell steps.
 
-    The count twin of ``_rule_word``: O(size * ell) additions, where
-    ``tile_counts`` raises the whole matrix to the power ell.
+    The count twin of ``_rule_word``: O(size * ell) additions.
     """
     counts = [1] * rule.size
     for _ in range(ell):
@@ -330,7 +259,7 @@ def _rule_count(rule: PrimitiveRule | ThreeIntervalRule, ell: int) -> int:
 
 
 def iterate_primitive(
-    rule: PrimitiveRule | ThreeIntervalRule,
+    rule: LoopRule,
     ell: int,
     max_tiles: int = engine.DEFAULT_TILE_CAP,
 ) -> Patch:
@@ -419,7 +348,7 @@ class CoverReport:
         return self.ok
 
 
-def _rule_word(rule: PrimitiveRule, ell: int) -> list[int]:
+def _rule_word(rule: LoopRule, ell: int) -> list[int]:
     """Length exponents of the leaves of the rule's label tree, in order.
 
     The word of a label after k steps is its length exponent for k = 0

@@ -36,6 +36,7 @@ from .params import (
     check_alpha,
     detect_commensurability,
 )
+from .spectral import check_spectral_degree
 
 __all__ = [
     "DensityValue",
@@ -87,7 +88,10 @@ def asymptotic_density(alpha: float, ratio: RatioClass | None = None) -> Density
     1 / (-alpha*log(alpha) - (1-alpha)*log(1-alpha)); commensurable
     ratios use the Perron eigendata of the covering substitution.  The
     two genuinely differ: the same alpha = 1/2 has closed form
-    1/log(2) but true commensurable density 1.
+    1/log(2) but true commensurable density 1.  The Perron eigendata
+    come from a dense eigensolve of the n + m - 1 square matrix, so a
+    ratio n/m with n above ``MAX_SPECTRAL_DEGREE`` is refused with
+    ResourceLimitError before the matrix is built.
     """
     check_alpha(alpha)
     if ratio is None:
@@ -95,6 +99,7 @@ def asymptotic_density(alpha: float, ratio: RatioClass | None = None) -> Density
     if isinstance(ratio, Incommensurable):
         entropy = -alpha * math.log(alpha) - (1.0 - alpha) * math.log1p(-alpha)
         return DensityValue(1.0 / entropy, "closed_form")
+    check_spectral_degree(ratio.n)
     return DensityValue(_perron_density(ratio.n, ratio.m), "perron")
 
 

@@ -23,7 +23,6 @@ greater than one" is an integer comparison.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import ParameterError, ResourceLimitError
 from .geometry import (
@@ -46,9 +45,6 @@ __all__ = [
     "count_tiles",
     "count_tiles_commensurable",
     "delone_points",
-    "CFDistance",
-    "chabauty_fell",
-    "chabauty_fell_distance",
 ]
 
 #: Hard ceiling on materialized tiles; counting works far beyond it.
@@ -373,49 +369,3 @@ def generate_patch_commensurable(
 def delone_points(patch: Patch) -> PointSet:
     """Left endpoints of the tiles of a patch, with the patch support as window."""
     return PointSet(points=patch.positions(), window=patch.support)
-
-
-class CFDistance(NamedTuple):
-    value: float
-    certified: bool
-
-
-def _coverage_threshold(points: PointSet, other: PointSet) -> float:
-    """Smallest eps at which every window-visible point of ``points`` is
-    eps-covered by ``other``: the max over points of min(gap, 1/|x|)."""
-    worst = 0.0
-    for x in points.points:
-        gap = other.nearest_distance(x)
-        if gap > 0.0:
-            reach = math.inf if x == 0.0 else 1.0 / abs(x)
-            worst = max(worst, min(gap, reach))
-    return worst
-
-
-def chabauty_fell(a: PointSet, b: PointSet) -> CFDistance:
-    """Chabauty-Fell distance between two finite point sets.
-
-    The distance is the least eps in (0, 1) such that each set,
-    restricted to (-1/eps, 1/eps), lies within eps of the other; 1 if no
-    such eps exists.  For finite sets the feasibility of eps changes
-    only at finitely many per-point thresholds min(gap, 1/|x|), and the
-    distance is their maximum.
-
-    The result is certified only when both observation windows contain
-    (-1/eps, 1/eps) for the returned eps; otherwise it is a lower bound
-    for the distance between the underlying unbounded sets.
-    """
-    value = max(_coverage_threshold(a, b), _coverage_threshold(b, a))
-    value = min(value, 1.0)
-    if value > 0.0:
-        reach = 1.0 / value
-        certified = all(
-            w[0] <= -reach and w[1] >= reach for w in (a.window, b.window)
-        )
-    else:
-        certified = False
-    return CFDistance(value, certified)
-
-
-def chabauty_fell_distance(a: PointSet, b: PointSet) -> float:
-    return chabauty_fell(a, b).value

@@ -15,7 +15,7 @@ import math
 from typing import Any, Mapping, Sequence
 
 from ._version import __version__
-from .cover import PrimitiveRule, ThreeIntervalRule
+from .cover import LoopRule
 from .discrepancy import DiscrepancySeries
 from .errors import ParameterError
 from .geometry import Patch, PointSet
@@ -189,7 +189,7 @@ def series_to_svg(
     return "\n".join(parts) + "\n"
 
 
-def rule_to_dot(rule: PrimitiveRule | ThreeIntervalRule) -> str:
+def rule_to_dot(rule: LoopRule) -> str:
     """Subdivided-loop graph in DOT form, one node per prototile.
 
     Edges follow the substitution images, which coincide with the graph

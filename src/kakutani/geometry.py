@@ -23,7 +23,6 @@ caller asks for ``tiles``.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -286,16 +285,3 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def nearest_distance(self, x: float) -> float:
-        """Distance from x to the nearest point, inf for an empty set."""
-        pts = self.points
-        if not pts:
-            return math.inf
-        i = bisect.bisect_left(pts, x)
-        best = math.inf
-        if i < len(pts):
-            best = pts[i] - x
-        if i > 0:
-            best = min(best, x - pts[i - 1])
-        return best

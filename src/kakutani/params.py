@@ -78,31 +78,39 @@ def check_exponent_pair(n: int, m: int) -> None:
         raise ParameterError(f"({n}, {m}) must be coprime")
 
 
-def solve_alpha(n: int, m: int) -> float:
-    """Solve ``alpha**m == (1 - alpha)**n`` for alpha in ``(0, 1/2]``.
+def _loop_alpha(loops: tuple[int, ...]) -> float:
+    """The alpha = xi**-c_1 of a flower with loops c_1 >= ... >= c_p.
 
-    The difference of logs is strictly increasing in alpha, negative
-    near zero and nonnegative at 1/2, so plain bisection converges to
-    the unique root.  Iterates until the bracket collapses to adjacent
-    floats, which leaves the residual at roundoff level.
+    xi > 1 solves sum(xi**-c_i) = 1, so alpha = xi**-c_1 solves
+    sum(alpha**(c_i / c_1)) = 1.  Moving the last term to the right and
+    taking logs gives the gap c_p*log(alpha) - c_1*log1p(-S) with S the
+    sum over i < p, +inf once S >= 1.  It is strictly increasing in
+    alpha, negative near zero, and its root is at most 1/p <= 1/2 (the
+    smallest of p terms summing to one), so bisection on
+    [ulp(0), 1/2] runs until the bracket is two adjacent floats.  With
+    two loops (n, m) the gap is m*log(alpha) - n*log1p(-alpha).
     """
-    check_exponent_pair(n, m)
-    if n == m:
-        return 0.5
-
-    def gap(a: float) -> float:
-        return m * math.log(a) - n * math.log1p(-a)
-
-    lo, hi = 1e-12, 0.5
-    for _ in range(200):
+    top, last = loops[0], loops[-1]
+    # S is alpha, the first loop's term, plus the terms of the loops between
+    powers = [c / top for c in loops[1:-1]]
+    lo, hi = math.ulp(0.0), 0.5
+    while True:
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
-            break
-        if gap(mid) < 0.0:
+            return hi
+        s = mid
+        for p in powers:
+            s += mid**p
+        if s < 1.0 and last * math.log(mid) - top * math.log1p(-s) < 0.0:
             lo = mid
         else:
             hi = mid
-    return hi
+
+
+def solve_alpha(n: int, m: int) -> float:
+    """Solve ``alpha**m == (1 - alpha)**n`` for alpha in ``(0, 1/2]``."""
+    check_exponent_pair(n, m)
+    return _loop_alpha((n, m))
 
 
 def r_of_alpha(alpha: float) -> float:

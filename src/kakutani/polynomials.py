@@ -2,18 +2,17 @@
 
 Coefficients are arbitrary-precision integers, stored constant term
 first, so ``IntPolynomial((-1, -1, 0, 1))`` is x^3 - x - 1.  Everything
-here is exact: division raises if it does not come out evenly, and the
-characteristic polynomial routine never leaves the integers.
+here is exact: division raises if it does not come out evenly.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import ParameterError
 
-__all__ = ["IntPolynomial", "cyclotomic", "char_poly_from_rows"]
+__all__ = ["IntPolynomial", "cyclotomic"]
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -231,37 +230,3 @@ def cyclotomic(order: int) -> IntPolynomial:
             num, rem = divmod(num, cyclotomic(d))
             assert rem.is_zero
     return num
-
-
-def char_poly_from_rows(rows: Sequence[Sequence[int]]) -> IntPolynomial:
-    """Characteristic polynomial det(xI - M) of an integer matrix.
-
-    Uses the Faddeev-LeVerrier recurrence; every division it performs is
-    by construction exact over the integers, and this is asserted.
-
-    >>> char_poly_from_rows([[1, 1], [1, 0]])
-    IntPolynomial('x^2 - x - 1')
-    >>> char_poly_from_rows([[2]])
-    IntPolynomial('x - 2')
-    """
-    k = len(rows)
-    if k == 0 or any(len(r) != k for r in rows):
-        raise ParameterError("matrix must be square and nonempty")
-    m = [[int(c) for c in r] for r in rows]
-    # descending coefficients of the monic characteristic polynomial
-    coeffs = [1]
-    work = [row[:] for row in m]
-    for step in range(1, k + 1):
-        trace = sum(work[i][i] for i in range(k))
-        assert trace % step == 0, "Faddeev-LeVerrier trace must divide evenly"
-        c = -trace // step
-        coeffs.append(c)
-        if step == k:
-            break
-        for i in range(k):
-            work[i][i] += c
-        work = [
-            [sum(m[i][l] * work[l][j] for l in range(k)) for j in range(k)]
-            for i in range(k)
-        ]
-    return IntPolynomial(tuple(reversed(coeffs)))

@@ -21,9 +21,12 @@ of each loop, so every eigenspace is a line, and its entries sum to
 
 which is never 0 (lambda = 1 is no root: sum(1) = p >= 2).  So no
 eigenspace is orthogonal to the all-ones vector, and the criterion
-watches the second eigenvalue.  ``eigenspace_not_perp`` is the SVD test
-this replaces; the package no longer calls it, and it stays public for
-the benchmark's traced replay.
+watches the second eigenvalue.  The verdicts take the loops from the
+rule (``LoopRule.loops``) and build that polynomial from them; no
+matrix is built on the way.  ``eigenspace_not_perp`` is the SVD test on
+a matrix that this replaces; the package no longer calls it, and it
+stays public for the benchmark's traced replay, which rebuilds the
+matrix and its ``char_poly``.
 
 The nonzero spectrum here is the root set of f(x) = x^n - x^(n-m) - 1.
 Numerically deciding "modulus one" is hopeless at the boundary, so an
@@ -47,10 +50,9 @@ from fractions import Fraction
 
 from .cover import (
     SubstitutionMatrix,
+    _loop_polynomial,
     build_rho,
     build_three_interval_rule,
-    char_poly,
-    substitution_matrix,
 )
 from .errors import ParameterError, ResourceLimitError
 from .params import (
@@ -248,7 +250,7 @@ def eigenspace_not_perp(matrix: SubstitutionMatrix, eigenvalue: complex) -> bool
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Solomon-criterion data for one substitution matrix."""
+    """Solomon-criterion data for one flower."""
 
     lambda1: float
     lambda2_modulus: float
@@ -260,19 +262,6 @@ class SpectralReport:
     unresolved: bool = False
 
 
-def _lattice_report() -> SpectralReport:
-    # one prototile splitting in two: spectrum {2}, nothing to test
-    return SpectralReport(
-        lambda1=2.0,
-        lambda2_modulus=0.0,
-        has_unit_modulus_eigenvalue=False,
-        roots=(complex(2.0, 0.0),),
-        residuals=(0.0,),
-        ell=0,
-        solomon=SpreadClass.SPREAD,
-    )
-
-
 def check_spectral_degree(degree: int) -> None:
     """Refuse a nonzero spectrum of degree above ``MAX_SPECTRAL_DEGREE``."""
     if degree > MAX_SPECTRAL_DEGREE:
@@ -281,11 +270,15 @@ def check_spectral_degree(degree: int) -> None:
         )
 
 
-def solomon_verdict(matrix: SubstitutionMatrix) -> SpectralReport:
-    """Apply the Solomon criterion to a substitution matrix.
+def solomon_verdict(loops: tuple[int, ...]) -> SpectralReport:
+    """Apply the Solomon criterion to the flower with the given loops.
 
-    The characteristic polynomial is computed exactly, its power of x
-    stripped exactly, and the remaining roots found numerically.  The
+    The nonzero spectrum is the root set of x**c - sum(x**(c - c_i)),
+    c the longest loop: the characteristic polynomial of the rule's
+    matrix with its power of x stripped (``cover`` module docstring).
+    It is built exactly from the loops, and its roots are found
+    numerically.  Two loops of one edge are the lattice: the single
+    eigenvalue 2, with nothing for the criterion to watch.  The
     criterion watches the second root, ``ell = 2``, with no eigenspace
     computed: the eigenvector of a nonzero eigenvalue lambda of a flower
     with p loops, scaled to 1 at the hub, sums to (p - 1) / (lambda - 1),
@@ -296,11 +289,11 @@ def solomon_verdict(matrix: SubstitutionMatrix) -> SpectralReport:
     ``MAX_SPECTRAL_DEGREE`` is refused with ResourceLimitError before
     any root is sought.
     """
-    poly = char_poly(matrix)
-    reduced, _zeros = poly.strip_zero_roots()
-    check_spectral_degree(reduced.degree)
-    if reduced.degree < 1:
-        raise ParameterError("substitution matrix has empty nonzero spectrum")
+    if len(loops) < 2 or min(loops) < 1:
+        raise ParameterError("need at least two loops with positive edge counts")
+    top = max(loops)
+    check_spectral_degree(top)
+    reduced = _loop_polynomial(top, loops)
     if reduced.degree == 1:
         # a single nonzero eigenvalue: nothing for the criterion to watch
         only = float(-reduced.coeffs[0])
@@ -391,13 +384,13 @@ def classify_spreadness(ratio: RatioClass, alpha: float | None = None) -> Spread
             alpha=solve_alpha(n, m) if alpha is None else alpha,
             theorem_verdict=True,
             rationale=Rationale.LATTICE,
-            spectral=_lattice_report(),
+            spectral=solomon_verdict((1, 1)),
             mismatch=False,
         )
-    check_spectral_degree(n)  # before the rule and its matrix are built
+    check_spectral_degree(n)  # before the rule is built
     rule = build_rho(n, m)
     a = rule.alpha if alpha is None else alpha
-    report = solomon_verdict(substitution_matrix(rule))
+    report = solomon_verdict(rule.loops)
     theorem = Fraction(n, m) in SPREAD_RATIOS
     if report.solomon is SpreadClass.BOUNDARY:
         rationale = (
@@ -442,11 +435,11 @@ def classify_three_interval(n: int, m: int, k: int) -> ThreeIntervalVerdict:
 
     Membership of x^n - x^(n-m) - x^(n-k) - 1 in the known Pisot
     families is tested exactly; the Solomon criterion runs on the
-    constructed matrix as an independent check.
+    rule's loops as an independent check.
     """
-    check_spectral_degree(n)  # before the rule and its matrix are built
+    check_spectral_degree(n)  # before the rule is built
     rule = build_three_interval_rule(n, m, k)
-    report = solomon_verdict(substitution_matrix(rule))
+    report = solomon_verdict(rule.loops)
     family = _pv_three_interval_family(rule.polynomial)
     member = family is not None
     if report.solomon is SpreadClass.BOUNDARY:

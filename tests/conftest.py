@@ -5,13 +5,24 @@ bisection for real roots, the quadratic formula, brute-force recursion
 for tile counts, and permutation-expansion determinants for small
 characteristic polynomials.  Agreement between package and oracle is
 then evidence, not circularity.
+
+The package keeps only what its command line, scripts and README use,
+so code that only tests call lives here too: Faddeev-LeVerrier, exact
+matrix powers and tile counts, and the Chabauty-Fell distance on point
+sets.
 """
+import bisect
 import cmath
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
+
+from kakutani.cover import SubstitutionMatrix
+from kakutani.errors import ParameterError
+from kakutani.polynomials import IntPolynomial
 
 
 def bisect_root(f, lo, hi, iterations=200):
@@ -403,6 +414,118 @@ def expansion_char_poly(rows):
         assert c.denominator == 1
         out.append(int(c))
     return out
+
+
+def char_poly_from_rows(rows):
+    """Characteristic polynomial det(xI - M) of an integer matrix.
+
+    Uses the Faddeev-LeVerrier recurrence; every division it performs is
+    by construction exact over the integers, and this is asserted.
+    """
+    k = len(rows)
+    if k == 0 or any(len(r) != k for r in rows):
+        raise ParameterError("matrix must be square and nonempty")
+    m = [[int(c) for c in r] for r in rows]
+    # descending coefficients of the monic characteristic polynomial
+    coeffs = [1]
+    work = [row[:] for row in m]
+    for step in range(1, k + 1):
+        trace = sum(work[i][i] for i in range(k))
+        assert trace % step == 0, "Faddeev-LeVerrier trace must divide evenly"
+        c = -trace // step
+        coeffs.append(c)
+        if step == k:
+            break
+        for i in range(k):
+            work[i][i] += c
+        work = [
+            [sum(m[i][l] * work[l][j] for l in range(k)) for j in range(k)]
+            for i in range(k)
+        ]
+    return IntPolynomial(tuple(reversed(coeffs)))
+
+
+def matrix_power(matrix, ell):
+    """Exact power of a ``SubstitutionMatrix`` by repeated squaring."""
+    if ell < 0:
+        raise ParameterError("matrix power must be nonnegative")
+    k = matrix.size
+    result = SubstitutionMatrix(
+        tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
+    )
+    base = matrix
+    while ell:
+        if ell & 1:
+            result = result._matmul(base)
+        base = base._matmul(base)
+        ell >>= 1
+    return result
+
+
+def tile_counts(matrix, ell):
+    """Exact prototile counts after ell steps applied to the hub tile."""
+    return tuple(row[0] for row in matrix_power(matrix, ell).entries)
+
+
+def nearest_distance(points, x):
+    """Distance from x to the nearest point of a ``PointSet``, inf for an
+    empty set."""
+    pts = points.points
+    if not pts:
+        return math.inf
+    i = bisect.bisect_left(pts, x)
+    best = math.inf
+    if i < len(pts):
+        best = pts[i] - x
+    if i > 0:
+        best = min(best, x - pts[i - 1])
+    return best
+
+
+class CFDistance(NamedTuple):
+    value: float
+    certified: bool
+
+
+def _coverage_threshold(points, other):
+    """Smallest eps at which every window-visible point of ``points`` is
+    eps-covered by ``other``: the max over points of min(gap, 1/|x|)."""
+    worst = 0.0
+    for x in points.points:
+        gap = nearest_distance(other, x)
+        if gap > 0.0:
+            reach = math.inf if x == 0.0 else 1.0 / abs(x)
+            worst = max(worst, min(gap, reach))
+    return worst
+
+
+def chabauty_fell(a, b):
+    """Chabauty-Fell distance between two finite point sets.
+
+    The distance is the least eps in (0, 1) such that each set,
+    restricted to (-1/eps, 1/eps), lies within eps of the other; 1 if no
+    such eps exists.  For finite sets the feasibility of eps changes
+    only at finitely many per-point thresholds min(gap, 1/|x|), and the
+    distance is their maximum.
+
+    The result is certified only when both observation windows contain
+    (-1/eps, 1/eps) for the returned eps; otherwise it is a lower bound
+    for the distance between the underlying unbounded sets.
+    """
+    value = max(_coverage_threshold(a, b), _coverage_threshold(b, a))
+    value = min(value, 1.0)
+    if value > 0.0:
+        reach = 1.0 / value
+        certified = all(
+            w[0] <= -reach and w[1] >= reach for w in (a.window, b.window)
+        )
+    else:
+        certified = False
+    return CFDistance(value, certified)
+
+
+def chabauty_fell_distance(a, b):
+    return chabauty_fell(a, b).value
 
 
 def coprime_pairs(max_n, min_n=2):

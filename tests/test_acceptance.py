@@ -30,10 +30,9 @@ from kakutani.cover import (
     build_three_interval_rule,
     char_poly,
     iterate_primitive,
-    tile_counts,
     verify_cover,
 )
-from kakutani.engine import chabauty_fell_distance, count_tiles, delone_points
+from kakutani.engine import count_tiles, delone_points
 from kakutani.geometry import PointSet
 from kakutani.polynomials import IntPolynomial
 from kakutani.rootfind import find_roots
@@ -46,7 +45,7 @@ from kakutani.spectral import (
     survey,
 )
 
-from conftest import bisect_root, coprime_pairs
+from conftest import bisect_root, chabauty_fell_distance, coprime_pairs, tile_counts
 
 SPREAD_PAIRS = {(1, 1), (2, 1), (3, 1), (3, 2), (4, 1)}
 
@@ -218,7 +217,7 @@ def test_07_discrepancy_growth_dichotomy(announce):
     series = discrepancy_scan(alpha, t, windows, ratio=Commensurable(7, 3))
     growth_ratio = series.max_disc[-1] / series.max_disc[8]  # 2^24 over 2^12
     fit = growth_fit(series)
-    report = solomon_verdict(substitution_matrix(build_rho(7, 3)))
+    report = solomon_verdict(build_rho(7, 3).loops)
     predicted = math.log(report.lambda2_modulus) / math.log(report.lambda1)
     power_ok = (
         growth_ratio > 10.0

@@ -454,6 +454,35 @@ def test_direct_scan_of_a_long_leaf_row_is_refused_fast():
     assert "resource limit" in result.stderr
 
 
+# Both commands scaled with n and had no bound: the DOT graph of the
+# loops 3000000,1,1 took 23 s and 237 MB, and the dense Perron eigensolve
+# behind the density of 1501/1500 took 68 s.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["three-interval", "--loops", "30000000,1,1", "--format", "dot"],
+        ["three-interval", "--loops", "451,1,1", "--format", "dot"],
+        ["discrepancy", "--ratio", "451/450", "--ell", "10", "--windows", "0.5"],
+    ],
+)
+def test_spectral_degree_bounds_dot_and_density(args):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "kakutani", *args],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=env,
+        preexec_fn=_limit_memory,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert result.stderr.startswith("kakutani: resource limit: a spectrum of degree")
+    assert result.stderr.count("\n") == 1
+
+
 def test_direct_scan_small_alpha_stays_small():
     # Row 0 of this tree has 12M nodes and the scan to 16 reaches about a
     # hundred of them; a walk table over the whole row ran out of memory.

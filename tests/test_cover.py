@@ -18,14 +18,21 @@ from kakutani.cover import (
     build_three_interval_rule,
     char_poly,
     iterate_primitive,
-    solve_inflation,
-    tile_counts,
     verify_cover,
 )
-from kakutani.polynomials import IntPolynomial, char_poly_from_rows
+from kakutani.polynomials import IntPolynomial
 from kakutani.geometry import XiSum
+from kakutani.spectral import solomon_verdict
 
-from conftest import ascending_fold, bisect_root, coprime_pairs, expansion_char_poly
+from conftest import (
+    ascending_fold,
+    bisect_root,
+    char_poly_from_rows,
+    coprime_pairs,
+    expansion_char_poly,
+    matrix_power,
+    tile_counts,
+)
 
 # every three-loop rule n >= m >= k >= 1 with n <= 9 that the builder accepts
 THREE_LOOP_TRIPLES = [
@@ -37,34 +44,55 @@ THREE_LOOP_TRIPLES = [
 ]
 
 
+def build_rule(loops):
+    return build_rho(*loops) if len(loops) == 2 else build_three_interval_rule(*loops)
+
+
 class TestSolveInflation:
+    """The inflation constant of a rule, from the one bisection in
+    ``params`` for any number of loops, and the checks on loop tuples."""
+
     def test_two_loops_match_alpha(self):
         for n, m in [(2, 1), (3, 2), (5, 3), (7, 4)]:
-            xi = solve_inflation((n, m))
+            xi = build_rho(n, m).xi
             assert xi == pytest.approx(solve_alpha(n, m) ** (-1.0 / n), abs=1e-12)
 
     def test_silver_ratio(self):
         # 2/x + 1/x^2 = 1 is the silver-ratio equation x^2 - 2x - 1 = 0
-        xi = solve_inflation((2, 1, 1))
+        xi = build_three_interval_rule(2, 1, 1).xi
         assert xi == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
 
     def test_tribonacci(self):
-        xi = solve_inflation((3, 2, 1))
+        xi = build_three_interval_rule(3, 2, 1).xi
         oracle = bisect_root(lambda x: x**3 - x**2 - x - 1, 1.0, 2.0)
         assert xi == pytest.approx(oracle, abs=1e-12)
 
     def test_defining_equation(self):
         for counts in [(2, 1), (4, 3), (3, 3, 1), (5, 2, 1)]:
-            xi = solve_inflation(counts)
+            xi = build_rule(counts).xi
             assert sum(xi**-c for c in counts) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("loops", [(41, 1, 1), (100, 1, 1), (450, 1, 1), (450, 2, 1)])
+    def test_long_first_loop(self, loops):
+        # alpha = xi**-n is below 1e-12 here, and the bisection needs
+        # about n + 53 halvings to reach adjacent floats
+        rule = build_three_interval_rule(*loops)
+        oracle = bisect_root(rule.polynomial.evaluate, 1.0, 4.0)
+        assert rule.xi == pytest.approx(oracle, rel=1e-12)
+        assert rule.alpha == pytest.approx(rule.xi ** -loops[0], rel=1e-12)
+
     def test_rejects_single_loop(self):
-        with pytest.raises(ParameterError):
-            solve_inflation((3,))
+        # the constructors take a fixed number of loops; the verdict takes any
+        with pytest.raises(ParameterError, match="at least two loops"):
+            solomon_verdict((3,))
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ParameterError):
-            solve_inflation((2, 0))
+            build_rho(2, 0)
+        with pytest.raises(ParameterError):
+            build_three_interval_rule(2, 1, 0)
+        with pytest.raises(ParameterError, match="positive edge counts"):
+            solomon_verdict((2, 0))
 
 
 class TestRuleStructure:
@@ -166,13 +194,13 @@ class TestSubstitutionMatrix:
 
     def test_power_identity(self):
         matrix = substitution_matrix(build_rho(3, 1))
-        assert matrix.power(0).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert matrix.power(1).entries == matrix.entries
+        assert matrix_power(matrix, 0).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert matrix_power(matrix, 1).entries == matrix.entries
 
     def test_power_additivity(self):
         matrix = substitution_matrix(build_rho(4, 3))
-        lhs = matrix.power(5)
-        rhs = matrix.power(2)._matmul(matrix.power(3))
+        lhs = matrix_power(matrix, 5)
+        rhs = matrix_power(matrix, 2)._matmul(matrix_power(matrix, 3))
         assert lhs.entries == rhs.entries
 
     def test_rejects_ragged(self):
@@ -182,7 +210,7 @@ class TestSubstitutionMatrix:
     def test_rejects_negative_power(self):
         matrix = substitution_matrix(build_rho(2, 1))
         with pytest.raises(ParameterError):
-            matrix.power(-1)
+            matrix_power(matrix, -1)
 
 
 class TestCharPoly:
@@ -280,7 +308,7 @@ class TestIteratePrimitive:
         "rule",
         [build_rho(n, m) for n, m in [(2, 1), (3, 1), (3, 2), (4, 3), (5, 2), (7, 3)]]
         + [build_three_interval_rule(*loops) for loops in [(2, 1, 1), (3, 2, 1), (2, 2, 1), (5, 4, 2)]],
-        ids=lambda rule: str(getattr(rule, "loops", None) or (rule.n, rule.m)),
+        ids=lambda rule: str(rule.loops),
     )
     def test_positions_fold_exact_terms(self, rule):
         # bit for bit: the float position is the exact position added up

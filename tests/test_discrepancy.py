@@ -22,6 +22,7 @@ from kakutani import (
 from kakutani.discrepancy import DiscrepancySeries, asymptotic_density, prefix_count
 from kakutani.engine import SubdivisionTree, count_tiles
 from kakutani.params import Incommensurable, r_of_alpha
+from kakutani.spectral import MAX_SPECTRAL_DEGREE
 
 from conftest import (
     TwoPassProfile,
@@ -71,6 +72,15 @@ class TestDensity:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ParameterError):
             asymptotic_density(0.9)
+
+    def test_perron_degree_is_bounded(self, monkeypatch):
+        def unbuilt(rule):
+            raise AssertionError(f"built a matrix for {rule.loops}")
+
+        monkeypatch.setattr(discrepancy, "substitution_matrix", unbuilt)
+        ratio = Commensurable(MAX_SPECTRAL_DEGREE + 1, MAX_SPECTRAL_DEGREE)
+        with pytest.raises(ResourceLimitError, match="above the limit"):
+            asymptotic_density(solve_alpha(ratio.n, ratio.m), ratio)
 
 
 class TestPrefixCount:

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from kakutani import ParameterError, ResourceLimitError, engine, generate_patch, solve_alpha
 from kakutani.engine import (
     SubdivisionTree,
-    chabauty_fell,
-    chabauty_fell_distance,
     count_tiles,
     count_tiles_commensurable,
     delone_points,
@@ -23,6 +21,8 @@ from conftest import (
     ascending_fold,
     brute_boundaries,
     brute_count_tiles,
+    chabauty_fell,
+    chabauty_fell_distance,
     coprime_pairs,
     memo_leaves,
     patch_per_node,

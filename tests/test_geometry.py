@@ -14,6 +14,8 @@ from kakutani.geometry import (
     XiSum,
 )
 
+from conftest import nearest_distance
+
 ALPHA = 0.3
 
 
@@ -137,9 +139,9 @@ class TestPointSet:
 
     def test_nearest_distance(self):
         ps = PointSet.from_iterable([0.0, 10.0], window=(-1.0, 11.0))
-        assert ps.nearest_distance(4.0) == pytest.approx(4.0)
-        assert ps.nearest_distance(9.0) == pytest.approx(1.0)
-        assert ps.nearest_distance(-3.0) == pytest.approx(3.0)
+        assert nearest_distance(ps, 4.0) == pytest.approx(4.0)
+        assert nearest_distance(ps, 9.0) == pytest.approx(1.0)
+        assert nearest_distance(ps, -3.0) == pytest.approx(3.0)
 
 
 exponents = st.tuples(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -14,6 +15,11 @@ from kakutani.params import (
 )
 
 from conftest import alpha_oracle, coprime_pairs
+
+#: sha256 of ``solve_alpha(n, m).hex()``, one per line, over every coprime
+#: pair 1 <= m <= n <= 100 in (n, m) order, recorded before the two-loop
+#: and the three-loop bisections were merged into one.
+ALPHA_DIGEST = "b5a7fedf3571e48ba26f9914b1f4de14b4b2f95229d7237ea84c8ff87f667b22"
 
 
 class TestAlphaParam:
@@ -50,6 +56,20 @@ class TestSolveAlpha:
     def test_defining_equation(self, n, m):
         a = solve_alpha(n, m)
         assert a**m == pytest.approx((1 - a) ** n, rel=1e-12)
+
+    @pytest.mark.parametrize("n,m", [(700, 1), (1501, 1500), (200000, 199999)])
+    def test_defining_equation_large_exponents(self, n, m):
+        # alpha**m underflows here, so the equation is checked in logs
+        a = solve_alpha(n, m)
+        assert m * math.log(a) == pytest.approx(n * math.log1p(-a), rel=1e-12)
+
+    def test_bits_pinned(self):
+        digest = hashlib.sha256()
+        for n in range(1, 101):
+            for m in range(1, n + 1):
+                if math.gcd(n, m) == 1:
+                    digest.update(solve_alpha(n, m).hex().encode() + b"\n")
+        assert digest.hexdigest() == ALPHA_DIGEST
 
     def test_printed_decimals(self, printed_alphas):
         for (n, m), printed in printed_alphas.items():

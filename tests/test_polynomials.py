@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 import kakutani.polynomials
 from kakutani import ParameterError
-from kakutani.polynomials import IntPolynomial, char_poly_from_rows, cyclotomic
+from kakutani.polynomials import IntPolynomial, cyclotomic
 
-from conftest import expansion_char_poly
+from conftest import char_poly_from_rows, expansion_char_poly
 
 
 def test_module_doctests():

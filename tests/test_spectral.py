@@ -32,7 +32,7 @@ from kakutani.spectral import (
     survey,
     unit_circle_factors,
 )
-from kakutani.spectral import Rationale, SpreadClass
+from kakutani.spectral import Rationale, SpectralReport, SpreadClass
 
 from conftest import bisect_root, coprime_pairs, coprime_triples, quadratic_roots
 
@@ -195,7 +195,7 @@ class TestEigenspaceTest:
 
 class TestSolomonVerdict:
     def test_golden_pair(self):
-        report = solomon_verdict(substitution_matrix(build_rho(2, 1)))
+        report = solomon_verdict(build_rho(2, 1).loops)
         phi = (1.0 + math.sqrt(5.0)) / 2.0
         assert report.solomon is SpreadClass.SPREAD
         assert report.ell == 2
@@ -205,18 +205,18 @@ class TestSolomonVerdict:
         assert not report.unresolved
 
     def test_plastic_pair(self):
-        report = solomon_verdict(substitution_matrix(build_rho(3, 2)))
+        report = solomon_verdict(build_rho(3, 2).loops)
         plastic = bisect_root(lambda x: x**3 - x - 1, 1.0, 2.0)
         assert report.solomon is SpreadClass.SPREAD
         assert report.lambda1 == pytest.approx(plastic, abs=1e-11)
 
     def test_not_spread_pair(self):
-        report = solomon_verdict(substitution_matrix(build_rho(5, 2)))
+        report = solomon_verdict(build_rho(5, 2).loops)
         assert report.solomon is SpreadClass.NOT_SPREAD
         assert report.lambda2_modulus > 1.0 + 1e-9
 
     def test_boundary_pair(self):
-        report = solomon_verdict(substitution_matrix(build_rho(5, 1)))
+        report = solomon_verdict(build_rho(5, 1).loops)
         assert report.solomon is SpreadClass.BOUNDARY
         assert report.has_unit_modulus_eigenvalue
         assert not report.unresolved
@@ -226,19 +226,19 @@ class TestSolomonVerdict:
         # x^12 - x^2 - 1 for (7, 5) also vanishes at the sixth root of
         # unity, but the watched eigenvalue lies strictly outside the
         # unit circle, so the verdict is NotSpread
-        report = solomon_verdict(substitution_matrix(build_rho(7, 5)))
+        report = solomon_verdict(build_rho(7, 5).loops)
         assert report.has_unit_modulus_eigenvalue
         assert report.solomon is SpreadClass.NOT_SPREAD
         assert report.lambda2_modulus > 1.0 + 1e-9
 
     def test_residuals_are_small(self):
-        report = solomon_verdict(substitution_matrix(build_rho(6, 5)))
+        report = solomon_verdict(build_rho(6, 5).loops)
         degree = len(report.roots)
         for z, res in zip(report.roots, report.residuals):
             assert res <= residual_bound(degree, z)
 
     def test_roots_sorted_by_modulus(self):
-        report = solomon_verdict(substitution_matrix(build_rho(9, 4)))
+        report = solomon_verdict(build_rho(9, 4).loops)
         mods = [abs(z) for z in report.roots]
         assert all(a >= b - 1e-12 for a, b in zip(mods, mods[1:]))
 
@@ -262,9 +262,9 @@ class TestDegreeBudget:
 
     def test_limit_is_reached_but_not_passed(self):
         with pytest.raises(self.Solved, match=f"degree {MAX_SPECTRAL_DEGREE}$"):
-            solomon_verdict(substitution_matrix(build_rho(MAX_SPECTRAL_DEGREE, 1)))
+            solomon_verdict(build_rho(MAX_SPECTRAL_DEGREE, 1).loops)
         with pytest.raises(ResourceLimitError, match="above the limit"):
-            solomon_verdict(substitution_matrix(build_rho(MAX_SPECTRAL_DEGREE + 1, 1)))
+            solomon_verdict(build_rho(MAX_SPECTRAL_DEGREE + 1, 1).loops)
 
     def test_refused_before_the_rule_is_built(self, monkeypatch):
         import kakutani.spectral
@@ -306,6 +306,16 @@ class TestClassify:
         assert verdict.spread_class is SpreadClass.SPREAD
         assert verdict.alpha == 0.5
         assert not verdict.mismatch
+        # two one-edge loops: the spectrum {2}, with nothing to watch
+        assert verdict.spectral == SpectralReport(
+            lambda1=2.0,
+            lambda2_modulus=0.0,
+            has_unit_modulus_eigenvalue=False,
+            roots=(complex(2.0, 0.0),),
+            residuals=(0.0,),
+            ell=0,
+            solomon=SpreadClass.SPREAD,
+        )
 
     def test_pisot_ratio(self):
         verdict = classify_spreadness(Commensurable(2, 1))
@@ -336,16 +346,18 @@ class TestClassify:
 
     def test_solves_alpha_once(self, monkeypatch):
         import kakutani.cover
-        import kakutani.spectral
+        import kakutani.params
 
         calls = []
+        bisection = kakutani.params._loop_alpha
 
-        def counting(n, m):
-            calls.append((n, m))
-            return solve_alpha(n, m)
+        def counting(loops):
+            calls.append(loops)
+            return bisection(loops)
 
-        monkeypatch.setattr(kakutani.cover, "solve_alpha", counting)
-        monkeypatch.setattr(kakutani.spectral, "solve_alpha", counting)
+        # the one bisection, by name in params (solve_alpha) and in cover
+        monkeypatch.setattr(kakutani.params, "_loop_alpha", counting)
+        monkeypatch.setattr(kakutani.cover, "_loop_alpha", counting)
         verdict = classify_spreadness(Commensurable(3, 2))
         assert calls == [(3, 2)]
         assert verdict.alpha == solve_alpha(3, 2)
@@ -439,7 +451,7 @@ class TestProperties:
     @given(st.sampled_from(coprime_pairs(9)))
     def test_verdict_follows_watched_modulus(self, pair):
         n, m = pair
-        report = solomon_verdict(substitution_matrix(build_rho(n, m)))
+        report = solomon_verdict(build_rho(n, m).loops)
         if report.solomon is SpreadClass.SPREAD:
             assert report.lambda2_modulus < 1.0 - 1e-9
         elif report.solomon is SpreadClass.NOT_SPREAD:
@@ -451,5 +463,5 @@ class TestProperties:
         # every proper split subdivides one interval into two, so the
         # inflation eigenvalue sits strictly between 1 and 2
         n, m = pair
-        report = solomon_verdict(substitution_matrix(build_rho(n, m)))
+        report = solomon_verdict(build_rho(n, m).loops)
         assert 1.0 < report.lambda1 < 2.0

@@ -33,8 +33,7 @@ def pinned_rules():
 def spectra():
     out = []
     for loops, rule in pinned_rules():
-        matrix = substitution_matrix(rule)
-        out.append((loops, matrix, solomon_verdict(matrix)))
+        out.append((loops, substitution_matrix(rule), solomon_verdict(rule.loops)))
     return out
 
 
