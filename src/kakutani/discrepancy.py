@@ -16,10 +16,14 @@ O(t) steps of O(t) binomials each and stores one integer per row.  The
 discrepancy scan goes one step further: the deviation profile of a
 subtree depends only on its exponent pair, so each internal pair gets
 an exact (sup, inf) of the running deviation over its span, together
-with its leaf count, in a table filled row by row along the staircase,
-and the maximum over a window is assembled from O(t) of these entries.
-The result equals an exact scan over every tile boundary and its left
-limit, at cost independent of the number of points.
+with its leaf count, and the maximum over a window is assembled from
+O(t) of these entries.  The table is kept by staircase row: flat
+``hi``, ``lo`` and ``count`` lists indexed by column, and the widths
+of the row's nodes, each computed once.  Rows are filled bottom up,
+only as far up as the descents reach, and a descent reads widths and
+the leaf test from the rows, with no ``exp`` per step.  The result
+equals an exact scan over every tile boundary and its left limit, at
+cost independent of the number of points.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cover import build_rho, substitution_matrix
-from .engine import DEFAULT_TILE_CAP, LENGTH_ONE_SLACK, SubdivisionTree
+from .engine import DEFAULT_TILE_CAP, SubdivisionTree
 from .errors import ParameterError, ResourceLimitError
 from .params import (
     Incommensurable,
@@ -106,11 +110,18 @@ def asymptotic_density(alpha: float, ratio: RatioClass | None = None) -> Density
 class _DeviationProfile:
     """Exact extrema of count([0, x]) - density * x over subtree spans.
 
-    The table entry of an internal pair holds the sup and inf of the
-    deviation over its subtree's span and the subtree's leaf count.  The
-    internal pairs form the tree's staircase, so the entries sit in one
-    list per row, filled from the row's end leftward: an entry needs the
-    one below it, in the next row, and the one to its right.
+    The table entry of an internal pair (a, b) is the sup and the inf of
+    the deviation over its subtree's span and the subtree's leaf count.
+    The internal pairs form the tree's staircase, so the table is kept
+    by staircase row: row a holds flat lists ``hi``, ``lo`` and
+    ``count`` indexed by column b, filled from the row's end leftward
+    down to ``start[a]``, as an entry needs the one below it, in the
+    next row, and the one to its right.  Row a also holds the widths
+    ``exp(t + a*la + b*lb)`` of its nodes, each computed once, for the
+    whole row when a fill or a descent first goes right along it; until
+    then it holds only the width of its spine node (a, 0).  A descent
+    reads its widths from the rows and its leaf test from the row ends,
+    with no ``exp`` and no call per step.
     """
 
     def __init__(self, tree: SubdivisionTree, density: float):
@@ -121,94 +132,157 @@ class _DeviationProfile:
             )
         self.tree = tree
         self.density = density
-        self._ends = ends = tree.row_ends()
-        # entry k of row a is the pair (a, ends[a] - k)
-        self._rows: list[list[tuple[float, float, int]]] = [[] for _ in ends]
+        # row len(ends) below the staircase has no internal column
+        self._ends = ends = tree.row_ends() + [-1]
+        rows = len(ends)
+        t, la = tree.t, tree.la
+        self._widths = [[math.exp(t + a * la)] for a in range(rows)]
+        self._wide = rows  # the rows from here down hold all their widths
+        self._start = [end + 1 for end in ends]  # nothing filled yet
+        self._hi: list[list[float]] = [[] for _ in ends]
+        self._lo: list[list[float]] = [[] for _ in ends]
+        self._count: list[list[int]] = [[] for _ in ends]
 
-    def _leaf(self, a: int, b: int) -> tuple[float, float, int]:
-        # the deviation jumps to 1 at the left endpoint and then decays
-        # linearly toward the right edge
-        return (1.0, 1.0 - self.density * self.tree.width(a, b), 1)
-
-    def _tables(self, a: int, b: int) -> tuple[float, float, int]:
-        ends = self._ends
-        if a >= len(ends) or ends[a] < b:
-            return self._leaf(a, b)
-        k = ends[a] - b
-        if k >= len(self._rows[a]):
-            self._fill(a, b)
-        return self._rows[a][k]
+    def _widen(self, top: int) -> None:
+        """Give row top and the rows below it all their widths.  The
+        nodes of row a sit in columns 0 .. B(a - 1) + 1, as children of
+        row a - 1 or right of row a's end (row 0: 0 .. B(0) + 1)."""
+        if top >= self._wide:
+            return
+        t, la, lb = self.tree.t, self.tree.la, self.tree.lb
+        exp = math.exp
+        ends, widths = self._ends, self._widths
+        steps = [b * lb for b in range(ends[top - 1 if top else 0] + 2)]
+        for a in range(top, self._wide):
+            base = t + a * la  # t + a*la + b*lb, summed in the same order
+            widths[a] = [exp(base + step) for step in steps[: ends[a - 1 if a else 0] + 2]]
+        self._wide = top
 
     def _fill(self, top: int, first: int) -> None:
         """Fill the entries of the subtree at internal pair (top, first),
-        the rows bottom up."""
-        t, la, lb = self.tree.t, self.tree.la, self.tree.lb
+        the rows bottom up, each from where it stopped down to ``first``."""
+        self._widen(top)
         d = self.density
-        exp = math.exp
-        ends, rows = self._ends, self._rows
+        ends, widths, start = self._ends, self._widths, self._start
         last = top
-        while last + 1 < len(ends) and ends[last + 1] >= first:
+        while ends[last + 1] >= first:
             last += 1
-        below: list[tuple[float, float, int]] = []
-        below_end = -1
         for a in range(last, top - 1, -1):
+            stop = start[a]
+            if stop <= first:
+                continue
             end = ends[a]
-            row = rows[a]
-            right = row[-1] if row else self._leaf(a, end + 1)
-            for b in range(end - len(row), first - 1, -1):
-                # the left child (a + 1, b): its entry, or a leaf of this width
-                width = exp(t + (a + 1) * la + b * lb)
-                if b <= below_end:
-                    left = below[below_end - b]
-                else:
-                    left = (1.0, 1.0 - d * width, 1)
-                step = left[2] - d * width
-                right = (
-                    max(left[0], step + right[0]),
-                    min(left[1], step + right[1]),
-                    left[2] + right[2],
-                )
-                row.append(right)
-            below, below_end = row, end
+            below = widths[a + 1]
+            if stop > end:
+                hi, lo, count = [0.0] * (end + 1), [0.0] * (end + 1), [0] * (end + 1)
+                self._hi[a], self._lo[a], self._count[a] = hi, lo, count
+                # the leaf right of the row's end: the deviation jumps to 1
+                # at its left endpoint and decays linearly to its right edge
+                rh, rl, rc = 1.0, 1.0 - d * widths[a][end + 1], 1
+            else:
+                hi, lo, count = self._hi[a], self._lo[a], self._count[a]
+                rh, rl, rc = hi[stop], lo[stop], count[stop]
+            # the columns whose left child (a + 1, b) is a leaf, then the rest
+            split = ends[a + 1]
+            for b in range(stop - 1, max(first, split + 1) - 1, -1):
+                step = 1.0 - d * below[b]
+                v = step + rh
+                rh = v if v > 1.0 else 1.0
+                v = step + rl
+                rl = v if v < step else step
+                rc += 1
+                hi[b] = rh
+                lo[b] = rl
+                count[b] = rc
+            next_hi, next_lo, next_count = self._hi[a + 1], self._lo[a + 1], self._count[a + 1]
+            for b in range(min(split, stop - 1), first - 1, -1):
+                c = next_count[b]
+                step = c - d * below[b]
+                v = step + rh
+                h = next_hi[b]
+                rh = v if v > h else h
+                v = step + rl
+                h = next_lo[b]
+                rl = v if v < h else h
+                rc += c
+                hi[b] = rh
+                lo[b] = rl
+                count[b] = rc
+            start[a] = first
 
     def max_abs_upto(self, x: float) -> float:
         """sup over 0 <= y <= x of |count([0, y]) - density * y|,
         including left limits at the tile boundaries."""
-        tree = self.tree
-        t, la, lb = tree.t, tree.la, tree.lb
-        d = self.density
-        exp = math.exp
-        if x > tree.support * (1.0 + 1e-12):
+        if x > self.tree.support * (1.0 + 1e-12):
             raise ParameterError("window lies beyond the patch support")
+        d = self.density
+        ends, widths = self._ends, self._widths
         best_hi = -math.inf
         best_lo = math.inf
         a, b, left, acc = 0, 0, 0.0, 0.0
-        while True:
-            # the leaf test and the width, as in SubdivisionTree
-            log_width = t + a * la + b * lb
-            if x >= left + exp(log_width):
-                hi, lo, _count = self._tables(a, b)
-                best_hi = max(best_hi, acc + hi)
-                best_lo = min(best_lo, acc + lo)
-                break
-            if log_width <= LENGTH_ONE_SLACK:
-                if left <= x:
-                    best_hi = max(best_hi, acc + 1.0)
-                    best_lo = min(best_lo, acc + 1.0 - d * (x - left))
-                break
-            wl = exp(t + (a + 1) * la + b * lb)
-            if x < left + wl:
+        # down the left spine while x falls in the left child; a step down
+        # leaves x short of the end of the node it reaches
+        whole = x >= widths[0][0]
+        if not whole:
+            while ends[a] >= 0 and x < widths[a + 1][0]:
                 a += 1
-                continue
-            # the count comes with the profile, from the same table entry
-            hi, lo, count = self._tables(a + 1, b)
-            if acc + hi > best_hi:
-                best_hi = acc + hi
-            if acc + lo < best_lo:
-                best_lo = acc + lo
-            acc += count - d * wl
-            left += wl
-            b += 1
+        if not whole and ends[a] >= 0:
+            # along the rows; those below (a, 0) are filled whole
+            self._widen(a)
+            if self._start[a + 1]:
+                self._fill(a + 1, 0)
+            his, los, counts = self._hi, self._lo, self._count
+            row, below, end, split = widths[a], widths[a + 1], ends[a], ends[a + 1]
+            next_hi, next_lo, next_count = his[a + 1], los[a + 1], counts[a + 1]
+            while True:
+                # (a, b) is internal and x lies short of its end
+                wl = below[b]
+                right = left + wl
+                if x < right:
+                    a += 1
+                    if b > split:
+                        break  # a leaf straddling x
+                    row, below, end, split = below, widths[a + 1], split, ends[a + 1]
+                    next_hi, next_lo, next_count = his[a + 1], los[a + 1], counts[a + 1]
+                    continue
+                # the left child lies in [0, x]: its entry, or a leaf's
+                if b > split:
+                    lo = 1.0 - d * wl  # its inf, and its count 1 less d * wl
+                    v = acc + 1.0
+                    if v > best_hi:
+                        best_hi = v
+                    v = acc + lo
+                    if v < best_lo:
+                        best_lo = v
+                    acc += lo
+                else:
+                    v = acc + next_hi[b]
+                    if v > best_hi:
+                        best_hi = v
+                    v = acc + next_lo[b]
+                    if v < best_lo:
+                        best_lo = v
+                    acc += next_count[b] - d * wl
+                left = right
+                b += 1
+                if x >= left + row[b]:
+                    whole = True
+                    break
+                if b > end:
+                    break  # a leaf straddling x
+        if whole:
+            # the subtree (a, b) lies in [0, x]
+            if b <= ends[a]:
+                if b < self._start[a]:
+                    self._fill(a, b)
+                hi, lo = self._hi[a][b], self._lo[a][b]
+            else:
+                hi, lo = 1.0, 1.0 - d * widths[a][b]
+            best_hi = max(best_hi, acc + hi)
+            best_lo = min(best_lo, acc + lo)
+        elif left <= x:
+            best_hi = max(best_hi, acc + 1.0)
+            best_lo = min(best_lo, acc + 1.0 - d * (x - left))
         return max(best_hi, -best_lo, 0.0)
 
 
@@ -263,23 +337,30 @@ def discrepancy_scan(
     the profile when the tree has more internal pairs, each a table
     entry, and the direct scan when it would walk more leaves (counted
     exactly, by ``prefix_count``) or its walk table would hold more ids.
+    The mode and the grid are checked before the density is computed or
+    any row of the tree is built: the grid must be finite, nonnegative,
+    strictly increasing and within the patch support.
     """
+    if mode not in ("profile", "direct"):
+        raise ParameterError(f"unknown scan mode {mode!r}")
     if not windows:
         raise ParameterError("need at least one window")
     ordered = tuple(float(w) for w in windows)
     if not all(0.0 <= w < math.inf for w in ordered):
         raise ParameterError("windows must be finite and nonnegative")
-    density = asymptotic_density(alpha, ratio)
+    if any(b <= a for a, b in zip(ordered, ordered[1:])):
+        raise ParameterError("windows must be strictly increasing")
     tree = SubdivisionTree(alpha, t)
     support = tree.support
     if ordered[-1] > support * (1.0 + 1e-12):
         raise ParameterError(
             f"largest window {ordered[-1]} exceeds the patch support {support}"
         )
+    density = asymptotic_density(alpha, ratio)
     if mode == "profile":
         profile = _DeviationProfile(tree, density.value)
         maxima = tuple(profile.max_abs_upto(w) for w in ordered)
-    elif mode == "direct":
+    else:
         # the scan walks every leaf up to the largest window: count them first
         walk = tree.prefix_count(ordered[-1], stop=DEFAULT_TILE_CAP)
         if walk > DEFAULT_TILE_CAP:
@@ -288,8 +369,6 @@ def discrepancy_scan(
                 f"{DEFAULT_TILE_CAP} leaves, the cap"
             )
         maxima = _direct_scan(tree, density.value, ordered)
-    else:
-        raise ParameterError(f"unknown scan mode {mode!r}")
     return DiscrepancySeries(
         alpha=alpha,
         t=t,

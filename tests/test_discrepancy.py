@@ -272,9 +272,10 @@ class TestScan:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_profile_equals_the_two_pass_profile(self, seed):
-        # ten seeded scans each, commensurable (3/2, 7/3, 2/1) and
-        # irrational, windows from 2 to the whole support
         rng = random.Random(f"profile:{seed}")
+        scans = []
+        # ten scans, commensurable (3/2, 7/3, 2/1) and irrational, windows
+        # from 2 to the whole support
         for k in range(10):
             if k % 2:
                 n, m = rng.choice([(3, 2), (7, 3), (2, 1)])
@@ -288,9 +289,59 @@ class TestScan:
                 w for w in (2.0**e * rng.uniform(1.0, 1.4) for e in range(1, top + 1))
                 if w < math.exp(t)
             ) + (math.exp(t),)
+            scans.append((alpha, t, windows, ratio))
+        # small windows only, led by the window 0, on trees to t = 40:
+        # the table stays partly filled
+        for _ in range(4):
+            alpha, t = rng.uniform(0.05, 0.5), rng.uniform(25.0, 40.0)
+            windows = (0.0,) + tuple(2.0**e * rng.uniform(1.0, 1.4) for e in range(10))
+            scans.append((alpha, t, windows, None))
+        # alpha from 1e-3 to 0.05: long rows of leaf children
+        for _ in range(3):
+            alpha, t = 10.0 ** rng.uniform(-3.0, -1.3), rng.uniform(2.0, 8.0)
+            support = SubdivisionTree(alpha, t).support
+            inner = sorted(rng.uniform(0.0, support) for _ in range(6))
+            scans.append((alpha, t, (0.0, *inner, support), None))
+        # every tile boundary and its two float neighbours as windows: a
+        # few land where rounding puts x past the end of a node the
+        # descent stepped right into, so the descent ends on that node
+        for _ in range(8):
+            alpha, t = rng.uniform(0.05, 0.5), rng.uniform(2.0, 7.0)
+            support = SubdivisionTree(alpha, t).support
+            windows = sorted({
+                w
+                for p in brute_boundaries(alpha, t)
+                for w in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))
+                if w <= support
+            })
+            scans.append((alpha, t, tuple(windows), None))
+        # two unit tiles: alpha = 1/2 at t = log 2
+        t = math.log(2.0)
+        scans.append((0.5, t, (0.0, 0.5, 1.0, 1.5, SubdivisionTree(0.5, t).support), None))
+        for alpha, t, windows, ratio in scans:
             series = discrepancy_scan(alpha, t, windows, ratio=ratio)
             oracle = TwoPassProfile(alpha, t, series.density)
             assert series.max_disc == tuple(oracle.max_abs_upto(w) for w in windows)
+
+    def test_profile_fills_only_the_rows_its_descents_request(self):
+        # discrepancy --t 700 with small windows: a descent requests the
+        # row below the spine node (a, 0) whose left child first fits in
+        # [0, x], and the rows from the shallowest such row down are
+        # filled whole; the rows above stay empty
+        alpha, t = 0.3, 700.0
+        tree = SubdivisionTree(alpha, t)
+        ends = tree.row_ends()
+        profile = discrepancy._DeviationProfile(tree, asymptotic_density(alpha).value)
+        windows = dyadic_windows(0, 12)
+        for w in windows:
+            profile.max_abs_upto(w)
+        top = min(
+            next(a for a in range(1, len(ends) + 1) if tree.width(a, 0) <= w)
+            for w in windows
+        )
+        filled = sum(end + 1 - start for end, start in zip(ends, profile._start))
+        assert filled == sum(ends[a] + 1 for a in range(top, len(ends)))
+        assert filled < tree.internal_pairs()
 
     def test_profile_table_refused_before_it_is_built(self, monkeypatch):
         tree = SubdivisionTree(0.3, 10.0)
@@ -374,6 +425,30 @@ class TestScan:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ParameterError):
             discrepancy_scan(1.0 / 3.0, 2.0, [2.0], mode="magic")
+
+    def test_grid_and_mode_checked_before_any_work(self, monkeypatch):
+        # a bad mode or grid is refused before the density (a dense
+        # eigensolve for a commensurable ratio) or any row of the tree
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the grid was checked")
+
+        monkeypatch.setattr(discrepancy, "asymptotic_density", no_work)
+        monkeypatch.setattr(SubdivisionTree, "row_ends", no_work)
+        alpha = solve_alpha(200, 199)
+        ratio = Commensurable(200, 199)
+        with pytest.raises(ParameterError, match="unknown scan mode 'bogus'"):
+            discrepancy_scan(alpha, 1.0, [1.0], ratio=ratio, mode="bogus")
+        bad_grids = {
+            "strictly increasing": ([2.0, 1.0], [1.0, 1.0]),
+            "finite and nonnegative": ([-1.0], [1.0, math.nan], [math.inf]),
+            "exceeds the patch support": ([1.0, 3.0],),
+            "at least one window": ([],),
+        }
+        for message, grids in bad_grids.items():
+            for grid in grids:
+                for mode in ("profile", "direct"):
+                    with pytest.raises(ParameterError, match=message):
+                        discrepancy_scan(alpha, 1.0, grid, ratio=ratio, mode=mode)
 
     def test_series_validation(self):
         with pytest.raises(ParameterError):
