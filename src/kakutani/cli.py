@@ -8,6 +8,11 @@ pipelines can branch on the trichotomy safely: 3 usage, 4 resource
 limit (a cap, or memory running out), 5 numeric failure or any other
 internal error, reported in one line on stderr.
 
+Each command imports the modules it runs, in its handler, so a run
+pays the import time of those alone: ``generate``, ``verify-cover``
+and ``discrepancy --alpha`` load no spectral, root-finding or numpy
+code.
+
 The only environment influence is KAKUTANI_MAX_TILES, an override for
 the tile-count safety cap; everything else comes from the arguments,
 and identical invocations produce byte-identical output.
@@ -18,50 +23,10 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Any, Sequence
 
 from ._version import __version__
-from .cover import (
-    build_rho,
-    build_three_interval_rule,
-    iterate_primitive,
-    verify_cover,
-)
-from .discrepancy import (
-    discrepancy_scan,
-    dyadic_windows,
-    growth_fit,
-)
-from .engine import (
-    DEFAULT_TILE_CAP,
-    SubdivisionTree,
-    delone_points,
-    generate_patch,
-    generate_patch_commensurable,
-)
 from .errors import NumericError, ParameterError, ResourceLimitError
-from .exports import (
-    json_envelope,
-    patch_to_csv,
-    patch_to_svg,
-    points_to_csv,
-    rule_to_dot,
-    series_to_csv,
-    series_to_svg,
-    survey_to_csv,
-)
-from .params import Commensurable, detect_commensurability, solve_alpha
-from .spectral import (
-    Rationale,
-    SpreadClass,
-    check_spectral_degree,
-    classify_spreadness,
-    classify_three_interval,
-    f_alpha_poly,
-    solomon_verdict,
-    survey,
-)
 
 EXIT_SPREAD = 0
 EXIT_NOT_SPREAD = 1
@@ -70,25 +35,27 @@ EXIT_USAGE = 3
 EXIT_RESOURCE = 4
 EXIT_NUMERIC = 5
 
+# Keyed by the values of the str enums SpreadClass and Rationale, so
+# that a command loads the spectral module only if it runs a verdict.
 _VERDICT_EXIT = {
-    SpreadClass.SPREAD: EXIT_SPREAD,
-    SpreadClass.NOT_SPREAD: EXIT_NOT_SPREAD,
-    SpreadClass.BOUNDARY: EXIT_BOUNDARY,
+    "Spread": EXIT_SPREAD,
+    "NotSpread": EXIT_NOT_SPREAD,
+    "Boundary": EXIT_BOUNDARY,
 }
 
 _REASONS = {
-    Rationale.LATTICE: "lattice tiling, trivially uniformly spread",
-    Rationale.INCOMMENSURABLE: (
+    "lattice": "lattice tiling, trivially uniformly spread",
+    "incommensurable": (
         "incommensurable ratio: discrepancy grows like window/log(window)"
     ),
-    Rationale.PV_SPECTRUM: "all secondary eigenvalues strictly inside the unit circle",
-    Rationale.NON_PV_SPECTRUM: (
+    "pv-spectrum": "all secondary eigenvalues strictly inside the unit circle",
+    "non-pv-spectrum": (
         "a secondary eigenvalue lies strictly outside the unit circle"
     ),
-    Rationale.UNIT_CIRCLE_FACTOR: (
+    "unit-circle-factor": (
         "exact cyclotomic factor puts an eigenvalue on the unit circle"
     ),
-    Rationale.UNRESOLVED_NEAR_UNIT: (
+    "unresolved-near-unit": (
         "secondary eigenvalue numerically at the unit circle, unresolved"
     ),
 }
@@ -126,6 +93,8 @@ def _parse_loops(text: str) -> tuple[int, int, int]:
 
 
 def _resolve_max_tiles(value: int | None) -> int:
+    from .engine import DEFAULT_TILE_CAP
+
     if value is not None:
         return value
     env = os.environ.get("KAKUTANI_MAX_TILES")
@@ -168,6 +137,10 @@ def _spectral_dict(report: Any) -> dict[str, Any]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .exports import json_envelope
+    from .params import Commensurable, detect_commensurability
+    from .spectral import classify_spreadness
+
     if args.ratio is not None:
         n, m = _parse_ratio(args.ratio)
         verdict = classify_spreadness(Commensurable(n, m))
@@ -181,7 +154,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "max_denominator": args.max_denominator,
         "format": "json",
     }
-    reason = _REASONS[verdict.rationale]
+    reason = _REASONS[verdict.rationale.value]
     if verdict.mismatch:
         reason += "; spectral verdict disagrees with the five-ratio list"
     if isinstance(verdict.ratio, Commensurable):
@@ -190,7 +163,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         payload = {
             "n": verdict.ratio.n,
             "m": verdict.ratio.m,
-            "r": float(Fraction(verdict.ratio.n, verdict.ratio.m)),
+            "r": verdict.ratio.n / verdict.ratio.m,
             "alpha": verdict.alpha,
             "lambda1": report.lambda1,
             "lambda2_modulus": report.lambda2_modulus,
@@ -215,10 +188,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             "reason": reason,
         }
     _emit(json_envelope(payload, config), args.out)
-    return _VERDICT_EXIT[verdict.spread_class]
+    return _VERDICT_EXIT[verdict.spread_class.value]
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
+    from .exports import json_envelope, survey_to_csv
+    from .spectral import survey
+
     rows = survey(args.max_n)
     config = {"command": "survey", "max_n": args.max_n, "format": args.format}
     if args.format == "csv":
@@ -243,15 +219,18 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_alpha(args: argparse.Namespace) -> int:
+    from .exports import json_envelope
+    from .params import Commensurable, f_alpha_poly, solve_alpha
+
     n, m = _parse_ratio(args.ratio)
-    pair = Commensurable(n, m)
+    Commensurable(n, m)  # refuses the pair with its own message
     alpha = solve_alpha(n, m)
     xi = alpha ** (-1.0 / n)
     config = {"command": "solve-alpha", "ratio": args.ratio, "format": "json"}
     payload = {
         "n": n,
         "m": m,
-        "r": float(pair.ratio),
+        "r": n / m,
         "alpha": alpha,
         "xi": xi,
         "step": math.log(1.0 / alpha) / n,
@@ -262,20 +241,28 @@ def _cmd_solve_alpha(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .exports import json_envelope, patch_to_csv, patch_to_svg, points_to_csv
+
     max_tiles = _resolve_max_tiles(args.max_tiles)
     if args.ratio is not None:
         if args.ell is None:
             raise ParameterError("--ratio needs --ell (number of substitution steps)")
         n, m = _parse_ratio(args.ratio)
         if n == m:
+            from .engine import generate_patch_commensurable
+
             patch = generate_patch_commensurable(n, m, args.ell, max_tiles=max_tiles)
         else:
             # same patch as the plain recursion (the cover check proves
             # it), but with prototile labels attached
+            from .cover import build_rho, iterate_primitive
+
             patch = iterate_primitive(build_rho(n, m), args.ell, max_tiles=max_tiles)
     else:
         if args.t is None:
             raise ParameterError("--alpha needs --t (flow time)")
+        from .engine import generate_patch
+
         patch = generate_patch(
             args.alpha, args.t, origin_offset=args.origin_offset, max_tiles=max_tiles
         )
@@ -293,6 +280,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.points:
         if args.format != "csv":
             raise ParameterError("--points supports only csv output")
+        from .engine import delone_points
+
         _emit(points_to_csv(delone_points(patch), config), args.out)
         return 0
     if args.format == "csv":
@@ -315,16 +304,22 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    from .exports import json_envelope
+    from .params import Commensurable, solve_alpha
+    from .spectral import check_spectral_degree, solomon_verdict
+
     n, m = _parse_ratio(args.ratio)
-    pair = Commensurable(n, m)
+    Commensurable(n, m)  # refuses the pair with its own message
+    if n == m:
+        raise ParameterError("the lattice ratio (1, 1) needs no cover")
     check_spectral_degree(n)
-    rule = build_rho(n, m)
-    report = solomon_verdict(rule.loops)
+    alpha = solve_alpha(n, m)
+    report = solomon_verdict((n, m))
     config = {"command": "spectrum", "ratio": args.ratio, "format": "json"}
     payload = {
         "n": n,
         "m": m,
-        "alpha": rule.alpha,
+        "alpha": alpha,
         **_spectral_dict(report),
     }
     _emit(json_envelope(payload, config), args.out)
@@ -332,6 +327,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_discrepancy(args: argparse.Namespace) -> int:
+    from .discrepancy import discrepancy_scan, dyadic_windows
+    from .engine import SubdivisionTree
+    from .exports import json_envelope, series_to_csv, series_to_svg
+    from .params import Commensurable, detect_commensurability, solve_alpha
+
     if args.ratio is not None:
         # whole substitution steps only: between steps the snapshot
         # density drifts away from the Perron value
@@ -380,6 +380,8 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
             "max_disc": list(series.max_disc),
         }
         if args.fit:
+            from .discrepancy import growth_fit
+
             fit = growth_fit(series)
             payload["fit"] = {
                 "best": fit.best,
@@ -392,6 +394,8 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
 
 
 def _cmd_three_interval(args: argparse.Namespace) -> int:
+    from .spectral import check_spectral_degree
+
     n, m, k = _parse_loops(args.loops)
     config = {
         "command": "three-interval",
@@ -399,9 +403,15 @@ def _cmd_three_interval(args: argparse.Namespace) -> int:
         "format": args.format,
     }
     if args.format == "dot":
+        from .cover import build_three_interval_rule
+        from .exports import rule_to_dot
+
         check_spectral_degree(n)  # the graph has a vertex per loop edge
         _emit(rule_to_dot(build_three_interval_rule(n, m, k)), args.out)
         return 0
+    from .exports import json_envelope
+    from .spectral import classify_three_interval
+
     verdict = classify_three_interval(n, m, k)
     payload = {
         "loops": list(verdict.loops),
@@ -414,10 +424,13 @@ def _cmd_three_interval(args: argparse.Namespace) -> int:
         "spectral": _spectral_dict(verdict.spectral),
     }
     _emit(json_envelope(payload, config), args.out)
-    return _VERDICT_EXIT[verdict.spread_class]
+    return _VERDICT_EXIT[verdict.spread_class.value]
 
 
 def _cmd_verify_cover(args: argparse.Namespace) -> int:
+    from .cover import verify_cover
+    from .exports import json_envelope
+
     n, m = _parse_ratio(args.ratio)
     max_tiles = _resolve_max_tiles(args.max_tiles)
     report = verify_cover(n, m, args.ell, max_tiles=max_tiles)

@@ -36,8 +36,8 @@ matrix against the flower it claims to be.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from . import engine
 from .errors import ParameterError
@@ -60,8 +60,7 @@ __all__ = [
 ImageMap = tuple[tuple[tuple[int, XiSum], ...], ...]
 
 
-@dataclass(frozen=True)
-class LoopRule:
+class LoopRule(NamedTuple):
     """Fixed-scale substitution of a flower with loops c_1 >= ... >= c_p.
 
     The prototile lengths are powers of xi, the root xi > 1 of
@@ -87,17 +86,23 @@ class LoopRule:
         return _loop_polynomial(self.loops[0], self.loops)
 
 
-@dataclass(frozen=True)
-class SubstitutionMatrix:
+class SubstitutionMatrix(
+    NamedTuple("SubstitutionMatrix", [("entries", tuple[tuple[int, ...], ...])])
+):
     """Integer incidence matrix: entry (i, j) counts copies of prototile
     i+1 inside the image of prototile j+1."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        k = len(self.entries)
-        if k == 0 or any(len(r) != k for r in self.entries):
+    def __new__(cls, entries: tuple[tuple[int, ...], ...]) -> "SubstitutionMatrix":
+        k = len(entries)
+        if k == 0 or any(len(r) != k for r in entries):
             raise ParameterError("substitution matrix must be square")
+        return super().__new__(cls, entries)
+
+    @classmethod
+    def _make(cls, iterable) -> "SubstitutionMatrix":  # so _replace validates too
+        return cls(*iterable)
 
     @property
     def size(self) -> int:
@@ -247,17 +252,6 @@ def char_poly(matrix: SubstitutionMatrix) -> IntPolynomial:
     return _loop_polynomial(size, tuple(loops))
 
 
-def _rule_count(rule: LoopRule, ell: int) -> int:
-    """Number of leaves of the rule's label tree after ell steps.
-
-    The count twin of ``_rule_word``: O(size * ell) additions.
-    """
-    counts = [1] * rule.size
-    for _ in range(ell):
-        counts = [sum(counts[c - 1] for c, _ in image) for image in rule.image_map]
-    return counts[0]
-
-
 def iterate_primitive(
     rule: LoopRule,
     ell: int,
@@ -272,7 +266,7 @@ def iterate_primitive(
     """
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
-    engine.check_tile_cap(_rule_count(rule, ell), max_tiles)
+    engine.check_tile_cap(engine.count_hub_tiles(rule.loops, ell), max_tiles)
     xi = rule.xi
     children = [tuple(reversed(image)) for image in rule.image_map]
     # a label whose image is one child at offset zero just passes through
@@ -332,8 +326,7 @@ def iterate_primitive(
     )
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(NamedTuple):
     """Outcome of an exact cover check at one step count."""
 
     ok: bool

@@ -28,10 +28,8 @@ cost independent of the number of points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .cover import build_rho, substitution_matrix
 from .engine import DEFAULT_TILE_CAP, SubdivisionTree
 from .errors import ParameterError, ResourceLimitError
 from .params import (
@@ -40,7 +38,6 @@ from .params import (
     check_alpha,
     detect_commensurability,
 )
-from .spectral import check_spectral_degree
 
 __all__ = [
     "DensityValue",
@@ -54,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DensityValue:
+class DensityValue(NamedTuple):
     """Asymptotic endpoint density together with the method that produced it."""
 
     value: float
@@ -71,6 +67,8 @@ def _perron_density(n: int, m: int) -> float:
     sum(u) * v[0] / <v, u>.
     """
     import numpy as np  # imported on first use: a package import loads no numpy
+
+    from .cover import build_rho, substitution_matrix
 
     if n == m == 1:
         return 1.0
@@ -103,6 +101,8 @@ def asymptotic_density(alpha: float, ratio: RatioClass | None = None) -> Density
     if isinstance(ratio, Incommensurable):
         entropy = -alpha * math.log(alpha) - (1.0 - alpha) * math.log1p(-alpha)
         return DensityValue(1.0 / entropy, "closed_form")
+    from .spectral import check_spectral_degree  # only the Perron path needs it
+
     check_spectral_degree(ratio.n)
     return DensityValue(_perron_density(ratio.n, ratio.m), "perron")
 
@@ -291,26 +291,43 @@ def prefix_count(alpha: float, t: float, x: float) -> int:
     return SubdivisionTree(alpha, t).prefix_count(x)
 
 
-@dataclass(frozen=True)
-class DiscrepancySeries:
+class DiscrepancySeries(
+    NamedTuple(
+        "DiscrepancySeries",
+        [
+            ("alpha", float),
+            ("t", float),
+            ("density", float),
+            ("density_method", str),
+            ("windows", tuple[float, ...]),
+            ("max_disc", tuple[float, ...]),
+        ],
+    )
+):
     """Max deviation per window, for a fixed parameter and patch depth."""
 
-    alpha: float
-    t: float
-    density: float
-    density_method: str
-    windows: tuple[float, ...]
-    max_disc: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.windows) != len(self.max_disc):
+    def __new__(
+        cls,
+        alpha: float,
+        t: float,
+        density: float,
+        density_method: str,
+        windows: tuple[float, ...],
+        max_disc: tuple[float, ...],
+    ) -> "DiscrepancySeries":
+        if len(windows) != len(max_disc):
             raise ParameterError("windows and maxima must align")
-        if any(b <= a for a, b in zip(self.windows, self.windows[1:])):
+        if any(b <= a for a, b in zip(windows, windows[1:])):
             raise ParameterError("windows must be strictly increasing")
-        if any(
-            b < a - 1e-9 * max(1.0, a) for a, b in zip(self.max_disc, self.max_disc[1:])
-        ):
+        if any(b < a - 1e-9 * max(1.0, a) for a, b in zip(max_disc, max_disc[1:])):
             raise ParameterError("max deviation cannot shrink as windows grow")
+        return super().__new__(cls, alpha, t, density, density_method, windows, max_disc)
+
+    @classmethod
+    def _make(cls, iterable) -> "DiscrepancySeries":  # so _replace validates too
+        return cls(*iterable)
 
 
 def dyadic_windows(low_exp: int, high_exp: int) -> tuple[float, ...]:
@@ -435,8 +452,7 @@ def _direct_scan(
     return tuple(maxima)
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(NamedTuple):
     """Least-squares comparison of growth models for a deviation series.
 
     Each residual is the minimized objective itself: the mean squared

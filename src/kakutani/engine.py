@@ -246,13 +246,26 @@ def count_tiles_commensurable(n: int, m: int, ell: int) -> int:
     check_exponent_pair(n, m)
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
-    counts: dict[int, int] = {}
-    for e in range(ell + 1):
-        if e <= 0:
-            counts[e] = 1
-        else:
-            counts[e] = counts.get(e - n, 1) + counts.get(e - m, 1)
-    return counts[ell]
+    return count_hub_tiles((n, m), ell)
+
+
+def count_hub_tiles(loops: tuple[int, ...], ell: int) -> int:
+    """Tiles after ell steps from the hub of a flower with these loops.
+
+    The piece a loop of c edges cuts off the hub stays one tile for c - 1
+    steps and is a hub again after c, so the count H(ell) follows from
+    H(k) = sum(H(k - c) for c in loops), H(k) = 1 for k <= 0, in
+    O(len(loops) * ell) additions.  For the loops (n, m) this is the
+    split xi**e -> xi**(e - n), xi**(e - m) of ``count_tiles_commensurable``.
+    """
+    top = max(loops)
+    counts = [1] * (top + ell + 1)  # counts[top + k] is H(k)
+    for k in range(top + 1, top + ell + 1):
+        total = 0  # a plain loop: a generator here costs twice the additions
+        for c in loops:
+            total += counts[k - c]
+        counts[k] = total
+    return counts[-1]
 
 
 def _leaf_walk(row: int, leaf: list[bool], step: list, start) -> tuple[list[int], list]:

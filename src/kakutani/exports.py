@@ -12,14 +12,16 @@ import csv
 import io
 import json
 import math
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from ._version import __version__
-from .cover import LoopRule
-from .discrepancy import DiscrepancySeries
 from .errors import ParameterError
-from .geometry import Patch, PointSet
-from .spectral import SurveyRow
+
+if TYPE_CHECKING:  # annotations only: a renderer loads no producer
+    from .cover import LoopRule
+    from .discrepancy import DiscrepancySeries
+    from .geometry import Patch, PointSet
+    from .spectral import SurveyRow
 
 __all__ = [
     "json_envelope",

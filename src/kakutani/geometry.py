@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import add, lt
@@ -160,8 +159,7 @@ ExactPosition = Union[PositionVector, XiSum]
 ExactLength = Union[LengthExponent, XiPower]
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     """One tile: exact position and length plus their evaluated floats.
 
     ``label`` is None for multiscale tiles and a 1-based prototile index
@@ -260,19 +258,38 @@ class Patch:
         return self._positions + (self._support[1],)
 
 
-@dataclass(frozen=True)
 class PointSet:
-    """A strictly increasing finite point sequence with its observation window."""
+    """A strictly increasing finite point sequence with its observation
+    window.  Immutable; equality, hash and repr are by both fields."""
 
-    points: tuple[float, ...]
-    window: tuple[float, float]
+    __slots__ = ("_points", "_window")
 
-    def __post_init__(self) -> None:
-        if self.window[0] > self.window[1]:
+    def __init__(self, points: tuple[float, ...], window: tuple[float, float]) -> None:
+        if window[0] > window[1]:
             raise ParameterError("window must be an interval")
-        pts = self.points
-        if any(y <= x for x, y in zip(pts, pts[1:])):
+        if any(y <= x for x, y in zip(points, points[1:])):
             raise ParameterError("points must be strictly increasing")
+        self._points = points
+        self._window = window
+
+    @property
+    def points(self) -> tuple[float, ...]:
+        return self._points
+
+    @property
+    def window(self) -> tuple[float, float]:
+        return self._window
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._points, self._window) == (other._points, other._window)
+
+    def __hash__(self) -> int:
+        return hash((self._points, self._window))
+
+    def __repr__(self) -> str:
+        return f"PointSet(points={self._points!r}, window={self._window!r})"
 
     @classmethod
     def from_iterable(

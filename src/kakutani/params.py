@@ -15,10 +15,13 @@ continued-fraction heuristic, never assumed from the float alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParameterError
+from .polynomials import IntPolynomial
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Commensurable",
@@ -27,31 +30,36 @@ __all__ = [
     "check_alpha",
     "check_exponent_pair",
     "detect_commensurability",
+    "f_alpha_poly",
     "r_of_alpha",
     "solve_alpha",
 ]
 
 
-@dataclass(frozen=True)
-class Commensurable:
+class Commensurable(NamedTuple("Commensurable", [("n", int), ("m", int)])):
     """Rational log-length ratio r = n/m in lowest terms, n >= m >= 1."""
 
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1 or self.n < self.m:
-            raise ParameterError(f"need n >= m >= 1, got ({self.n}, {self.m})")
-        if math.gcd(self.n, self.m) != 1:
-            raise ParameterError(f"({self.n}, {self.m}) is not in lowest terms")
+    def __new__(cls, n: int, m: int) -> "Commensurable":
+        if n < 1 or m < 1 or n < m:
+            raise ParameterError(f"need n >= m >= 1, got ({n}, {m})")
+        if math.gcd(n, m) != 1:
+            raise ParameterError(f"({n}, {m}) is not in lowest terms")
+        return super().__new__(cls, n, m)
+
+    @classmethod
+    def _make(cls, iterable) -> "Commensurable":  # so _replace validates too
+        return cls(*iterable)
 
     @property
     def ratio(self) -> Fraction:
+        from fractions import Fraction  # a package import loads no fractions
+
         return Fraction(self.n, self.m)
 
 
-@dataclass(frozen=True)
-class Incommensurable:
+class Incommensurable(NamedTuple):
     """Irrational log-length ratio, kept as its float approximation."""
 
     r: float
@@ -111,6 +119,15 @@ def solve_alpha(n: int, m: int) -> float:
     """Solve ``alpha**m == (1 - alpha)**n`` for alpha in ``(0, 1/2]``."""
     check_exponent_pair(n, m)
     return _loop_alpha((n, m))
+
+
+def f_alpha_poly(n: int, m: int) -> IntPolynomial:
+    """The nonzero-spectrum polynomial x^n - x^(n-m) - 1 for ratio n/m:
+    its root xi > 1 is the inflation constant alpha**(-1/n)."""
+    check_exponent_pair(n, m)
+    if n == m:
+        raise ParameterError("the lattice ratio (1, 1) has spectrum {2}")
+    return IntPolynomial.from_terms({n: 1, n - m: -1, 0: -1})
 
 
 def r_of_alpha(alpha: float) -> float:

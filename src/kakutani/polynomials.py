@@ -7,7 +7,6 @@ here is exact: division raises if it does not come out evenly.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ParameterError
@@ -22,9 +21,8 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    """An integer polynomial, constant coefficient first.
+    """An immutable integer polynomial, constant coefficient first.
 
     >>> p = IntPolynomial.from_terms({3: 1, 1: -1, 0: -1})
     >>> p
@@ -35,10 +33,22 @@ class IntPolynomial:
     5
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("_coeffs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        self._coeffs = _trim(coeffs)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self._coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash((self._coeffs,))
 
     @classmethod
     def zero(cls) -> "IntPolynomial":

@@ -22,11 +22,11 @@ of each loop, so every eigenspace is a line, and its entries sum to
 which is never 0 (lambda = 1 is no root: sum(1) = p >= 2).  So no
 eigenspace is orthogonal to the all-ones vector, and the criterion
 watches the second eigenvalue.  The verdicts take the loops from the
-rule (``LoopRule.loops``) and build that polynomial from them; no
-matrix is built on the way.  ``eigenspace_not_perp`` is the SVD test on
-a matrix that this replaces; the package no longer calls it, and it
-stays public for the benchmark's traced replay, which rebuilds the
-matrix and its ``char_poly``.
+ratio, (n, m), or from the three-interval rule (``LoopRule.loops``), and
+build that polynomial from them; no matrix is built on the way.
+``eigenspace_not_perp`` is the SVD test on a matrix that this replaces;
+the package no longer calls it, and it stays public for the benchmark's
+traced replay, which rebuilds the matrix and its ``char_poly``.
 
 The nonzero spectrum here is the root set of f(x) = x^n - x^(n-m) - 1.
 Numerically deciding "modulus one" is hopeless at the boundary, so an
@@ -45,13 +45,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass  # the reports support dataclasses.replace
 from fractions import Fraction
 
 from .cover import (
     SubstitutionMatrix,
     _loop_polynomial,
-    build_rho,
     build_three_interval_rule,
 )
 from .errors import ParameterError, ResourceLimitError
@@ -60,6 +59,7 @@ from .params import (
     Incommensurable,
     RatioClass,
     check_exponent_pair,
+    f_alpha_poly,
     solve_alpha,
 )
 from .polynomials import IntPolynomial, cyclotomic
@@ -125,14 +125,6 @@ class Rationale(str, enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-def f_alpha_poly(n: int, m: int) -> IntPolynomial:
-    """The nonzero-spectrum polynomial x^n - x^(n-m) - 1 for ratio n/m."""
-    check_exponent_pair(n, m)
-    if n == m:
-        raise ParameterError("the lattice ratio (1, 1) has spectrum {2}")
-    return IntPolynomial.from_terms({n: 1, n - m: -1, 0: -1})
 
 
 def _is_two_split_trinomial(poly: IntPolynomial) -> bool:
@@ -361,10 +353,10 @@ def classify_spreadness(ratio: RatioClass, alpha: float | None = None) -> Spread
 
     Incommensurable ratios are never uniformly spread (the endpoint
     counting discrepancy grows like window/log(window)).  Commensurable
-    ratios go through the covering substitution and the Solomon
-    criterion, cross-checked against the closed five-ratio list; a
-    disagreement between the two is flagged, and Boundary outcomes are
-    reported as such rather than coerced either way.
+    ratios go through the Solomon criterion on the loops (n, m) of their
+    covering substitution, cross-checked against the closed five-ratio
+    list; a disagreement between the two is flagged, and Boundary
+    outcomes are reported as such rather than coerced either way.
     """
     if isinstance(ratio, Incommensurable):
         if alpha is None:
@@ -387,10 +379,9 @@ def classify_spreadness(ratio: RatioClass, alpha: float | None = None) -> Spread
             spectral=solomon_verdict((1, 1)),
             mismatch=False,
         )
-    check_spectral_degree(n)  # before the rule is built
-    rule = build_rho(n, m)
-    a = rule.alpha if alpha is None else alpha
-    report = solomon_verdict(rule.loops)
+    check_spectral_degree(n)  # before alpha is solved for
+    a = solve_alpha(n, m) if alpha is None else alpha
+    report = solomon_verdict((n, m))
     theorem = Fraction(n, m) in SPREAD_RATIOS
     if report.solomon is SpreadClass.BOUNDARY:
         rationale = (

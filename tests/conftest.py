@@ -8,8 +8,8 @@ then evidence, not circularity.
 
 The package keeps only what its command line, scripts and README use,
 so code that only tests call lives here too: Faddeev-LeVerrier, exact
-matrix powers and tile counts, and the Chabauty-Fell distance on point
-sets.
+matrix powers and tile counts (per label, from the image map), and the
+Chabauty-Fell distance on point sets.
 """
 import bisect
 import cmath
@@ -465,6 +465,15 @@ def matrix_power(matrix, ell):
 def tile_counts(matrix, ell):
     """Exact prototile counts after ell steps applied to the hub tile."""
     return tuple(row[0] for row in matrix_power(matrix, ell).entries)
+
+
+def rule_count(rule, ell):
+    """Number of leaves of the rule's label tree after ell steps, by
+    per-label counts read off the image map: O(size * ell) additions."""
+    counts = [1] * rule.size
+    for _ in range(ell):
+        counts = [sum(counts[c - 1] for c, _ in image) for image in rule.image_map]
+    return counts[0]
 
 
 def nearest_distance(points, x):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -12,7 +11,7 @@ from kakutani import (
     solve_alpha,
     substitution_matrix,
 )
-from kakutani import cover
+from kakutani import cover, engine
 from kakutani.cover import (
     SubstitutionMatrix,
     build_three_interval_rule,
@@ -31,6 +30,7 @@ from conftest import (
     coprime_pairs,
     expansion_char_poly,
     matrix_power,
+    rule_count,
     tile_counts,
 )
 
@@ -283,6 +283,24 @@ class TestIteratePrimitive:
                 patch = iterate_primitive(rule, ell)
                 assert len(patch) == sum(tile_counts(matrix, ell))
 
+    @pytest.mark.parametrize(
+        "loops, top",
+        [(pair, 40) for pair in coprime_pairs(12)]
+        + [(triple, 30) for triple in THREE_LOOP_TRIPLES],
+    )
+    def test_hub_count_matches_the_label_counts(self, loops, top):
+        # the tile-cap pre-count of iterate_primitive, from the loops alone
+        rule = build_rule(loops)
+        for ell in range(top + 1):
+            assert engine.count_hub_tiles(rule.loops, ell) == rule_count(rule, ell), ell
+
+    def test_cap_is_checked_on_the_hub_count(self):
+        rule = build_three_interval_rule(5, 3, 2)
+        count = rule_count(rule, 20)
+        assert len(iterate_primitive(rule, 20, max_tiles=count)) == count
+        with pytest.raises(ResourceLimitError, match=f"contain {count} tiles"):
+            iterate_primitive(rule, 20, max_tiles=count - 1)
+
     def test_label_histogram_matches_matrix(self):
         rule = build_rho(3, 2)
         matrix = substitution_matrix(rule)
@@ -377,7 +395,7 @@ class TestVerifyCover:
             rule = original(n, m)
             (first, zero), (second, offset) = rule.image_map[0]
             hub = ((second, zero), (first, offset))
-            return dataclasses.replace(rule, image_map=(hub,) + rule.image_map[1:])
+            return rule._replace(image_map=(hub,) + rule.image_map[1:])
 
         monkeypatch.setattr(cover, "build_rho", swapped)
         report = verify_cover(2, 1, 4)

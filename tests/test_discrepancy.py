@@ -11,6 +11,7 @@ from kakutani import (
     Commensurable,
     ParameterError,
     ResourceLimitError,
+    cover,
     discrepancy,
     discrepancy_scan,
     dyadic_windows,
@@ -77,7 +78,7 @@ class TestDensity:
         def unbuilt(rule):
             raise AssertionError(f"built a matrix for {rule.loops}")
 
-        monkeypatch.setattr(discrepancy, "substitution_matrix", unbuilt)
+        monkeypatch.setattr(cover, "substitution_matrix", unbuilt)
         ratio = Commensurable(MAX_SPECTRAL_DEGREE + 1, MAX_SPECTRAL_DEGREE)
         with pytest.raises(ResourceLimitError, match="above the limit"):
             asymptotic_density(solve_alpha(ratio.n, ratio.m), ratio)

@@ -272,7 +272,9 @@ class TestDegreeBudget:
         def unbuilt(*loops):
             raise AssertionError(f"built a rule for {loops}")
 
-        monkeypatch.setattr(kakutani.spectral, "build_rho", unbuilt)
+        # a two-loop verdict builds no rule: its one step before the
+        # roots is the bisection for alpha
+        monkeypatch.setattr(kakutani.spectral, "solve_alpha", unbuilt)
         monkeypatch.setattr(kakutani.spectral, "build_three_interval_rule", unbuilt)
         with pytest.raises(ResourceLimitError):
             classify_spreadness(Commensurable(10**6, 1))
