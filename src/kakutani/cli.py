@@ -305,8 +305,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     from .exports import json_envelope
-    from .params import Commensurable, solve_alpha
-    from .spectral import check_spectral_degree, solomon_verdict
+    from .params import Commensurable, check_spectral_degree, solve_alpha
+    from .spectral import solomon_verdict
 
     n, m = _parse_ratio(args.ratio)
     Commensurable(n, m)  # refuses the pair with its own message
@@ -394,7 +394,7 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
 
 
 def _cmd_three_interval(args: argparse.Namespace) -> int:
-    from .spectral import check_spectral_degree
+    from .params import check_spectral_degree
 
     n, m, k = _parse_loops(args.loops)
     config = {

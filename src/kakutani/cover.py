@@ -266,7 +266,7 @@ def iterate_primitive(
     """
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
-    engine.check_tile_cap(engine.count_hub_tiles(rule.loops, ell), max_tiles)
+    engine.check_hub_tile_cap(rule.loops, rule.xi, ell, max_tiles)
     xi = rule.xi
     children = [tuple(reversed(image)) for image in rule.image_map]
     # a label whose image is one child at offset zero just passes through
@@ -391,7 +391,9 @@ def verify_cover(
     holds exactly when the words agree.
     """
     rule = build_rho(n, m)
-    engine.check_tile_cap(engine.count_tiles_commensurable(n, m, ell), max_tiles)
+    if ell < 0:
+        raise ParameterError("ell must be nonnegative")
+    engine.check_hub_tile_cap(rule.loops, rule.xi, ell, max_tiles)
     fixed = _rule_word(rule, ell)
     multi = _multiscale_word(n, m, ell)
     ok = fixed == multi

@@ -11,8 +11,10 @@ Counting never materializes tiles.  ``prefix_count`` descends
 ``engine.SubdivisionTree``: subtrees fully inside [0, x] contribute
 their leaf counts, subtrees outside contribute nothing, and only the
 nodes straddling x recurse.  A leaf count is a sum of binomials over
-the tree's staircase of internal pairs, one per row, so a query makes
-O(t) steps of O(t) binomials each and stores one integer per row.  The
+the tree's staircase of internal pairs, one per row, and the right
+steps along a row come in runs whose leaves sum by the hockey-stick
+identity, so a query makes O(t) runs of O(t) binomials each and stores
+one integer per row.  The
 discrepancy scan goes one step further: the deviation profile of a
 subtree depends only on its exponent pair, so each internal pair gets
 an exact (sup, inf) of the running deviation over its span, together
@@ -36,6 +38,7 @@ from .params import (
     Incommensurable,
     RatioClass,
     check_alpha,
+    check_spectral_degree,
     detect_commensurability,
 )
 
@@ -101,8 +104,6 @@ def asymptotic_density(alpha: float, ratio: RatioClass | None = None) -> Density
     if isinstance(ratio, Incommensurable):
         entropy = -alpha * math.log(alpha) - (1.0 - alpha) * math.log1p(-alpha)
         return DensityValue(1.0 / entropy, "closed_form")
-    from .spectral import check_spectral_degree  # only the Perron path needs it
-
     check_spectral_degree(ratio.n)
     return DensityValue(_perron_density(ratio.n, ratio.m), "perron")
 
@@ -352,8 +353,11 @@ def discrepancy_scan(
     the cross-check and only sensible for small t.  Each mode is refused
     up front, with ResourceLimitError, above ``engine.DEFAULT_TILE_CAP``:
     the profile when the tree has more internal pairs, each a table
-    entry, and the direct scan when it would walk more leaves (counted
-    exactly, by ``prefix_count``) or its walk table would hold more ids.
+    entry, and the direct scan when its walk table would hold more ids
+    (``SubdivisionTree.walk_shape``, in closed form) or it would walk
+    more leaves.  The leaves it walks all lie below one node (top, 0),
+    whose leaf count bounds them in closed form; only when that bound
+    passes the cap are they counted exactly, by ``prefix_count``.
     The mode and the grid are checked before the density is computed or
     any row of the tree is built: the grid must be finite, nonnegative,
     strictly increasing and within the patch support.
@@ -378,13 +382,6 @@ def discrepancy_scan(
         profile = _DeviationProfile(tree, density.value)
         maxima = tuple(profile.max_abs_upto(w) for w in ordered)
     else:
-        # the scan walks every leaf up to the largest window: count them first
-        walk = tree.prefix_count(ordered[-1], stop=DEFAULT_TILE_CAP)
-        if walk > DEFAULT_TILE_CAP:
-            raise ResourceLimitError(
-                f"a direct scan to {ordered[-1]} walks more than "
-                f"{DEFAULT_TILE_CAP} leaves, the cap"
-            )
         maxima = _direct_scan(tree, density.value, ordered)
     return DiscrepancySeries(
         alpha=alpha,
@@ -408,10 +405,39 @@ def _direct_scan(
     top = 0
     while not tree.is_leaf(top, 0) and tree.width(top + 1, 0) > upto:
         top += 1
+    # Refused before any table is built: a walk table above the cap, in
+    # closed form, then a walk of more leaves than the cap.  The leaves
+    # of (top, 0) bound the walk in closed form; only above the cap are
+    # the leaves it walks counted exactly.
+    rows, row = tree.walk_shape(top, upto)
+    if tree.leaves(top, 0) > DEFAULT_TILE_CAP:
+        if tree.prefix_count(upto, stop=DEFAULT_TILE_CAP) > DEFAULT_TILE_CAP:
+            raise ResourceLimitError(
+                f"a direct scan to {upto} walks more than "
+                f"{DEFAULT_TILE_CAP} leaves, the cap"
+            )
+    # One entry per id of walk_table(top, upto), laid out a row at a time
+    # from the row ends as its node kinds are: the left child's width for
+    # an internal node whose left child is a leaf, its negative where the
+    # left child is internal, and 0.0 for a leaf.  The walk reads a row
+    # only below a negative entry, so the rows end after the first row
+    # with none.
+    ends = tree.row_ends()
+    t, la, lb = tree.t, tree.la, tree.lb
+    exp = math.exp
+    span: list[float] = []
+    for a in range(top, top + rows):
+        internal = min(ends[a] + 1, row) if a < len(ends) else 0
+        inner = min(ends[a + 1] + 1, row) if a + 1 < len(ends) else 0
+        base = t + (a + 1) * la  # width(a + 1, b) is exp(base + b * lb)
+        span += [-exp(base + b * lb) for b in range(inner)]
+        span += [exp(base + b * lb) for b in range(inner, internal)]
+        span += [0.0] * (row - internal)
+        if not inner:
+            break
     # generate_patch's walk, streamed: a right child past upto is dropped,
-    # and each leaf is handled where it is found, with no list of leaves.
-    row, pairs, leaf = tree.walk_table(top, upto)
-    step = [None if lf else tree.width(a + 1, b) for (a, b), lf in zip(pairs, leaf)]
+    # a right child is pushed only below an internal left child, and each
+    # leaf is handled where it is found, with no list of leaves.
     maxima = [0.0] * len(windows)
     running = 0.0
     count = 0.0  # a float holds every count below the cap exactly
@@ -420,26 +446,22 @@ def _direct_scan(
     stack = [(-1, 0.0)]  # popping the sentinel ends the walk
     pop, push = stack.pop, stack.append
     k, val = 0, 0.0
-    while k >= 0:
-        left = val
-        if leaf[k]:
-            k, val = pop()
-        else:
-            right = val + step[k]
-            if not leaf[k + row]:
-                if right <= upto:
-                    push((k + 1, right))
-                k += row
-                continue
-            # a leaf left child, then its right sibling inline
-            k, val = (k + 1, right) if right <= upto else pop()
-        while left > edge:
+    w = span[0]
+    while True:
+        while w < 0.0:  # down the left spine
+            right = val - w
+            if right <= upto:
+                push((k + 1, right))
+            k += row
+            w = span[k]
+        # a leaf at val: the left child of node k, or node k itself
+        while val > edge:
             maxima[wi] = max(running, abs(count - density * edge))
             wi += 1
             edge = windows[wi]
         # the left limit at the point, then the jump by one; the limit
         # matters only below zero, where it is -(count - x), bit for bit
-        x = density * left
+        x = density * val
         low = x - count
         count += 1
         high = count - x
@@ -447,6 +469,16 @@ def _direct_scan(
             running = low
         if high > running:
             running = high
+        if w:
+            val += w  # on along the row, to the right sibling
+            if val <= upto:
+                k += 1
+                w = span[k]
+                continue
+        k, val = pop()
+        if k < 0:
+            break
+        w = span[k]
     for j in range(wi, len(windows)):
         maxima[j] = max(running, abs(count - density * windows[j]))
     return tuple(maxima)

@@ -9,8 +9,9 @@ the directed walks of length t on a one-vertex graph with two loops of
 lengths log(1/alpha) and log(1/(1-alpha)).  ``SubdivisionTree`` is the
 tree of these splits: ``count_tiles`` and the discrepancy module count on it
 without materializing anything, and ``generate_patch`` and the direct
-discrepancy scan walk it through tables indexed by exponent pair, down
-left spines and along rows of leaf children with no push per leaf.
+discrepancy scan walk it through tables of node ids laid out from the
+staircase's row ends, down left spines and along rows of leaf children
+with no push per leaf.
 ``generate_patch`` sums float positions alone; the exact terms are
 built by the same walk when ``patch.tiles`` first asks for them.
 
@@ -152,83 +153,222 @@ class SubdivisionTree:
     def prefix_count(self, x: float, stop: float = math.inf) -> int:
         """Number of left endpoints in [0, x], by one descent of the tree.
 
-        Every right step of the descent adds at least one, so with a
-        finite ``stop`` the descent takes at most ``stop`` of them: it
-        returns its count as soon as that passes ``stop``, or, along a row
-        of leaf children, as soon as the steps still needed fit below x.
+        The descent goes right along a row in runs.  Over internal left
+        children it steps through the float sums of their widths, which
+        the descent below needs, and counts their leaves with the
+        hockey-stick identity (``_run_leaves``), O(rows) binomials a run.
+        Over leaf children the run ends the descent, so only its length
+        matters, and that comes from one logarithm (``_run_length``).
+        Every right step adds at least one, so with a finite ``stop`` the
+        count is returned as soon as a step takes it past ``stop``.
         """
         if x < 0.0:
             raise ParameterError("x must be nonnegative")
         if x > self.support * (1.0 + 1e-12):
             raise ParameterError("x lies beyond the patch support")
         ends = self.row_ends()
-        count = 0
-        a, b, left = 0, 0, 0.0
-        while True:
-            if self.is_leaf(a, b):
-                count += 1 if left <= x else 0
-                return count
-            width = self.width(a + 1, b)
-            if x < left + width:
+        rows = len(ends)
+        t, la, lb = self.t, self.la, self.lb
+        exp = math.exp
+        count, a, b, left = 0, 0, 0, 0.0
+        while a < rows and b <= ends[a]:
+            base = t + (a + 1) * la  # the exponent of (a + 1, b) is base + b * lb
+            right = left + exp(base + b * lb)
+            if x < right:
                 a += 1
                 continue
-            leaf_child = a + 1 >= len(ends) or ends[a + 1] < b
-            count += 1 if leaf_child else self.leaves(a + 1, b)
-            if count > stop:
-                return count
-            if leaf_child and stop < math.inf:
-                # need more steps pass stop; each adds to left at most this
-                # width and a rounding of 2**-53 of a sum that stays below x
-                need = int(stop - count) + 1
-                most = width * (1.0 + 2.0**-40) + x * 2.0**-50
-                if need <= ends[a] - b and left + (need + 1) * most <= x:
-                    return count + need
-            left += width
-            b += 1
+            # a run of right steps along row a, the first one at column b
+            first, end = b, ends[a]
+            most = end - b + 1
+            if stop < math.inf:  # the steps that must take the count past stop
+                most = min(most, max(int(stop - count), 0) + 1)
+            inner = min((ends[a + 1] if a + 1 < rows else -1) - b + 1, most)
+            if inner > 0:
+                steps, left = self._steps(base, b + 1, right, x, inner - 1)
+                steps += 1
+                b += steps
+                run = self._run_leaves(a, first, steps)
+                if count + run > stop:
+                    # the step that takes the count past stop
+                    lo, hi = 0, steps
+                    while hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        if count + self._run_leaves(a, first, mid) > stop:
+                            hi = mid
+                        else:
+                            lo = mid
+                    return count + self._run_leaves(a, first, hi)
+                count += run
+                if steps < inner:
+                    a += 1  # the next sum passes x: down into (a + 1, b)
+                    continue
+            else:
+                count += 1  # a leaf child
+                if count > stop:
+                    return count
+                b += 1
+                left = right
+            # leaf children from column b on (none past the row's end): the
+            # descent ends below them
+            most = end - b + 1
+            if stop < math.inf:
+                most = min(most, max(int(stop - count), 0) + 1)
+            count += self._run_length(base, b, left, x, most)
+            return count if count > stop else count + 1
+        return count + 1
 
-    def walk_table(
-        self, top: int = 0, upto: float = math.inf
-    ) -> tuple[int, list[tuple[int, int]], list[bool]]:
+    def _run_leaves(self, a: int, b: int, steps: int) -> int:
+        """Leaves below the left children (a + 1, b) .. (a + 1, b + steps - 1)
+        of a run of right steps along row a.
+
+        Summing ``leaves(a + 1, c)`` over the run, each row's binomials
+        comb(i + B - c + 1, i + 1) form a hockey stick, so a row below
+        the run adds comb(i + B - b + 2, i + 2) - comb(i + B - c' + 1, i + 2),
+        c' the run's last column or B, whichever is less.  One- and
+        two-step runs are summed plainly.
+        """
+        if steps <= 2:
+            return sum(self.leaves(a + 1, c) for c in range(b, b + steps))
+        ends = self.row_ends()
+        last = b + steps - 1
+        total = steps
+        for row in range(a + 1, len(ends)):
+            end = ends[row]
+            if end < b:
+                break
+            i = row - a - 1
+            total += math.comb(i + end - b + 2, i + 2) - math.comb(i + end - min(last, end) + 1, i + 2)
+        return total
+
+    def _steps(self, base: float, b: int, left: float, x: float, most: int) -> tuple[int, float]:
+        """Right steps from column b, at most ``most``, while the float sums
+        of ``left`` and the widths exp(base + c * lb), c = b, b + 1, .., stay
+        at or below x: their number and the sum after them, step by step.
+        A width too small to move the sum ends the stepping, as every
+        later width is smaller (within the rounding of its exponent)."""
+        exp, lb = math.exp, self.lb
+        for j in range(most):
+            width = exp(base + (b + j) * lb)
+            right = left + width
+            if x < right:
+                return j, left
+            if right == left:
+                slack = 2.0**-47 * (abs(base) + 2.0 * (b + most) * -lb + 1.0)
+                if width * (1.0 + slack) < 0.5 * math.ulp(left):
+                    return most, left
+            left = right
+        return most, left
+
+    def _run_length(self, base: float, b: int, left: float, x: float, most: int) -> int:
+        """The number of right steps of ``_steps(base, b, left, x, most)``,
+        for a caller that needs no sum after them.
+
+        The widths are geometric, so their real sum after j steps is
+        left + w * expm1(j * lb) / expm1(lb), w the first width, and the
+        j at which it reaches x is one logarithm.  The float sum stays in
+        a band around it: each width is within 2 * eta + 64 * 2**-53 of
+        its real value, eta bounding the rounding of its exponent (a
+        libm ``exp`` and ``expm1`` within two ulps assumed), and while
+        the sum stays at or below x each addition rounds by at most half
+        an ulp of x.  A bisection from the logarithm's guess finds the
+        last j whose band lies below x; it is the answer when the band of
+        j + 1 lies above x.  Only where x falls inside a band does it
+        step through the float sums.
+        """
+        done, left = self._steps(base, b, left, x, min(most, 8))
+        if done < min(most, 8) or done == most:
+            return done
+        b += done
+        most -= done
+        lb = self.lb
+        expm1 = math.expm1
+        w = math.exp(base + b * lb)
+        em1 = expm1(lb)
+        u = 2.0**-53
+        rho = 2.0 * u * (abs(base) + 2.0 * (b + most) * -lb) + 64.0 * u
+        half = 0.5 * math.ulp(x)
+
+        def band(j: int) -> tuple[float, float]:
+            # the float sum after j steps lies within these bounds
+            g = w * expm1(j * lb) / em1
+            d = left + g
+            e = rho * g + (j + 1) * half + 8.0 * u * (d + x) + j * 2.0**-1072
+            return d - e, d + e
+
+        q = (x - left) * em1 / w
+        guess = math.log1p(q) / lb if q > -1.0 else math.inf
+        j = int(guess) if guess < most else most
+        lo, hi = 0, most + 1  # the band of lo lies below x, that of hi does not
+        for probe in (j, j + 1):
+            if 0 < probe <= most:
+                if band(probe)[1] <= x:
+                    lo = max(lo, probe)
+                else:
+                    hi = min(hi, probe)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if band(mid)[1] <= x:
+                lo = mid
+            else:
+                hi = mid
+        if lo == most or band(lo + 1)[0] > x:
+            return done + lo
+        return done + self._steps(base, b, left, x, most)[0]
+
+    def walk_shape(self, top: int = 0, upto: float = math.inf) -> tuple[int, int]:
+        """Rows and ids per row of ``walk_table(top, upto)``.
+
+        The rows run past the deepest child a walk of the subtree at
+        (top, 0) reaches, with one spare row and column.  With ``upto``
+        finite, the rows below row top end at their leaves, and row top
+        where its right steps first pass ``upto``: the run length of
+        ``_run_length``.  A table of more than ``DEFAULT_TILE_CAP`` ids
+        is refused with ResourceLimitError, before any row is built.
+        """
+        t, la, lb = self.t, self.la, self.lb
+        depth = max(t + top * la, 0.0)  # a leaf at (top, 0) still gets its id 0
+        rows = int(depth / -la) + 3
+        if upto == math.inf:
+            row = int(depth / -lb) + 3
+        else:
+            row = int(max(depth + la, 0.0) / -lb) + 3
+            ends = self.row_ends()
+            if top < len(ends):
+                # past cap // rows - 1 steps the table is refused whatever the rest
+                most = min(ends[top] + 1, max(DEFAULT_TILE_CAP // rows - 1, 0))
+                reach = self._run_length(t + (top + 1) * la, 0, 0.0, upto, most)
+                row = max(row, reach + 2)
+        if rows * row > DEFAULT_TILE_CAP:
+            raise ResourceLimitError(
+                f"a walk table of {rows} x {row} ids is above the cap {DEFAULT_TILE_CAP}"
+            )
+        return rows, row
+
+    def walk_table(self, top: int = 0, upto: float = math.inf) -> tuple[int, list[int]]:
         """Node ids for a depth-first walk of the subtree at node (top, 0).
 
         Whether a node is a leaf, and how long its children are, depend
         on its exponent pair alone, so a walk looks them up by node id
         instead of working them out at every node.  Node (a, b) has id
         (a - top) * row + b, its left child id + row and its right child
-        id + 1.  Returns row, the pair of each id and the leaf flag of
-        each id; a caller builds its other per-pair tables from the pairs.
+        id + 1.  Returns row and the kind of each id, read off the row
+        ends a row at a time: 0 a leaf, 1 an internal node whose left
+        child is a leaf, 2 one whose left child is internal.  A caller
+        builds its other tables a row at a time, from the exponent pair
+        (top + id // row, id % row).
 
         A walk that pushes a right child only when it starts at or before
         ``upto``, with (top + 1, 0) no longer than ``upto``, gets a table
-        sized to the nodes it reaches.  A table of more than
-        ``DEFAULT_TILE_CAP`` ids is refused before it is built.
+        sized to the nodes it reaches (``walk_shape``).
         """
-        t, la, lb = self.t, self.la, self.lb
-        # past the deepest child a walk reaches, with one spare row and
-        # column; a leaf at (top, 0) still gets its id 0
-        depth = max(t + top * la, 0.0)
-        rows = int(depth / -la) + 3
-        if upto == math.inf:
-            row = int(depth / -lb) + 3
-        else:
-            # Below row top every node starts at or before upto, so those
-            # rows end at their leaves; row top ends where its right child
-            # first starts past upto, found with the walk's own sums.
-            row = int(max(depth + la, 0.0) / -lb) + 3
-            b, left = 0, 0.0
-            while b < DEFAULT_TILE_CAP and not self.is_leaf(top, b):
-                left += self.width(top + 1, b)
-                if left > upto:
-                    break
-                b += 1
-            row = max(row, b + 2)
-        if rows * row > DEFAULT_TILE_CAP:
-            raise ResourceLimitError(
-                f"a walk table of {rows} x {row} ids is above the cap {DEFAULT_TILE_CAP}"
-            )
-        pairs = [(a, b) for a in range(top, top + rows) for b in range(row)]
-        leaf = [t + a * la + b * lb <= LENGTH_ONE_SLACK for a, b in pairs]
-        return row, pairs, leaf
+        rows, row = self.walk_shape(top, upto)
+        ends = self.row_ends()
+        kind: list[int] = []
+        for a in range(top, top + rows):
+            internal = min(ends[a] + 1, row) if a < len(ends) else 0
+            inner = min(ends[a + 1] + 1, row) if a + 1 < len(ends) else 0
+            kind += [2] * inner + [1] * (internal - inner) + [0] * (row - internal)
+        return row, kind
 
 
 def count_tiles(alpha: float, t: float) -> int:
@@ -268,29 +408,52 @@ def count_hub_tiles(loops: tuple[int, ...], ell: int) -> int:
     return counts[-1]
 
 
-def _leaf_walk(row: int, leaf: list[bool], step: list, start) -> tuple[list[int], list]:
+def check_hub_tile_cap(loops: tuple[int, ...], xi: float, ell: int, max_tiles: int) -> None:
+    """Refuse a patch grown ell steps from the hub of a flower with these
+    loops and inflation xi when it holds more than ``max_tiles`` tiles.
+
+    The count H(ell) of ``count_hub_tiles`` is at least xi**(ell - c),
+    c the longest loop: so is H(k) = 1 for k <= 0, and the recurrence
+    H(k) = sum(H(k - c_i)) keeps it, as sum(xi**-c_i) = 1.  A patch
+    that bound puts above the cap is refused at once, with no count of
+    ell * log2(xi) bits to work out or print; any other is counted
+    exactly.
+    """
+    exponent = (ell - max(loops)) * math.log(xi) * (1.0 - 1e-9)  # xi is a float
+    if max_tiles < 1 or exponent > math.log(max_tiles):
+        digits = max(int(exponent / math.log(10.0)), 0)
+        raise ResourceLimitError(
+            f"patch would contain at least 10**{digits} tiles, above the cap {max_tiles}"
+        )
+    check_tile_cap(count_hub_tiles(loops, ell), max_tiles)
+
+
+def _leaf_walk(row: int, kind: list[int], step: list, start) -> tuple[list[int], list]:
     """Ids of the leaves of a walk table's tree, left to right, and the
     sums ``... + step[k] + start`` over the right steps of their paths:
     down left spines, pushing right children, and along rows of leaf
-    children with no push.  ``+`` adds floats and joins tuples, so one
-    walk sums positions or collects exact terms, the last step's first."""
+    children with no push.  ``kind`` is ``SubdivisionTree.walk_table``'s.
+    ``+`` adds floats and joins tuples, so one walk sums positions or
+    collects exact terms, the last step's first."""
     ids: list[int] = []
     sums: list = []
+    found, note = ids.append, sums.append
     stack = [(-1, start)]  # popping the sentinel ends the walk
     pop, push = stack.pop, stack.append
     k, val = 0, start
     while k >= 0:
-        if leaf[k]:
-            ids.append(k)
-            sums.append(val)
-            k, val = pop()
-        elif leaf[k + row]:
-            ids.append(k + row)
-            sums.append(val)
+        c = kind[k]
+        if c == 1:
+            found(k + row)
+            note(val)
             val, k = step[k] + val, k + 1
-        else:
+        elif c:
             push((k + 1, step[k] + val))
             k += row
+        else:
+            found(k)
+            note(val)
+            k, val = pop()
     return ids, sums
 
 
@@ -313,16 +476,19 @@ def generate_patch(
     # every power a table row, its left child or a column reaches
     alpha_pow = [alpha**k for k in range(int(t / -tree.la) + 4)]
     beta_pow = [beta**k for k in range(int(t / -tree.lb) + 4)]
-    row, pairs, leaf = tree.walk_table()
-    step = [alpha_pow[a + 1] * beta_pow[b] for a, b in pairs]
-    ids, sums = _leaf_walk(row, leaf, step, 0.0)
-    size = [scale * alpha_pow[a] * beta_pow[b] for a, b in pairs]
+    row, kind = tree.walk_table()
+    rows = len(kind) // row
+    columns = beta_pow[:row]
+    step = [p * q for p in alpha_pow[1 : rows + 1] for q in columns]
+    ids, sums = _leaf_walk(row, kind, step, 0.0)
+    size = [s * q for s in [scale * p for p in alpha_pow[:rows]] for q in columns]
 
     def exact() -> tuple[list[PositionVector], list[LengthExponent]]:
         # A right step adds the exact term of its left sibling; these
         # ascend along a path, so a path read backwards is sorted.
-        _, terms = _leaf_walk(row, leaf, [(((a + 1, b), 1),) for a, b in pairs], ())
-        exponents = {k: LengthExponent(*pairs[k]) for k in set(ids)}
+        terms = [(((a, b), 1),) for a in range(1, rows + 1) for b in range(row)]
+        _, terms = _leaf_walk(row, kind, terms, ())
+        exponents = {k: LengthExponent(*divmod(k, row)) for k in set(ids)}
         return (
             [PositionVector._from_sorted(path[::-1]) for path in terms],
             [exponents[k] for k in ids],
@@ -349,9 +515,9 @@ def generate_patch_commensurable(
     """
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
-    check_tile_cap(count_tiles_commensurable(n, m, ell), max_tiles)
     alpha = solve_alpha(n, m)
     xi = alpha ** (-1.0 / n)
+    check_hub_tile_cap((n, m), xi, ell, max_tiles)
     # xi**p for every power a split or a leaf can reach: 1 - n <= p <= ell
     power = {p: xi**p for p in range(1 - n, ell + 1)}
     # generate_patch's walk over the pairs (a, b) of exponent ell - a*n - b*m.
@@ -360,7 +526,8 @@ def generate_patch_commensurable(
     row = ell // m + 2
     exponent = [ell - a * n - b * m for a in range(ell // n + 2) for b in range(row)]
     step = [((e - n, 1),) for e in exponent]
-    ids, found = _leaf_walk(row, [e <= 0 for e in exponent], step, ())
+    kind = [0 if e <= 0 else 1 if e <= n else 2 for e in exponent]
+    ids, found = _leaf_walk(row, kind, step, ())
     exps = [exponent[k] for k in ids]
 
     def exact() -> tuple[list[XiSum], list[XiPower]]:

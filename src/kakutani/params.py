@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .polynomials import IntPolynomial
 
 if TYPE_CHECKING:
@@ -34,6 +34,22 @@ __all__ = [
     "r_of_alpha",
     "solve_alpha",
 ]
+
+#: Largest degree of a nonzero spectrum the Solomon test will root-find.
+#: One pure-Python Aberth sweep costs ~degree**2 and the sweep count grows
+#: with the degree: ``classify`` took 8-9 s at degree 450 and 11 s at 500
+#: (2-vCPU Xeon, CPython 3.11).  Larger spectra are refused up front.
+#: It lives here, not in ``spectral`` (which re-exports it), so that the
+#: commands that only check it load no root finder.
+MAX_SPECTRAL_DEGREE = 450
+
+
+def check_spectral_degree(degree: int) -> None:
+    """Refuse a nonzero spectrum of degree above ``MAX_SPECTRAL_DEGREE``."""
+    if degree > MAX_SPECTRAL_DEGREE:
+        raise ResourceLimitError(
+            f"a spectrum of degree {degree} is above the limit {MAX_SPECTRAL_DEGREE}"
+        )
 
 
 class Commensurable(NamedTuple("Commensurable", [("n", int), ("m", int)])):

@@ -53,12 +53,14 @@ from .cover import (
     _loop_polynomial,
     build_three_interval_rule,
 )
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError
 from .params import (
+    MAX_SPECTRAL_DEGREE,
     Commensurable,
     Incommensurable,
     RatioClass,
     check_exponent_pair,
+    check_spectral_degree,
     f_alpha_poly,
     solve_alpha,
 )
@@ -98,12 +100,6 @@ _MODULUS_SLACK = 1e-9
 _PERP_TOL = 1e-9
 _EIGENVALUE_TOL = 1e-6
 _CYCLOTOMIC_ORDER_BOUND = 60
-
-#: Largest degree of a nonzero spectrum the Solomon test will root-find.
-#: One pure-Python Aberth sweep costs ~degree**2 and the sweep count grows
-#: with the degree: ``classify`` took 8-9 s at degree 450 and 11 s at 500
-#: (2-vCPU Xeon, CPython 3.11).  Larger spectra are refused up front.
-MAX_SPECTRAL_DEGREE = 450
 
 
 class SpreadClass(str, enum.Enum):
@@ -252,14 +248,6 @@ class SpectralReport:
     ell: int
     solomon: SpreadClass
     unresolved: bool = False
-
-
-def check_spectral_degree(degree: int) -> None:
-    """Refuse a nonzero spectrum of degree above ``MAX_SPECTRAL_DEGREE``."""
-    if degree > MAX_SPECTRAL_DEGREE:
-        raise ResourceLimitError(
-            f"a spectrum of degree {degree} is above the limit {MAX_SPECTRAL_DEGREE}"
-        )
 
 
 def solomon_verdict(loops: tuple[int, ...]) -> SpectralReport:

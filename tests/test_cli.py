@@ -520,6 +520,36 @@ def test_generate_past_the_cap_is_refused(alpha, t):
     assert "resource limit" in result.stderr
 
 
+# The exact hub count of 3/2 passes 4,300 digits from about ell 35,000,
+# and printing it in the refusal raised ValueError (exit 5); at 10**6
+# steps its quadratic count would take tens of seconds.  The lower bound
+# xi**(ell - c) refuses both before any count.
+@pytest.mark.parametrize("command", ["generate", "verify-cover"])
+@pytest.mark.parametrize("ell", ["60000", "1000000"])
+def test_long_hub_patch_refused_from_its_bound(capsys, monkeypatch, command, ell):
+    from kakutani import engine
+
+    def no_count(*args):
+        raise AssertionError("counted the tiles exactly")
+
+    monkeypatch.setattr(engine, "count_hub_tiles", no_count)
+    code, out, err = run_cli(capsys, command, "--ratio", "3/2", "--ell", ell)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("kakutani: resource limit: patch would contain at least 10**")
+    assert len(err) < 200
+
+
+def test_hub_counts_under_the_bound_stay_exact(capsys):
+    # one step past the cap: the bound leaves it open and the exact count
+    # refuses it, with the count in the message
+    code, _out, err = run_cli(
+        capsys, "generate", "--ratio", "2/1", "--ell", "5", "--max-tiles", "12"
+    )
+    assert code == 4
+    assert "patch would contain 13 tiles, above the cap 12" in err
+
+
 # Nothing escapes main as a traceback or a verdict code.  The commands
 # raise without allocating anything.
 @pytest.mark.parametrize(

@@ -294,6 +294,20 @@ class TestIteratePrimitive:
         for ell in range(top + 1):
             assert engine.count_hub_tiles(rule.loops, ell) == rule_count(rule, ell), ell
 
+    @pytest.mark.parametrize(
+        "loops",
+        list(coprime_pairs(12)) + list(THREE_LOOP_TRIPLES),
+    )
+    def test_hub_count_bound_refuses_only_counts_past_the_cap(self, loops):
+        # xi**(ell - c) <= H(ell): a cap of exactly H(ell) is never refused
+        # from the bound, and one below it always is, bound or count
+        rule = build_rule(loops)
+        for ell in range(0, 120, 7):
+            count = rule_count(rule, ell)
+            engine.check_hub_tile_cap(rule.loops, rule.xi, ell, count)
+            with pytest.raises(ResourceLimitError):
+                engine.check_hub_tile_cap(rule.loops, rule.xi, ell, count - 1)
+
     def test_cap_is_checked_on_the_hub_count(self):
         rule = build_three_interval_rule(5, 3, 2)
         count = rule_count(rule, 20)

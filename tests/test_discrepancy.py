@@ -38,6 +38,37 @@ from conftest import (
 GOLDEN_ALPHA = 0.38196601125010515  # solve_alpha(2, 1)
 
 
+class CountingMath:
+    """``math`` for the engine, counting the widths it works out: each
+    ``exp`` and ``expm1`` call."""
+
+    def __init__(self):
+        self.widths = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, x):
+        self.widths += 1
+        return math.exp(x)
+
+    def expm1(self, x):
+        self.widths += 1
+        return math.expm1(x)
+
+
+def row_boundaries(alpha, t, count):
+    """Left endpoints of the first ``count`` leaf children along row 0 of
+    a depth-t tree with t < |log alpha|, by the float sums of their
+    widths: the tile boundaries a leaf row's prefix count runs along."""
+    la, lb = math.log(alpha), math.log1p(-alpha)
+    left, out = 0.0, [0.0]
+    for b in range(count):
+        left += math.exp(t + la + b * lb)
+        out.append(left)
+    return out
+
+
 class TestDensity:
     def test_closed_form_at_half(self):
         # forcing the incommensurable branch at alpha = 1/2 gives the
@@ -131,22 +162,85 @@ class TestPrefixCount:
             for x in [tree.support] + [rng.uniform(0.0, tree.support) for _ in range(5)]:
                 full = tree.prefix_count(x)
                 assert full == prefix_count_per_node(alpha, t, x)
-                for stop in (0, full // 3, full - 1, rng.uniform(0.0, full), full, math.inf):
+                for stop in (-2.5, 0, full // 3, full - 1, rng.uniform(0.0, full), full, math.inf):
                     assert tree.prefix_count(x, stop) == prefix_count_per_node(alpha, t, x, stop)
 
     def test_stop_on_a_long_row_of_leaf_children(self, monkeypatch):
         # row 0 has 1e9 leaf children, 7e8 of them below x = 2: a step
         # each took 0.5 s to pass a million
-        widths = []
-        width = SubdivisionTree.width
-        monkeypatch.setattr(
-            SubdivisionTree, "width", lambda self, a, b: widths.append(b) or width(self, a, b)
-        )
+        counter = CountingMath()
+        monkeypatch.setattr(engine, "math", counter)
         tree = SubdivisionTree(1e-9, 1.0)
         assert tree.prefix_count(2.0, stop=10**6) == 10**6 + 1
         assert tree.prefix_count(2.0, stop=10**8) == 10**8 + 1
         assert tree.prefix_count(1e-6, stop=10**8) == prefix_count_per_node(1e-9, 1.0, 1e-6)
-        assert len(widths) < 1000
+        assert counter.widths < 1000
+
+    def test_a_leaf_row_in_closed_form(self, monkeypatch):
+        # 7,384,789 leaf children of row 0 lie below 0.02, and the count
+        # of the single row works out O(1) widths, not one a step
+        tree = SubdivisionTree(1e-9, 1.0)
+        assert len(tree.row_ends()) == 1
+        counter = CountingMath()
+        monkeypatch.setattr(engine, "math", counter)
+        assert tree.prefix_count(0.02) == 7384790
+        assert tree.prefix_count(0.02, stop=10**8) == 7384790
+        assert counter.widths < 200
+        monkeypatch.undo()
+        # the same count by the float sums, one step at a time, on a
+        # stretch short enough to step through: on tile boundaries and a
+        # few ulps to either side, where the float sums have drifted from
+        # the real ones by more than their last bits
+        sums = row_boundaries(1e-9, 1.0, 80000)
+        rng = random.Random("leaf row")
+        for j in [2, 9, 10, 11, 400] + rng.sample(range(20, 80000), 12):
+            for ulps in (0, 1, -1, 3, -3, 16, -16):
+                x = sums[j] + ulps * math.ulp(sums[j])
+                assert tree.prefix_count(x) == sum(1 for s in sums if s <= x), (j, ulps)
+
+    @pytest.mark.parametrize("exponent", [3, 4, 5, 6, 7])
+    def test_leaf_rows_on_their_boundaries(self, exponent):
+        # The count along a row of leaf children comes from a logarithm
+        # and a band around the float sums; on a tile boundary, and one
+        # ulp to either side of it, x sits inside the band, where the
+        # float sums decide.  Every other t lies on the lattice of the
+        # leaf test, within 2e-12 of it.
+        rng = random.Random(f"leaf rows {exponent}")
+        for k in range(6):
+            alpha = 10.0 ** -rng.uniform(exponent - 0.5, exponent + 0.5)
+            la, lb = math.log(alpha), math.log1p(-alpha)
+            t = rng.uniform(0.0, -la)
+            if k % 2:
+                t = max(0.0, int(t / -lb) * -lb + rng.choice([0.0, 1e-12, -1e-12, 2e-12]))
+            tree = SubdivisionTree(alpha, t)
+            steps = min(tree.row_ends()[0] + 1, 3000) if tree.row_ends() else 0
+            sums = row_boundaries(alpha, t, steps)
+            for j in sorted(rng.sample(range(len(sums)), min(4, len(sums)))) + [len(sums) - 1]:
+                for x in (sums[j], math.nextafter(sums[j], 0.0), math.nextafter(sums[j], math.inf)):
+                    if 0.0 <= x <= tree.support:
+                        want = prefix_count_per_node(alpha, t, x)
+                        assert tree.prefix_count(x) == want, (alpha, t, x)
+                        assert tree.prefix_count(x, want // 2) == prefix_count_per_node(
+                            alpha, t, x, want // 2
+                        )
+
+    def test_runs_over_internal_children(self):
+        # Rows whose left children are internal for thousands of columns:
+        # the hockey-stick sums of a run's leaves against the per-node
+        # memo, through the per-step descent.
+        rng = random.Random("internal runs")
+        for _ in range(12):
+            alpha = 10.0 ** -rng.uniform(2.5, 4.0)
+            la, lb = math.log(alpha), math.log1p(-alpha)
+            t = -la * rng.uniform(1.05, 2.5)
+            tree = SubdivisionTree(alpha, t)
+            if tree.internal_pairs() > 30000:
+                continue
+            for x in [tree.support] + [rng.uniform(0.0, tree.support) for _ in range(4)]:
+                want = prefix_count_per_node(alpha, t, x)
+                assert tree.prefix_count(x) == want
+                for stop in (want // 7, want - 2, rng.uniform(0.0, want)):
+                    assert tree.prefix_count(x, stop) == prefix_count_per_node(alpha, t, x, stop)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -207,14 +301,14 @@ class TestScan:
         # 1e-6 and t = 12, of which a scan to 16 reaches about a hundred.
         # The table holds a few ids per leaf the walk reaches, not the row.
         sizes = []
-        walk_table = SubdivisionTree.walk_table
+        walk_shape = SubdivisionTree.walk_shape
 
         def recorded(self, *args):
-            row, pairs, leaf = walk_table(self, *args)
-            sizes.append(len(leaf))
-            return row, pairs, leaf
+            rows, row = walk_shape(self, *args)
+            sizes.append(rows * row)
+            return rows, row
 
-        monkeypatch.setattr(SubdivisionTree, "walk_table", recorded)
+        monkeypatch.setattr(SubdivisionTree, "walk_shape", recorded)
         cases = [
             (1e-6, 12.0, 16.0),
             (1e-4, 11.98, 16.0),  # row 1 reached to its last node
@@ -234,11 +328,27 @@ class TestScan:
             walked = sum(1 for _ in leaves_upto_per_node(alpha, t, windows[-1]))
             assert sizes[-1] <= 5 * walked + 16
 
+    def test_long_leaf_row_refused_in_closed_form(self, monkeypatch):
+        # The table of a scan to 0.2 would hold 3 rows of 7.4e7 ids: it is
+        # refused from the row's closed form, before any count, any table
+        # or any walk along the row; today's bound refused it after 25 s.
+        counter = CountingMath()
+        monkeypatch.setattr(engine, "math", counter)
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked before the table was refused")
+
+        monkeypatch.setattr(SubdivisionTree, "walk_table", no_walk)
+        monkeypatch.setattr(SubdivisionTree, "prefix_count", no_walk)
+        with pytest.raises(ResourceLimitError, match="walk table of 3 x"):
+            discrepancy_scan(1e-9, 1.0, [0.2], mode="direct")
+        assert counter.widths < 200
+
     def test_walk_table_refused_before_it_is_built(self, monkeypatch):
         tree = SubdivisionTree(0.3, 10.0)
-        row, pairs, leaf = tree.walk_table()
-        assert len(leaf) == len(pairs)
-        monkeypatch.setattr(engine, "DEFAULT_TILE_CAP", len(leaf) - 1)
+        row, kind = tree.walk_table()
+        assert len(kind) % row == 0
+        monkeypatch.setattr(engine, "DEFAULT_TILE_CAP", len(kind) - 1)
         with pytest.raises(ResourceLimitError):
             tree.walk_table()
         # the sums along row top stop at the cap too: this row has 1e9 nodes

@@ -63,12 +63,16 @@ def benchmark_commands():
 def unused(args):
     """Modules a command has no use for."""
     name = args[0]
+    if name == "three-interval" and "dot" in args:
+        # the graph of the rule and the degree limit, which params holds
+        return SPECTRAL | SCANS | {"fractions"}
     if name in ("classify", "survey", "spectrum", "three-interval"):
         return SCANS
     if name == "discrepancy":
         if "--ratio" in args:
-            # the Perron density: numpy, the matrix and the degree limit
-            return set()
+            # the Perron density: numpy and the matrix; the degree limit
+            # comes from params, with no root finder
+            return SPECTRAL | {"fractions"}
         return SPECTRAL | {"numpy", "kakutani.cover", "fractions", "inspect"}
     if name == "solve-alpha":
         return SPECTRAL | SCANS | {"kakutani.cover", "kakutani.engine", "fractions"}
@@ -88,7 +92,11 @@ def test_package_import_loads_only_version_and_errors(bare):
 
 @pytest.mark.parametrize(
     "args",
-    benchmark_commands() + [("solve-alpha", "--ratio", "3/2")],
+    benchmark_commands()
+    + [
+        ("solve-alpha", "--ratio", "3/2"),
+        ("three-interval", "--loops", "5,3,1", "--format", "dot"),
+    ],
     ids=" ".join,
 )
 def test_command_loads_only_what_it_runs(bare, args):
@@ -105,7 +113,7 @@ def test_commands_load_what_they_run(bare):
     _, modules = python(
         "-c", COMMAND, "discrepancy", "--ratio", "3/2", "--ell", "40", "--fit"
     )
-    assert {"numpy", "kakutani.cover", "kakutani.spectral"} <= set(modules)
+    assert {"numpy", "kakutani.cover"} <= set(modules)
 
 
 def test_every_public_name_resolves():
