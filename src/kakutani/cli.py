@@ -243,6 +243,8 @@ def _cmd_solve_alpha(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     from .exports import json_envelope, patch_to_csv, patch_to_svg, points_to_csv
 
+    if args.points and args.format != "csv":
+        raise ParameterError("--points supports only csv output")  # before any patch
     max_tiles = _resolve_max_tiles(args.max_tiles)
     if args.ratio is not None:
         if args.ell is None:
@@ -253,8 +255,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
             patch = generate_patch_commensurable(n, m, args.ell, max_tiles=max_tiles)
         else:
-            # same patch as the plain recursion (the cover check proves
-            # it), but with prototile labels attached
+            # the plain recursion's patch, by the same walk, with
+            # prototile labels attached
             from .cover import build_rho, iterate_primitive
 
             patch = iterate_primitive(build_rho(n, m), args.ell, max_tiles=max_tiles)
@@ -278,8 +280,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         "format": args.format,
     }
     if args.points:
-        if args.format != "csv":
-            raise ParameterError("--points supports only csv output")
         from .engine import delone_points
 
         _emit(points_to_csv(delone_points(patch), config), args.out)
@@ -509,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--alpha", type=float)
     p.add_argument("--t", type=float, help="flow time (with --alpha)")
     p.add_argument("--ell", type=int, help="substitution steps (with --ratio)")
-    p.add_argument("--grid", choices=("dyadic",), default="dyadic")
     p.add_argument("--low", type=int, default=4, help="smallest dyadic exponent")
     p.add_argument("--high", type=int, help="largest dyadic exponent (default: fit t)")
     p.add_argument("--windows", help="explicit comma-separated window list")

@@ -14,12 +14,15 @@ with inflation constant xi = e**g = alpha**(-1/n):
   first, so for two loops the alpha-piece sits on the left;
 * every chain prototile maps to the single next prototile on its loop.
 
-``iterate_primitive`` grows patches of this rule with exact positions
-(integer sums of powers of xi) and ``verify_cover`` checks, exactly,
-that after any number of steps the fixed-scale patch and the multiscale
-patch are the same subdivision of the line.  In both a position is the
-sum of the lengths to its left, so the check compares the two words of
-length exponents.
+A chain prototile only passes through, so a patch of the rule is the
+flower's hub recursion, "k steps to go -> k - c_i, one piece per loop".
+``iterate_primitive`` grows patches with exact positions (integer sums
+of powers of xi) by ``engine.hub_patch``, the one walk of it, which
+reads the loops alone.  ``verify_cover`` checks, exactly, that after
+any number of steps the fixed-scale patch and the multiscale patch are
+the same subdivision of the line.  In both a position is the sum of the
+lengths to its left, so the check compares two words of length
+exponents, the rule's read off its label map.
 
 The same machinery with three loops produces the three-interval rules
 used by ``classify_three_interval``: ``LoopRule`` is one rule type for
@@ -41,7 +44,7 @@ from typing import NamedTuple
 
 from . import engine
 from .errors import ParameterError
-from .geometry import Patch, XiPower, XiSum, left_sum, unit_sums
+from .geometry import Patch, XiSum
 from .params import _loop_alpha, check_exponent_pair
 from .polynomials import IntPolynomial
 
@@ -259,71 +262,17 @@ def iterate_primitive(
 ) -> Patch:
     """The labelled patch after ell inflate-and-subdivide steps on the hub.
 
-    Tiles are exact translates of prototiles.  The offset of a child made
-    while ``left`` steps are still to go grows to offset * xi**left by
-    the end, so a tile's position is the sum of those scaled offsets
-    along its path in the label tree, built in one depth-first pass.
+    Tiles are exact translates of prototiles.  A chain prototile only
+    passes through to the next one on its loop, so the patch is the hub
+    split "k steps to go -> k - c_i, one piece per loop" that
+    ``engine.hub_patch`` walks from the loops alone, with each leaf's
+    label attached.
     """
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
     engine.check_hub_tile_cap(rule.loops, rule.xi, ell, max_tiles)
-    xi = rule.xi
-    children = [tuple(reversed(image)) for image in rule.image_map]
-    # a label whose image is one child at offset zero just passes through
-    through = [image[0][0] if len(image) == 1 and not image[0][1].terms else 0 for image in children]
-    # What a label does depends on the steps still to go alone: it
-    # pushes each child but the leftmost, right to left, and goes on into
-    # the leftmost, each with its offset terms scaled by xi**left.
-    def moves(image, left):
-        scaled = [(child, left - 1, tuple((p + left, c) for p, c in at.terms)) for child, at in image]
-        return tuple(scaled[:-1]), scaled[-1]
-
-    plans = [
-        None if through[label] else [moves(image, left) for left in range(ell + 1)]
-        for label, image in enumerate(children)
-    ]
-    low = min(p for image in children for _, offset in image for p, _ in offset.terms)
-    power = {p: xi**p for p in range(low + 1, ell + 1)}
-    labels: list[int] = []
-    found: list[tuple] = []
-    stack: list[tuple[int, int, tuple]] = [(1, ell, ())]
-    pop, push = stack.pop, stack.append
-    while stack:
-        label, left, terms = pop()
-        while left:
-            if through[label - 1]:
-                label, left = through[label - 1], left - 1
-                continue
-            rights, (label, left, shifted) = plans[label - 1][left]
-            for child, rest, offset in rights:
-                push((child, rest, offset + terms))
-            terms = shifted + terms
-        labels.append(label)
-        found.append(terms)
-    # With two loops only the second hub child has an offset, one power of
-    # coefficient one that strictly decreases along a path: prepending
-    # keeps the terms sorted.  Three loops can repeat a power, so those
-    # are merged.
-    two_loops = len(children[0]) == 2
-    exact_terms = found if two_loops else [XiSum(terms).terms for terms in found]
-
-    def exact() -> tuple[list[XiSum], list[XiPower]]:
-        lengths = [XiPower(e) for e in rule.length_exponents]
-        return (
-            [XiSum._from_sorted(terms) for terms in exact_terms],
-            [lengths[label - 1] for label in labels],
-        )
-
-    return Patch(
-        unit_sums(found, power)
-        if two_loops
-        else [left_sum([c * power[p] for p, c in terms]) for terms in exact_terms],
-        [rule.prototile_lengths[label - 1] for label in labels],
-        (0.0, xi**ell),
-        exact,
-        labels=labels,
-        info={"ell": ell, "xi": xi, "rule_size": rule.size},
-    )
+    info = {"ell": ell, "xi": rule.xi, "rule_size": rule.size}
+    return engine.hub_patch(rule.loops, rule.xi, ell, info, labelled=True)
 
 
 class CoverReport(NamedTuple):

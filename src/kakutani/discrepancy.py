@@ -30,6 +30,7 @@ cost independent of the number of points.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from .engine import DEFAULT_TILE_CAP, SubdivisionTree
@@ -61,13 +62,15 @@ class DensityValue(NamedTuple):
     method: str  # "closed_form" or "perron"
 
 
+@cache
 def _perron_density(n: int, m: int) -> float:
     """Density from the Perron data of the covering substitution.
 
     With u, v the right and left Perron eigenvectors, tile frequencies
     are proportional to u and the patch grown from the hub carries
     weight v[0], so points per unit length converge to
-    sum(u) * v[0] / <v, u>.
+    sum(u) * v[0] / <v, u>.  Kept per ratio: a scan asks for it each
+    time, and each answer costs two dense eigensolves.
     """
     import numpy as np  # imported on first use: a package import loads no numpy
 

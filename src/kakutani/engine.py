@@ -19,7 +19,10 @@ Lengths of exactly one are detected in log scale with a fixed slack, so
 that e.g. alpha = 1/2 at t = log 2 yields two unit tiles and not four
 halves.  In the commensurable case there is an exact integer-mode
 twin, ``generate_patch_commensurable``, where the decision "length
-greater than one" is an integer comparison.
+greater than one" is an integer comparison.  It is the hub recursion of
+a flower, "k steps to go -> k - c_i, one piece per loop", which
+``count_hub_tiles`` counts and ``hub_patch`` walks; the fixed-scale
+patches of ``cover.iterate_primitive`` are the same walk with labels.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from .geometry import (
     PositionVector,
     XiPower,
     XiSum,
-    unit_sums,
+    term_sums,
 )
 from .params import check_alpha, check_exponent_pair, solve_alpha
 
@@ -428,6 +431,69 @@ def check_hub_tile_cap(loops: tuple[int, ...], xi: float, ell: int, max_tiles: i
     check_tile_cap(count_hub_tiles(loops, ell), max_tiles)
 
 
+def hub_patch(
+    loops: tuple[int, ...], xi: float, ell: int, info: dict[str, object], labelled: bool
+) -> Patch:
+    """The patch grown ell steps from the hub of a flower with these
+    loops, longest first, and inflation xi, anchored at zero.
+
+    A hub with k steps to go splits into one piece per loop, each
+    starting where the one before ends.  Piece i has length
+    xi**(k - c_i) and is a hub again while k - c_i > 0, else a leaf;
+    with ``labelled`` a leaf carries its ``cover.LoopRule`` label, the
+    hub label 1 when k = c_i, else the chain tile k steps along loop i.
+    Slot k * p + i, p the number of loops, is piece i of a hub with k
+    steps to go, and the walk reads what a slot does from tables.  The
+    loops are longest first, so a hub's leaf pieces come first and the
+    steps along them push nothing.
+    """
+    p = len(loops)
+    power = {e: xi**e for e in range(1 - loops[0], ell + 1)}
+    slots = [(k, i, k - c) for k in range(ell + loops[-1] + 1) for i, c in enumerate(loops)]
+    # 0 a leaf, 1 the last piece and a leaf, 2 a hub, 3 the last piece and a hub
+    kind = [2 * (e > 0) + (i == p - 1) for _, i, e in slots]
+    down = [e * p for _, _, e in slots]
+    step = [((e, 1),) for _, _, e in slots]
+    ids: list[int] = []
+    paths: list[tuple] = []
+    found, note = ids.append, paths.append
+    stack = [(-1, ())]  # popping the sentinel ends the walk
+    pop, push = stack.pop, stack.append
+    s, path = len(slots) - 1, ()  # the root is the last piece of the hub c_p steps up
+    while s >= 0:
+        c = kind[s]
+        if c == 0:
+            found(s)
+            note(path)
+            path, s = step[s] + path, s + 1
+        elif c == 2:
+            push((s + 1, step[s] + path))
+            s = down[s]
+        elif c == 3:
+            s = down[s]
+        else:
+            found(s)
+            note(path)
+            s, path = pop()
+    # A right step prepends its power.  With two loops the powers fall
+    # along a path, so the terms come out sorted; more loops can repeat
+    # or interleave powers, and those are merged.
+    if p > 2:
+        paths = [XiSum(terms).terms for terms in paths]
+    size = [power.get(e) for _, _, e in slots]
+
+    def exact() -> tuple[list[XiSum], list[XiPower]]:
+        lengths = [XiPower(-e) for _, _, e in slots]
+        return [XiSum._from_sorted(terms) for terms in paths], [lengths[s] for s in ids]
+
+    labels = None
+    if labelled:  # loop i's chain labels come after the hub's and those of loops before it
+        label = [1 if e == 0 else k + 1 - i + sum(loops[:i]) for k, i, e in slots]
+        labels = [label[s] for s in ids]
+    return Patch(term_sums(paths, power), [size[s] for s in ids], (0.0, xi**ell), exact,
+                 labels=labels, info=info)
+
+
 def _leaf_walk(row: int, kind: list[int], step: list, start) -> tuple[list[int], list]:
     """Ids of the leaves of a walk table's tree, left to right, and the
     sums ``... + step[k] + start`` over the right steps of their paths:
@@ -509,41 +575,18 @@ def generate_patch_commensurable(
     """Exact integer-mode patch at time ell * g, anchored at zero.
 
     Tile lengths are xi**e for integers e; substitution applies exactly
-    when e > 0.  Positions are exact sums of powers of xi, so the result
-    can be compared tile-for-tile against a fixed-scale construction
-    without tolerances.
+    when e > 0.  A tile xi**e splits into xi**(e - n) and xi**(e - m),
+    which is the hub of the flower with loops (n, m) splitting with e
+    steps to go, so ``hub_patch`` builds the patch.  Positions are exact
+    sums of powers of xi, so the result can be compared tile-for-tile
+    against a fixed-scale construction without tolerances.
     """
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
     alpha = solve_alpha(n, m)
     xi = alpha ** (-1.0 / n)
     check_hub_tile_cap((n, m), xi, ell, max_tiles)
-    # xi**p for every power a split or a leaf can reach: 1 - n <= p <= ell
-    power = {p: xi**p for p in range(1 - n, ell + 1)}
-    # generate_patch's walk over the pairs (a, b) of exponent ell - a*n - b*m.
-    # A right step at exponent e adds xi**(e - n); these powers strictly
-    # decrease along a path, last step first, so the terms come out sorted.
-    row = ell // m + 2
-    exponent = [ell - a * n - b * m for a in range(ell // n + 2) for b in range(row)]
-    step = [((e - n, 1),) for e in exponent]
-    kind = [0 if e <= 0 else 1 if e <= n else 2 for e in exponent]
-    ids, found = _leaf_walk(row, kind, step, ())
-    exps = [exponent[k] for k in ids]
-
-    def exact() -> tuple[list[XiSum], list[XiPower]]:
-        exponents = {e: XiPower(-e) for e in range(1 - n, 1)}
-        return (
-            [XiSum._from_sorted(terms) for terms in found],
-            [exponents[e] for e in exps],
-        )
-
-    return Patch(
-        unit_sums(found, power),
-        [power[e] for e in exps],
-        (0.0, xi**ell),
-        exact,
-        info={"n": n, "m": m, "ell": ell, "alpha": alpha, "xi": xi},
-    )
+    return hub_patch((n, m), xi, ell, {"n": n, "m": m, "ell": ell, "alpha": alpha, "xi": xi}, False)
 
 
 def delone_points(patch: Patch) -> PointSet:

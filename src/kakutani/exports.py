@@ -125,18 +125,13 @@ def _svg_comment(config: Mapping[str, Any]) -> str:
     return f"<!-- kakutani {__version__} config {echo} -->"
 
 
-def patch_to_svg(
-    patch: Patch,
-    config: Mapping[str, Any],
-    width: int = 900,
-    bar_height: int = 40,
-) -> str:
+def patch_to_svg(patch: Patch, config: Mapping[str, Any]) -> str:
     """One rectangle per tile, uniform height, x axis to scale."""
     lo, hi = patch.support
     span = hi - lo
     if span <= 0:
         raise ParameterError("patch support must have positive length")
-    margin = 10
+    width, bar_height, margin = 900, 40, 10
     scale = (width - 2 * margin) / span
     height = bar_height + 2 * margin
     parts = [
@@ -155,14 +150,9 @@ def patch_to_svg(
     return "\n".join(parts) + "\n"
 
 
-def series_to_svg(
-    series: DiscrepancySeries,
-    config: Mapping[str, Any],
-    width: int = 640,
-    height: int = 420,
-) -> str:
+def series_to_svg(series: DiscrepancySeries, config: Mapping[str, Any]) -> str:
     """Log-log polyline of max deviation against window size."""
-    margin = 40
+    width, height, margin = 640, 420, 40
     xs = [math.log(w) for w in series.windows]
     ys = [math.log(max(d, 1e-12)) for d in series.max_disc]
     x0, x1 = min(xs), max(xs)

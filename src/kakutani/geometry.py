@@ -64,13 +64,14 @@ def left_sum(values: Iterable[float]) -> float:
     return reduce(add, values, 0)
 
 
-def unit_sums(paths: Iterable[tuple], power: Mapping[int, float]) -> list[float]:
-    """``left_sum([power[p] for p, _ in terms])`` for each path, with no list."""
+def term_sums(paths: Iterable[tuple], power: Mapping[int, float]) -> list[float]:
+    """``left_sum([c * power[p] for p, c in terms])`` for each path, with
+    no list and no multiply by a coefficient of one."""
     sums = []
     for terms in paths:
         total = 0
-        for p, _ in terms:
-            total = total + power[p]
+        for p, c in terms:
+            total = total + (power[p] if c == 1 else c * power[p])
         sums.append(total)
     return sums
 

@@ -171,18 +171,21 @@ def _convergents(x: float, max_q: int):
         yield p1, q1
 
 
-def detect_commensurability(
-    alpha: float, max_denominator: int, tolerance: float = 1e-12
-) -> RatioClass:
+#: Log-scale defect below which a convergent n/m is accepted.
+_COMMENSURABLE_TOLERANCE = 1e-12
+
+
+def detect_commensurability(alpha: float, max_denominator: int) -> RatioClass:
     """Classify the ratio r of ``alpha`` as rational or not, heuristically.
 
     Scans continued-fraction convergents n/m of r with m bounded by
     ``max_denominator`` and accepts the first one whose defect
-    ``|m*log(alpha) - n*log(1 - alpha)|`` is below ``tolerance``.  The
-    defect is measured in log scale: for large exponents both
-    ``alpha**m`` and ``(1-alpha)**n`` underflow toward zero and their
-    absolute difference would pass any fixed cutoff vacuously, while the
-    log-scale defect stays honest at every denominator.
+    ``|m*log(alpha) - n*log(1 - alpha)|`` is below
+    ``_COMMENSURABLE_TOLERANCE``.  The defect is measured in log scale:
+    for large exponents both ``alpha**m`` and ``(1-alpha)**n`` underflow
+    toward zero and their absolute difference would pass any fixed
+    cutoff vacuously, while the log-scale defect stays honest at every
+    denominator.
 
     This is a bounded heuristic: a truly irrational ratio is reported
     Incommensurable only relative to the denominator bound.
@@ -196,6 +199,6 @@ def detect_commensurability(
     for n, m in _convergents(r, max_denominator):
         if n < m or n < 1:
             continue
-        if abs(m * la - n * lb) < tolerance:
+        if abs(m * la - n * lb) < _COMMENSURABLE_TOLERANCE:
             return Commensurable(n, m)
     return Incommensurable(r)

@@ -44,7 +44,7 @@ def _sort_key(z: complex):
     return (-abs(z), round(z.real, 12), round(z.imag, 12))
 
 
-def find_roots(poly: IntPolynomial, max_iter: int = _ABERTH_MAX_ITER) -> tuple[complex, ...]:
+def find_roots(poly: IntPolynomial) -> tuple[complex, ...]:
     """All complex roots of an integer polynomial, multiplicity included.
 
     Roots are returned sorted by decreasing modulus (ties by real part,
@@ -52,12 +52,10 @@ def find_roots(poly: IntPolynomial, max_iter: int = _ABERTH_MAX_ITER) -> tuple[c
     Raises NumericError if the iteration fails to meet the residual
     bound ``1e-12 * (1 + |z|)**degree``.
     """
-    return _roots_and_residuals(poly, max_iter)[0]
+    return _roots_and_residuals(poly)[0]
 
 
-def _roots_and_residuals(
-    poly: IntPolynomial, max_iter: int = _ABERTH_MAX_ITER
-) -> tuple[tuple[complex, ...], tuple[float, ...]]:
+def _roots_and_residuals(poly: IntPolynomial) -> tuple[tuple[complex, ...], tuple[float, ...]]:
     """``find_roots`` together with the residual ``root_residual(poly, z)``
     of each root, which the bound check has already computed."""
     if poly.is_zero:
@@ -66,7 +64,7 @@ def _roots_and_residuals(
     degree = reduced.degree
     roots: list[complex] = [0j] * zero_mult
     if degree >= 1:
-        roots.extend(_aberth(reduced, max_iter))
+        roots.extend(_aberth(reduced))
     roots.sort(key=_sort_key)
     full_degree = poly.degree
     coeffs = [float(c) for c in reversed(poly.coeffs)]
@@ -102,7 +100,7 @@ def _horner_pair(steps: list[tuple[float, float]], last: float, z: complex):
     return p * z + last, dp
 
 
-def _aberth(poly: IntPolynomial, max_iter: int) -> list[complex]:
+def _aberth(poly: IntPolynomial) -> list[complex]:
     degree = poly.degree
     coeffs = [float(c) for c in reversed(poly.coeffs)]  # descending
     dcoeffs = [float(c) for c in reversed(poly.derivative().coeffs)]
@@ -116,7 +114,7 @@ def _aberth(poly: IntPolynomial, max_iter: int) -> list[complex]:
         for k in range(degree)
     ]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_ABERTH_MAX_ITER):
         biggest = 0.0
         for i in range(degree):
             zi = z[i]
@@ -144,7 +142,7 @@ def _aberth(poly: IntPolynomial, max_iter: int) -> list[complex]:
             break
     if not converged:
         raise NumericError(
-            f"Aberth iteration did not converge in {max_iter} steps "
+            f"Aberth iteration did not converge in {_ABERTH_MAX_ITER} steps "
             f"for {poly!r} (last relative step {biggest:.3e})"
         )
     # independent Newton polish per root

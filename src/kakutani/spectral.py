@@ -132,22 +132,20 @@ def _is_two_split_trinomial(poly: IntPolynomial) -> bool:
     return middles == [-1]
 
 
-def unit_circle_factors(
-    poly: IntPolynomial, order_bound: int = _CYCLOTOMIC_ORDER_BOUND
-) -> tuple[IntPolynomial, ...]:
+def unit_circle_factors(poly: IntPolynomial) -> tuple[IntPolynomial, ...]:
     """Cyclotomic polynomials that divide ``poly`` exactly.
 
     For the two-split trinomials x^n - x^k - 1 a unit-circle root can
     only be a primitive sixth root of unity, so only x^2 - x + 1 needs
     testing.  Other shapes get the full sweep of cyclotomic orders up to
-    ``order_bound``.
+    ``_CYCLOTOMIC_ORDER_BOUND``.
     """
     if poly.is_zero:
         raise ParameterError("the zero polynomial is not a valid spectrum")
     if _is_two_split_trinomial(poly):
         orders: tuple[int, ...] = (6,)
     else:
-        orders = tuple(range(1, order_bound + 1))
+        orders = tuple(range(1, _CYCLOTOMIC_ORDER_BOUND + 1))
     # cyclotomic(k) divides x^k - 1, so it divides poly exactly when it
     # divides poly mod x^k - 1: the terms folded onto degrees below k
     terms = [(power, c) for power, c in enumerate(poly.coeffs) if c]
@@ -164,11 +162,9 @@ def unit_circle_factors(
     return tuple(found)
 
 
-def has_unit_circle_factor(
-    poly: IntPolynomial, order_bound: int = _CYCLOTOMIC_ORDER_BOUND
-) -> bool:
+def has_unit_circle_factor(poly: IntPolynomial) -> bool:
     """Exact test for roots on the unit circle of cyclotomic origin."""
-    return bool(unit_circle_factors(poly, order_bound))
+    return bool(unit_circle_factors(poly))
 
 
 def is_pv_trinomial(n: int, m: int) -> bool:

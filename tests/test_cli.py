@@ -196,6 +196,27 @@ class TestGenerate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("fmt", ["json", "svg"])
+    @pytest.mark.parametrize(
+        "source", [["--ratio", "3/2", "--ell", "60"], ["--ratio", "1/1", "--ell", "60"],
+                   ["--alpha", "0.4", "--t", "40"]],
+        ids=["ratio", "lattice", "alpha"],
+    )
+    def test_points_refused_before_any_patch(self, capsys, monkeypatch, source, fmt):
+        # at --ell 60 the 3/2 patch would hold about 2.1e7 tiles
+        from kakutani import cover, engine
+
+        def no_patch(*args, **kwargs):
+            raise AssertionError("a patch was built")
+
+        for module, name in [(cover, "iterate_primitive"), (engine, "generate_patch_commensurable"),
+                             (engine, "generate_patch"), (engine, "hub_patch")]:
+            monkeypatch.setattr(module, name, no_patch)
+        code, out, err = run_cli(capsys, "generate", *source, "--points", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert "--points supports only csv output" in err
+
     def test_svg(self, capsys):
         code, out, _err = run_cli(
             capsys,

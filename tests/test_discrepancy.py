@@ -114,6 +114,19 @@ class TestDensity:
         with pytest.raises(ResourceLimitError, match="above the limit"):
             asymptotic_density(solve_alpha(ratio.n, ratio.m), ratio)
 
+    @pytest.mark.parametrize("n,m", [(3, 2), (7, 3), (11, 4)])
+    def test_perron_density_is_kept_per_ratio(self, monkeypatch, n, m):
+        # the same bits as a fresh eigensolve, and no second eigensolve
+        ratio = Commensurable(n, m)
+        fresh = discrepancy._perron_density.__wrapped__(n, m)
+        assert asymptotic_density(solve_alpha(n, m), ratio).value == fresh
+
+        def unsolved(matrix):
+            raise AssertionError("solved the eigenproblem again")
+
+        monkeypatch.setattr(np.linalg, "eig", unsolved)
+        assert asymptotic_density(solve_alpha(n, m), ratio).value == fresh
+
 
 class TestPrefixCount:
     def test_small_patch_by_hand(self):

@@ -225,9 +225,10 @@ class TestLeafWalks:
 
     @pytest.mark.parametrize(
         "rule",
-        [build_rho(2, 1), build_rho(3, 2), build_rho(7, 3), build_three_interval_rule(3, 2, 1),
-         build_three_interval_rule(2, 2, 1), build_three_interval_rule(5, 3, 3)],
-        ids=["2/1", "3/2", "7/3", "3,2,1", "2,2,1", "5,3,3"],
+        [build_rho(2, 1), build_rho(3, 2), build_rho(7, 3), build_rho(13, 5),
+         build_three_interval_rule(3, 2, 1), build_three_interval_rule(2, 2, 1),
+         build_three_interval_rule(5, 3, 3), build_three_interval_rule(7, 4, 1)],
+        ids=["2/1", "3/2", "7/3", "13/5", "3,2,1", "2,2,1", "5,3,3", "7,4,1"],
     )
     def test_fixed_scale_equals_the_per_node_walk(self, rule):
         for ell in (0, 1, 2, 5, 9, 14):
@@ -237,6 +238,23 @@ class TestLeafWalks:
             assert [tile.position.terms for tile in patch.tiles] == terms
             xi = rule.xi
             assert patch.positions() == tuple(ascending_fold(path, lambda p: xi**p) for path in terms)
+
+    @pytest.mark.parametrize("n,m", coprime_pairs(9))
+    def test_fixed_scale_equals_the_commensurable_patch(self, n, m):
+        # the labelled patch of the covering rule is the plain recursion's
+        # patch, float for float and term for term, labels aside
+        top = 0
+        while count_tiles_commensurable(n, m, top + 1) <= 10**4:
+            top += 1
+        for ell in sorted({0, 1, m, n, n + m, top // 2, top}):
+            fixed = iterate_primitive(build_rho(n, m), ell)
+            plain = generate_patch_commensurable(n, m, ell)
+            assert fixed.positions() == plain.positions()
+            assert fixed.lengths() == plain.lengths()
+            assert fixed.support == plain.support
+            assert [(t.position, t.length) for t in fixed.tiles] == [
+                (t.position, t.length) for t in plain.tiles
+            ]
 
 
 class TestColumns:
