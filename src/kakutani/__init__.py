@@ -29,7 +29,6 @@ _LAZY = {
     "generate_patch": "engine",
     "growth_fit": "discrepancy",
     "solve_alpha": "params",
-    "substitution_matrix": "cover",
 }
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "generate_patch",
     "growth_fit",
     "solve_alpha",
-    "substitution_matrix",
 ]
 
 

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from . import engine
 from .errors import ParameterError
-from .geometry import Patch, XiSum
+from .geometry import Patch
 from .params import _loop_alpha, check_exponent_pair
 from .polynomials import IntPolynomial
 
@@ -60,27 +60,53 @@ __all__ = [
     "verify_cover",
 ]
 
-ImageMap = tuple[tuple[tuple[int, XiSum], ...], ...]
-
 
 class LoopRule(NamedTuple):
     """Fixed-scale substitution of a flower with loops c_1 >= ... >= c_p.
 
     The prototile lengths are powers of xi, the root xi > 1 of
     sum(xi**-c_i) = 1; ``alpha`` is the length xi**-c_1 of the first
-    hub piece.  Only the loop counts are part of the combinatorics.
+    hub piece.  Everything else is read off the loops, in the label
+    numbering of ``engine.loop_labels``: the hub is label 1, and the
+    chain tile s steps along a loop of c edges has length xi**(s - c).
     """
 
     loops: tuple[int, ...]
     alpha: float
     xi: float
-    length_exponents: tuple[int, ...]
-    prototile_lengths: tuple[float, ...]
-    image_map: ImageMap
 
     @property
     def size(self) -> int:
-        return len(self.length_exponents)
+        return 1 + sum(self.loops) - len(self.loops)
+
+    @property
+    def length_exponents(self) -> tuple[int, ...]:
+        """Entry label - 1 is e for a prototile of length xi**-e."""
+        exponents = [0] * self.size
+        for c, along in zip(self.loops, engine.loop_labels(self.loops)):
+            for s in range(1, c):
+                exponents[along[s] - 1] = c - s
+        return tuple(exponents)
+
+    @property
+    def image_map(self) -> tuple[tuple[int, ...], ...]:
+        """Entry label - 1 lists the child labels of the label's image,
+        left to right.  The hub splits into one piece per loop, the tile
+        one step along it; a chain tile maps to the next tile on its
+        loop."""
+        paths = engine.loop_labels(self.loops)
+        images = [tuple(along[1] for along in paths)] * self.size  # chains set below
+        for along in paths:
+            for s in range(1, len(along) - 1):
+                images[along[s] - 1] = (along[s + 1],)
+        return tuple(images)
+
+    @property
+    def is_primitive(self) -> bool:
+        """Some power of the substitution matrix is positive.  The graph
+        is strongly connected through the hub and its cycles are the
+        loops, so its period is the gcd of the loop lengths."""
+        return math.gcd(*self.loops) == 1
 
     @property
     def polynomial(self) -> IntPolynomial:
@@ -111,65 +137,11 @@ class SubstitutionMatrix(
     def size(self) -> int:
         return len(self.entries)
 
-    def _matmul(self, other: "SubstitutionMatrix") -> "SubstitutionMatrix":
-        k = self.size
-        a, b = self.entries, other.entries
-        return SubstitutionMatrix(
-            tuple(
-                tuple(sum(a[i][l] * b[l][j] for l in range(k)) for j in range(k))
-                for i in range(k)
-            )
-        )
-
-    def is_primitive(self) -> bool:
-        """Some power has all entries positive; checked up to size**2."""
-        k = self.size
-        acc = self
-        for _ in range(k * k):
-            if all(c > 0 for row in acc.entries for c in row):
-                return True
-            acc = acc._matmul(self)
-        return False
-
 
 def _loop_rule(loops: tuple[int, ...]) -> LoopRule:
-    """The rule of the subdivided flower with the given loops, longest first.
-
-    Label 1 is the hub.  Loop i (zero-based, in the given order)
-    contributes loops[i] - 1 chain labels, consecutively.  Hub children
-    are emitted in loop order with exact cumulative offsets; chain
-    prototiles are pass-through.
-    """
+    """The rule of the subdivided flower with the given loops, longest first."""
     alpha = _loop_alpha(loops)
-    xi = alpha ** (-1.0 / loops[0])
-    size = 1 + sum(c - 1 for c in loops)
-    exponents = [0] * size
-    starts: list[int] = []
-    nxt = 2
-    for c in loops:
-        starts.append(nxt)
-        for s in range(1, c):
-            exponents[nxt + s - 2] = c - s
-        nxt += c - 1
-
-    hub_children = tuple(
-        (starts[i] if c >= 2 else 1, XiSum((-d, 1) for d in loops[:i]))
-        for i, c in enumerate(loops)
-    )
-    images: list[tuple[tuple[int, XiSum], ...]] = [hub_children]
-    for i, c in enumerate(loops):
-        for s in range(1, c):
-            label = starts[i] + s - 1
-            succ = label + 1 if s <= c - 2 else 1
-            images.append(((succ, XiSum.zero()),))
-    return LoopRule(
-        loops=loops,
-        alpha=alpha,
-        xi=xi,
-        length_exponents=tuple(exponents),
-        prototile_lengths=tuple(xi**-e for e in exponents),
-        image_map=tuple(images),
-    )
+    return LoopRule(loops, alpha, alpha ** (-1.0 / loops[0]))
 
 
 def build_rho(n: int, m: int) -> LoopRule:
@@ -196,7 +168,7 @@ def substitution_matrix(rule: LoopRule) -> SubstitutionMatrix:
     size = rule.size
     counts = [[0] * size for _ in range(size)]
     for j, children in enumerate(rule.image_map):
-        for child, _offset in children:
+        for child in children:
             counts[child - 1][j] += 1
     return SubstitutionMatrix(tuple(tuple(row) for row in counts))
 
@@ -297,13 +269,14 @@ def _rule_word(rule: LoopRule, ell: int) -> list[int]:
     and the words of its image labels after k - 1 steps, concatenated.
     A one-label image reuses its child's word.
     """
+    images = rule.image_map
     words = [[e] for e in rule.length_exponents]
     for _ in range(ell):
         words = [
-            words[image[0][0] - 1]
+            words[image[0] - 1]
             if len(image) == 1
-            else list(chain.from_iterable(words[child - 1] for child, _ in image))
-            for image in rule.image_map
+            else list(chain.from_iterable(words[child - 1] for child in image))
+            for image in images
         ]
     return words[0]
 

@@ -419,12 +419,12 @@ def _direct_scan(
                 f"a direct scan to {upto} walks more than "
                 f"{DEFAULT_TILE_CAP} leaves, the cap"
             )
-    # One entry per id of walk_table(top, upto), laid out a row at a time
-    # from the row ends as its node kinds are: the left child's width for
-    # an internal node whose left child is a leaf, its negative where the
-    # left child is internal, and 0.0 for a leaf.  The walk reads a row
-    # only below a negative entry, so the rows end after the first row
-    # with none.
+    # One entry per id (a - top) * row + b of node (a, b), laid out a row
+    # at a time from the row ends as walk_table's node kinds are: the
+    # left child's width for an internal node whose left child is a
+    # leaf, its negative where the left child is internal, and 0.0 for a
+    # leaf.  The walk reads a row only below a negative entry, so the
+    # rows end after the first row with none.
     ends = tree.row_ends()
     t, la, lb = tree.t, tree.la, tree.lb
     exp = math.exp

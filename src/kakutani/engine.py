@@ -27,6 +27,7 @@ patches of ``cover.iterate_primitive`` are the same walk with labels.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from .errors import ParameterError, ResourceLimitError
 from .geometry import (
@@ -319,14 +320,16 @@ class SubdivisionTree:
         return done + self._steps(base, b, left, x, most)[0]
 
     def walk_shape(self, top: int = 0, upto: float = math.inf) -> tuple[int, int]:
-        """Rows and ids per row of ``walk_table(top, upto)``.
+        """Rows and ids per row of a ``walk_table`` of the subtree at node
+        (top, 0), for a walk that pushes a right child only when it
+        starts at or before ``upto``, with (top + 1, 0) no longer.
 
-        The rows run past the deepest child a walk of the subtree at
-        (top, 0) reaches, with one spare row and column.  With ``upto``
-        finite, the rows below row top end at their leaves, and row top
-        where its right steps first pass ``upto``: the run length of
-        ``_run_length``.  A table of more than ``DEFAULT_TILE_CAP`` ids
-        is refused with ResourceLimitError, before any row is built.
+        The rows run past the deepest child the walk reaches, with one
+        spare row and column.  With ``upto`` finite, the rows below row
+        top end at their leaves, and row top where its right steps first
+        pass ``upto``: the run length of ``_run_length``.  A table of
+        more than ``DEFAULT_TILE_CAP`` ids is refused with
+        ResourceLimitError, before any row is built.
         """
         t, la, lb = self.t, self.la, self.lb
         depth = max(t + top * la, 0.0)  # a leaf at (top, 0) still gets its id 0
@@ -347,27 +350,23 @@ class SubdivisionTree:
             )
         return rows, row
 
-    def walk_table(self, top: int = 0, upto: float = math.inf) -> tuple[int, list[int]]:
-        """Node ids for a depth-first walk of the subtree at node (top, 0).
+    def walk_table(self) -> tuple[int, list[int]]:
+        """Node ids for a depth-first walk of the tree.
 
         Whether a node is a leaf, and how long its children are, depend
         on its exponent pair alone, so a walk looks them up by node id
         instead of working them out at every node.  Node (a, b) has id
-        (a - top) * row + b, its left child id + row and its right child
-        id + 1.  Returns row and the kind of each id, read off the row
-        ends a row at a time: 0 a leaf, 1 an internal node whose left
-        child is a leaf, 2 one whose left child is internal.  A caller
-        builds its other tables a row at a time, from the exponent pair
-        (top + id // row, id % row).
-
-        A walk that pushes a right child only when it starts at or before
-        ``upto``, with (top + 1, 0) no longer than ``upto``, gets a table
-        sized to the nodes it reaches (``walk_shape``).
+        a * row + b, its left child id + row and its right child id + 1.
+        Returns row and the kind of each id, read off the row ends a row
+        at a time: 0 a leaf, 1 an internal node whose left child is a
+        leaf, 2 one whose left child is internal.  A caller builds its
+        other tables a row at a time, from the exponent pair
+        (id // row, id % row).
         """
-        rows, row = self.walk_shape(top, upto)
+        rows, row = self.walk_shape()
         ends = self.row_ends()
         kind: list[int] = []
-        for a in range(top, top + rows):
+        for a in range(rows):
             internal = min(ends[a] + 1, row) if a < len(ends) else 0
             inner = min(ends[a + 1] + 1, row) if a + 1 < len(ends) else 0
             kind += [2] * inner + [1] * (internal - inner) + [0] * (row - internal)
@@ -431,6 +430,17 @@ def check_hub_tile_cap(loops: tuple[int, ...], xi: float, ell: int, max_tiles: i
     check_tile_cap(count_hub_tiles(loops, ell), max_tiles)
 
 
+def loop_labels(loops: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The labels of a flower's rule along each loop, from the hub back
+    to it: entry i, s is the tile s steps along loop i, for s = 0 .. c_i.
+
+    Label 1 is the hub, at both ends; loop i's c_i - 1 chain labels
+    follow the hub's and those of the loops before it.
+    """
+    last = accumulate((c - 1 for c in loops), initial=1)  # the label before loop i's
+    return [(1, *range(b + 1, b + c), 1) for b, c in zip(last, loops)]
+
+
 def hub_patch(
     loops: tuple[int, ...], xi: float, ell: int, info: dict[str, object], labelled: bool
 ) -> Patch:
@@ -440,8 +450,8 @@ def hub_patch(
     A hub with k steps to go splits into one piece per loop, each
     starting where the one before ends.  Piece i has length
     xi**(k - c_i) and is a hub again while k - c_i > 0, else a leaf;
-    with ``labelled`` a leaf carries its ``cover.LoopRule`` label, the
-    hub label 1 when k = c_i, else the chain tile k steps along loop i.
+    with ``labelled`` a leaf carries its label, that of the tile k steps
+    along loop i in ``loop_labels``.
     Slot k * p + i, p the number of loops, is piece i of a hub with k
     steps to go, and the walk reads what a slot does from tables.  The
     loops are longest first, so a hub's leaf pieces come first and the
@@ -487,8 +497,9 @@ def hub_patch(
         return [XiSum._from_sorted(terms) for terms in paths], [lengths[s] for s in ids]
 
     labels = None
-    if labelled:  # loop i's chain labels come after the hub's and those of loops before it
-        label = [1 if e == 0 else k + 1 - i + sum(loops[:i]) for k, i, e in slots]
+    if labelled:
+        along = loop_labels(loops)
+        label = [along[i][k] if e <= 0 else 0 for k, i, e in slots]
         labels = [label[s] for s in ids]
     return Patch(term_sums(paths, power), [size[s] for s in ids], (0.0, xi**ell), exact,
                  labels=labels, info=info)

@@ -195,7 +195,7 @@ def rule_to_dot(rule: LoopRule) -> str:
             f'  v{label} [shape={shape}, label="{label}\\nxi^{-exponent}"];'
         )
     for label, image in enumerate(rule.image_map, start=1):
-        for child, _ in image:
+        for child in image:
             lines.append(f"  v{label} -> v{child};")
     lines.append("}")
     return "\n".join(lines) + "\n"

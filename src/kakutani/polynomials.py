@@ -1,4 +1,5 @@
-"""Exact integer polynomial arithmetic.
+"""Exact integer polynomials: the relation polynomials of the rules and
+the cyclotomic factors the spectral verdicts divide out.
 
 Coefficients are arbitrary-precision integers, stored constant term
 first, so ``IntPolynomial((-1, -1, 0, 1))`` is x^3 - x - 1.  Everything
@@ -24,13 +25,15 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
 class IntPolynomial:
     """An immutable integer polynomial, constant coefficient first.
 
+    It holds what the verdicts use: the derivative for the root finder,
+    exact division, powers of x stripped, and equality and printing;
+    no ring arithmetic.
+
     >>> p = IntPolynomial.from_terms({3: 1, 1: -1, 0: -1})
     >>> p
     IntPolynomial('x^3 - x - 1')
     >>> p.degree
     3
-    >>> p.evaluate(2)
-    5
     """
 
     __slots__ = ("_coeffs",)
@@ -53,20 +56,6 @@ class IntPolynomial:
     @classmethod
     def zero(cls) -> "IntPolynomial":
         return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "IntPolynomial":
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "IntPolynomial":
-        if power < 0:
-            raise ParameterError("monomial power must be nonnegative")
-        return cls((0,) * power + (coeff,))
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, int]) -> "IntPolynomial":
@@ -95,50 +84,8 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def evaluate(self, z):
-        """Horner evaluation; works for int, float and complex arguments.
-
-        >>> IntPolynomial((-1, -1, 1)).evaluate(0)
-        -1
-        """
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k))
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        """
-        >>> x = IntPolynomial.x()
-        >>> (x*x - x + IntPolynomial.one()) * (x*x*x - x - IntPolynomial.one())
-        IntPolynomial('x^5 - x^4 - 1')
-        """
-        if self.is_zero or other.is_zero:
-            return IntPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(tuple(out))
 
     def __divmod__(self, divisor: "IntPolynomial"):
         """Polynomial division over the integers.

@@ -7,8 +7,9 @@ characteristic polynomials.  Agreement between package and oracle is
 then evidence, not circularity.
 
 The package keeps only what its command line, scripts and README use,
-so code that only tests call lives here too: Faddeev-LeVerrier, exact
-matrix powers and tile counts (per label, from the image map), and the
+so code that only tests call lives here too: Faddeev-LeVerrier,
+polynomial products and values, exact matrix products, powers and
+primitivity, tile counts (per label, from the image map), and the
 Chabauty-Fell distance on point sets.
 """
 import bisect
@@ -276,11 +277,14 @@ def xi_patch_per_node(n, m, ell):
     return exponents, terms
 
 
-def rule_patch_per_node(image_map, ell):
+def rule_patch_per_node(rule, ell):
     """Labels and exact position terms, as sorted (power, coefficient)
     pairs, of the leaves of a fixed-scale rule's label tree after ell
-    steps from the hub, by recursion: a child made with ``left`` steps
-    to go adds its offset times xi**left."""
+    steps from the hub, by recursion.  A child starts where its elder
+    siblings end, and a child made with ``left`` steps to go has length
+    xi**(left - 1 - e), e its label's length exponent, so each elder
+    sibling adds that power."""
+    images, exponents = rule.image_map, rule.length_exponents
     labels, terms = [], []
 
     def walk(label, left, path):
@@ -291,8 +295,10 @@ def rule_patch_per_node(image_map, ell):
             labels.append(label)
             terms.append(tuple(sorted(merged.items())))
             return
-        for child, offset in image_map[label - 1]:
-            walk(child, left - 1, path + [(p + left, c) for p, c in offset.terms])
+        offset = []
+        for child in images[label - 1]:
+            walk(child, left - 1, path + offset)
+            offset = offset + [(left - 1 - exponents[child - 1], 1)]
 
     walk(1, ell, [])
     return labels, terms
@@ -445,6 +451,47 @@ def char_poly_from_rows(rows):
     return IntPolynomial(tuple(reversed(coeffs)))
 
 
+def multiply(a, b):
+    """The product of two ``IntPolynomial`` values, by the schoolbook
+    convolution of their coefficients."""
+    if a.is_zero or b.is_zero:
+        return IntPolynomial.zero()
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPolynomial(out)
+
+
+def horner(poly, z):
+    """The value of an ``IntPolynomial`` at z, by Horner's rule."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def matmul(a, b):
+    """Exact product of two ``SubstitutionMatrix`` values."""
+    k = a.size
+    x, y = a.entries, b.entries
+    return SubstitutionMatrix(
+        tuple(tuple(sum(x[i][l] * y[l][j] for l in range(k)) for j in range(k)) for i in range(k))
+    )
+
+
+def is_primitive(matrix):
+    """Some power of the matrix has all entries positive; by Wielandt
+    a primitive K x K matrix has one by the power (K - 1)**2 + 1, and
+    powers up to K**2 are checked."""
+    acc = matrix
+    for _ in range(matrix.size**2):
+        if all(c > 0 for row in acc.entries for c in row):
+            return True
+        acc = matmul(acc, matrix)
+    return False
+
+
 def matrix_power(matrix, ell):
     """Exact power of a ``SubstitutionMatrix`` by repeated squaring."""
     if ell < 0:
@@ -456,8 +503,8 @@ def matrix_power(matrix, ell):
     base = matrix
     while ell:
         if ell & 1:
-            result = result._matmul(base)
-        base = base._matmul(base)
+            result = matmul(result, base)
+        base = matmul(base, base)
         ell >>= 1
     return result
 
@@ -470,9 +517,10 @@ def tile_counts(matrix, ell):
 def rule_count(rule, ell):
     """Number of leaves of the rule's label tree after ell steps, by
     per-label counts read off the image map: O(size * ell) additions."""
+    images = rule.image_map
     counts = [1] * rule.size
     for _ in range(ell):
-        counts = [sum(counts[c - 1] for c, _ in image) for image in rule.image_map]
+        counts = [sum(counts[c - 1] for c in image) for image in images]
     return counts[0]
 
 

@@ -24,12 +24,12 @@ from kakutani import (
     generate_patch,
     growth_fit,
     solve_alpha,
-    substitution_matrix,
 )
 from kakutani.cover import (
     build_three_interval_rule,
     char_poly,
     iterate_primitive,
+    substitution_matrix,
     verify_cover,
 )
 from kakutani.engine import count_tiles, delone_points

@@ -9,14 +9,15 @@ from kakutani import (
     ResourceLimitError,
     build_rho,
     solve_alpha,
-    substitution_matrix,
 )
 from kakutani import cover, engine
 from kakutani.cover import (
+    LoopRule,
     SubstitutionMatrix,
     build_three_interval_rule,
     char_poly,
     iterate_primitive,
+    substitution_matrix,
     verify_cover,
 )
 from kakutani.polynomials import IntPolynomial
@@ -29,6 +30,9 @@ from conftest import (
     char_poly_from_rows,
     coprime_pairs,
     expansion_char_poly,
+    horner,
+    is_primitive,
+    matmul,
     matrix_power,
     rule_count,
     tile_counts,
@@ -77,7 +81,7 @@ class TestSolveInflation:
         # alpha = xi**-n is below 1e-12 here, and the bisection needs
         # about n + 53 halvings to reach adjacent floats
         rule = build_three_interval_rule(*loops)
-        oracle = bisect_root(rule.polynomial.evaluate, 1.0, 4.0)
+        oracle = bisect_root(lambda x: horner(rule.polynomial, x), 1.0, 4.0)
         assert rule.xi == pytest.approx(oracle, rel=1e-12)
         assert rule.alpha == pytest.approx(rule.xi ** -loops[0], rel=1e-12)
 
@@ -101,25 +105,29 @@ class TestRuleStructure:
         # hub plus (3 - 1) + (2 - 1) chain prototiles
         assert rule.size == 4
         assert rule.length_exponents == (0, 2, 1, 1)
-        assert rule.prototile_lengths[0] == 1.0
-        for exponent, length in zip(rule.length_exponents, rule.prototile_lengths):
-            assert length == pytest.approx(rule.xi**-exponent, abs=1e-14)
+
+    def test_a_rule_is_its_loops(self):
+        # label 1 is the hub; loop i's chain labels follow those of the
+        # loops before it, each chain tile passing to the next on its loop
+        rule = build_three_interval_rule(7, 4, 1)
+        assert rule._fields == ("loops", "alpha", "xi")
+        assert rule.size == 1 + 6 + 3 + 0
+        assert rule.image_map == (
+            (2, 8, 1),
+            (3,), (4,), (5,), (6,), (7,), (1,),
+            (9,), (10,), (1,),
+        )
+        assert rule.length_exponents == (0, 6, 5, 4, 3, 2, 1, 3, 2, 1)
 
     def test_hub_children_order(self):
-        # the alpha piece (longer loop) comes first, at offset zero
+        # the alpha piece (longer loop) comes first
         rule = build_rho(3, 2)
-        hub = rule.image_map[0]
-        assert len(hub) == 2
-        assert hub[0][0] == 2
-        assert hub[0][1].terms == ()
-        assert hub[1][0] == 4
+        assert rule.image_map[0] == (2, 4)
 
     def test_chain_is_pass_through(self):
         rule = build_rho(4, 3)
         for label in range(2, rule.size + 1):
-            image = rule.image_map[label - 1]
-            assert len(image) == 1
-            assert image[0][1].terms == ()
+            assert len(rule.image_map[label - 1]) == 1
 
     def test_alpha_and_xi(self):
         rule = build_rho(2, 1)
@@ -140,14 +148,13 @@ class TestThreeIntervalRule:
         # a loop of one edge maps the hub straight back to itself
         rule = build_three_interval_rule(2, 1, 1)
         assert rule.size == 2
-        children = [child for child, _ in rule.image_map[0]]
-        assert children == [2, 1, 1]
+        assert rule.image_map[0] == (2, 1, 1)
         assert rule.polynomial.coeffs == (-1, -2, 1)
 
     def test_tribonacci_rule(self):
         rule = build_three_interval_rule(3, 2, 1)
         assert rule.size == 4
-        assert [child for child, _ in rule.image_map[0]] == [2, 4, 1]
+        assert rule.image_map[0] == (2, 4, 1)
         assert rule.polynomial.coeffs == (-1, -1, -1, 1)
         assert sum(rule.xi**-c for c in rule.loops) == pytest.approx(1.0, abs=1e-12)
 
@@ -186,11 +193,28 @@ class TestSubstitutionMatrix:
 
     def test_primitive(self):
         for n, m in coprime_pairs(6):
-            assert substitution_matrix(build_rho(n, m)).is_primitive()
+            rule = build_rho(n, m)
+            assert rule.is_primitive
+            assert is_primitive(substitution_matrix(rule))
 
     def test_three_interval_primitive(self):
         for loops in [(2, 1, 1), (3, 2, 1), (4, 2, 1), (5, 1, 1)]:
-            assert substitution_matrix(build_three_interval_rule(*loops)).is_primitive()
+            rule = build_three_interval_rule(*loops)
+            assert rule.is_primitive
+            assert is_primitive(substitution_matrix(rule))
+
+    def test_primitive_is_a_gcd(self):
+        # every two- and three-loop tuple with loops <= 9, coprime or not,
+        # against the matrix powers
+        tuples = [(n, m) for n in range(1, 10) for m in range(1, n + 1)]
+        tuples += [(n, m, k) for n, m in tuples for k in range(1, m + 1)]
+        assert len(tuples) == 210
+        verdicts = []
+        for loops in tuples:
+            rule = LoopRule(loops, 0.0, 0.0)  # alpha and xi play no part
+            assert rule.is_primitive == is_primitive(substitution_matrix(rule)), loops
+            verdicts.append(rule.is_primitive)
+        assert verdicts.count(False) == 48
 
     def test_power_identity(self):
         matrix = substitution_matrix(build_rho(3, 1))
@@ -200,7 +224,7 @@ class TestSubstitutionMatrix:
     def test_power_additivity(self):
         matrix = substitution_matrix(build_rho(4, 3))
         lhs = matrix_power(matrix, 5)
-        rhs = matrix_power(matrix, 2)._matmul(matrix_power(matrix, 3))
+        rhs = matmul(matrix_power(matrix, 2), matrix_power(matrix, 3))
         assert lhs.entries == rhs.entries
 
     def test_rejects_ragged(self):
@@ -405,13 +429,15 @@ class TestVerifyCover:
         # length, first difference at index 3.
         original = cover.build_rho
 
-        def swapped(n, m):
-            rule = original(n, m)
-            (first, zero), (second, offset) = rule.image_map[0]
-            hub = ((second, zero), (first, offset))
-            return rule._replace(image_map=(hub,) + rule.image_map[1:])
+        class Swapped(LoopRule):
+            __slots__ = ()
 
-        monkeypatch.setattr(cover, "build_rho", swapped)
+            @property
+            def image_map(self):
+                hub, *chains = super().image_map
+                return (hub[::-1], *chains)
+
+        monkeypatch.setattr(cover, "build_rho", lambda n, m: Swapped(*original(n, m)))
         report = verify_cover(2, 1, 4)
         assert report.ok is False
         assert not report

@@ -347,15 +347,17 @@ class TestScan:
         # or any walk along the row; today's bound refused it after 25 s.
         counter = CountingMath()
         monkeypatch.setattr(engine, "math", counter)
+        scan = CountingMath()
+        monkeypatch.setattr(discrepancy, "math", scan)
 
-        def no_walk(*args, **kwargs):
-            raise AssertionError("walked before the table was refused")
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted before the table was refused")
 
-        monkeypatch.setattr(SubdivisionTree, "walk_table", no_walk)
-        monkeypatch.setattr(SubdivisionTree, "prefix_count", no_walk)
+        monkeypatch.setattr(SubdivisionTree, "prefix_count", no_count)
         with pytest.raises(ResourceLimitError, match="walk table of 3 x"):
             discrepancy_scan(1e-9, 1.0, [0.2], mode="direct")
         assert counter.widths < 200
+        assert scan.widths == 0  # no width of the scan's table worked out
 
     def test_walk_table_refused_before_it_is_built(self, monkeypatch):
         tree = SubdivisionTree(0.3, 10.0)
@@ -367,7 +369,7 @@ class TestScan:
         # the sums along row top stop at the cap too: this row has 1e9 nodes
         monkeypatch.setattr(engine, "DEFAULT_TILE_CAP", 1000)
         with pytest.raises(ResourceLimitError):
-            SubdivisionTree(1e-9, 1.0).walk_table(0, 1.0)
+            SubdivisionTree(1e-9, 1.0).walk_shape(0, 1.0)
 
     def test_direct_refuses_large_walks_up_front(self, monkeypatch):
         # the exact count of the leaves to walk decides, before the walk
@@ -380,10 +382,9 @@ class TestScan:
         # where the scan walks 99
         discrepancy_scan(1e-6, 12.0, [16.0], mode="direct")
 
-        def no_walk(*args):
-            raise AssertionError("walk table built before the cap check")
-
-        monkeypatch.setattr(SubdivisionTree, "walk_table", no_walk)
+        # every refusal comes before the scan works out any width of its table
+        scan = CountingMath()
+        monkeypatch.setattr(discrepancy, "math", scan)
         monkeypatch.setattr(discrepancy, "DEFAULT_TILE_CAP", walk - 1)
         with pytest.raises(ResourceLimitError):
             discrepancy_scan(0.3, 10.0, [window], mode="direct")
@@ -393,6 +394,7 @@ class TestScan:
         density = asymptotic_density(0.3).value
         with pytest.raises(ResourceLimitError):
             discrepancy_scan(0.3, 40.0, [1.01e8 / density], mode="direct")
+        assert scan.widths == 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_profile_equals_the_two_pass_profile(self, seed):

@@ -7,7 +7,10 @@ import sys
 from pathlib import Path
 
 import kakutani
-from kakutani import SpreadClass, growth_fit, substitution_matrix
+from kakutani import SpreadClass, growth_fit
+from kakutani.cover import substitution_matrix
+
+from conftest import is_primitive
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "run_discrepancy.py"
@@ -28,7 +31,8 @@ def test_readme_library_block_runs():
     # the values the block's comments promise
     assert namespace["verdict"].spectral.solomon is SpreadClass.SPREAD
     assert namespace["verdict"].spectral.lambda1 == 1.618033988749895
-    assert substitution_matrix(namespace["rule"]).is_primitive()
+    assert namespace["rule"].is_primitive
+    assert is_primitive(substitution_matrix(namespace["rule"]))
     assert growth_fit(namespace["series"]).best == "w_over_log_w"
 
 
@@ -76,7 +80,6 @@ def test_public_names():
         "generate_patch",
         "growth_fit",
         "solve_alpha",
-        "substitution_matrix",
     ]
     for name in kakutani.__all__:
         assert hasattr(kakutani, name), name

@@ -233,7 +233,7 @@ class TestLeafWalks:
     def test_fixed_scale_equals_the_per_node_walk(self, rule):
         for ell in (0, 1, 2, 5, 9, 14):
             patch = iterate_primitive(rule, ell)
-            labels, terms = rule_patch_per_node(rule.image_map, ell)
+            labels, terms = rule_patch_per_node(rule, ell)
             assert list(patch.labels()) == labels
             assert [tile.position.terms for tile in patch.tiles] == terms
             xi = rule.xi
@@ -302,7 +302,7 @@ class TestColumns:
         for tile in patch.tiles:
             assert type(tile.position) is XiSum
             assert tile.length == XiPower(rule.length_exponents[tile.label - 1])
-            assert tile.length_value == rule.prototile_lengths[tile.label - 1]
+            assert tile.length_value == rule.xi ** -rule.length_exponents[tile.label - 1]
 
 
 class TestCommensurablePatch:

@@ -12,10 +12,9 @@ from kakutani import (
     build_rho,
     classify_spreadness,
     solve_alpha,
-    substitution_matrix,
 )
 from kakutani.cli import main
-from kakutani.cover import build_three_interval_rule
+from kakutani.cover import build_three_interval_rule, substitution_matrix
 from kakutani.params import Incommensurable, r_of_alpha
 from kakutani.polynomials import IntPolynomial, cyclotomic
 from kakutani.rootfind import find_roots, residual_bound
@@ -34,7 +33,13 @@ from kakutani.spectral import (
 )
 from kakutani.spectral import Rationale, SpectralReport, SpreadClass
 
-from conftest import bisect_root, coprime_pairs, coprime_triples, quadratic_roots
+from conftest import (
+    bisect_root,
+    coprime_pairs,
+    coprime_triples,
+    multiply,
+    quadratic_roots,
+)
 
 PV_PAIRS = {(2, 1), (3, 2), (3, 1), (4, 1)}
 SIXTH_ROOT_PAIRS = {(5, 1), (7, 5), (11, 1), (11, 7)}
@@ -129,7 +134,7 @@ class TestUnitCircleFactors:
             for loops in coprime_triples(12)
         ]
         polys += [
-            cyclotomic(a) * cyclotomic(b) * f_alpha_poly(3, 2)
+            multiply(multiply(cyclotomic(a), cyclotomic(b)), f_alpha_poly(3, 2))
             for a in (1, 2, 4, 12, 30)
             for b in (3, 5, 7, 60)
         ]
