@@ -279,10 +279,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         "max_tiles": max_tiles,
         "format": args.format,
     }
-    if args.points:
-        from .engine import delone_points
-
-        _emit(points_to_csv(delone_points(patch), config), args.out)
+    if args.points:  # the Delone set: the tiles' left endpoints
+        _emit(points_to_csv(patch.positions(), config), args.out)
         return 0
     if args.format == "csv":
         _emit(patch_to_csv(patch, config), args.out)

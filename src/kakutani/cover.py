@@ -46,7 +46,7 @@ from . import engine
 from .errors import ParameterError
 from .geometry import Patch
 from .params import _loop_alpha, check_exponent_pair
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, loop_polynomial
 
 __all__ = [
     "LoopRule",
@@ -112,7 +112,7 @@ class LoopRule(NamedTuple):
     def polynomial(self) -> IntPolynomial:
         """x**c_1 - sum(x**(c_1 - c_i)): the relation of xi, and the
         characteristic polynomial with its power of x stripped."""
-        return _loop_polynomial(self.loops[0], self.loops)
+        return loop_polynomial(self.loops[0], self.loops)
 
 
 class SubstitutionMatrix(
@@ -173,14 +173,6 @@ def substitution_matrix(rule: LoopRule) -> SubstitutionMatrix:
     return SubstitutionMatrix(tuple(tuple(row) for row in counts))
 
 
-def _loop_polynomial(degree: int, loops: tuple[int, ...]) -> IntPolynomial:
-    """x**degree - sum(x**(degree - c) for c in loops); equal powers add up."""
-    terms = {degree: 1}
-    for c in loops:
-        terms[degree - c] = terms.get(degree - c, 0) - 1
-    return IntPolynomial.from_terms(terms)
-
-
 def char_poly(matrix: SubstitutionMatrix) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) of a one-hub flower.
 
@@ -224,7 +216,7 @@ def char_poly(matrix: SubstitutionMatrix) -> IntPolynomial:
         raise ParameterError(
             f"not a flower: vertex {reached.index(False) + 1} is never reached"
         )
-    return _loop_polynomial(size, tuple(loops))
+    return loop_polynomial(size, tuple(loops))
 
 
 def iterate_primitive(
@@ -243,8 +235,7 @@ def iterate_primitive(
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
     engine.check_hub_tile_cap(rule.loops, rule.xi, ell, max_tiles)
-    info = {"ell": ell, "xi": rule.xi, "rule_size": rule.size}
-    return engine.hub_patch(rule.loops, rule.xi, ell, info, labelled=True)
+    return engine.hub_patch(rule.loops, rule.xi, ell, labelled=True)
 
 
 class CoverReport(NamedTuple):

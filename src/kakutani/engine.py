@@ -33,7 +33,6 @@ from .errors import ParameterError, ResourceLimitError
 from .geometry import (
     LengthExponent,
     Patch,
-    PointSet,
     PositionVector,
     XiPower,
     XiSum,
@@ -49,7 +48,6 @@ __all__ = [
     "generate_patch_commensurable",
     "count_tiles",
     "count_tiles_commensurable",
-    "delone_points",
 ]
 
 #: Hard ceiling on materialized tiles; counting works far beyond it.
@@ -441,9 +439,7 @@ def loop_labels(loops: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [(1, *range(b + 1, b + c), 1) for b, c in zip(last, loops)]
 
 
-def hub_patch(
-    loops: tuple[int, ...], xi: float, ell: int, info: dict[str, object], labelled: bool
-) -> Patch:
+def hub_patch(loops: tuple[int, ...], xi: float, ell: int, labelled: bool) -> Patch:
     """The patch grown ell steps from the hub of a flower with these
     loops, longest first, and inflation xi, anchored at zero.
 
@@ -501,8 +497,7 @@ def hub_patch(
         along = loop_labels(loops)
         label = [along[i][k] if e <= 0 else 0 for k, i, e in slots]
         labels = [label[s] for s in ids]
-    return Patch(term_sums(paths, power), [size[s] for s in ids], (0.0, xi**ell), exact,
-                 labels=labels, info=info)
+    return Patch(term_sums(paths, power), [size[s] for s in ids], (0.0, xi**ell), exact, labels)
 
 
 def _leaf_walk(row: int, kind: list[int], step: list, start) -> tuple[list[int], list]:
@@ -576,7 +571,6 @@ def generate_patch(
         [size[k] for k in ids],
         (anchor, anchor + scale),
         exact,
-        info={"alpha": alpha, "t": t, "origin_offset": origin_offset},
     )
 
 
@@ -594,12 +588,6 @@ def generate_patch_commensurable(
     """
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
-    alpha = solve_alpha(n, m)
-    xi = alpha ** (-1.0 / n)
+    xi = solve_alpha(n, m) ** (-1.0 / n)
     check_hub_tile_cap((n, m), xi, ell, max_tiles)
-    return hub_patch((n, m), xi, ell, {"n": n, "m": m, "ell": ell, "alpha": alpha, "xi": xi}, False)
-
-
-def delone_points(patch: Patch) -> PointSet:
-    """Left endpoints of the tiles of a patch, with the patch support as window."""
-    return PointSet(points=patch.positions(), window=patch.support)
+    return hub_patch((n, m), xi, ell, False)

@@ -20,7 +20,7 @@ from .errors import ParameterError
 if TYPE_CHECKING:  # annotations only: a renderer loads no producer
     from .cover import LoopRule
     from .discrepancy import DiscrepancySeries
-    from .geometry import Patch, PointSet
+    from .geometry import Patch
     from .spectral import SurveyRow
 
 __all__ = [
@@ -86,8 +86,9 @@ def patch_to_csv(patch: Patch, config: Mapping[str, Any]) -> str:
     return _csv_text(("position", "length", "label"), rows, config)
 
 
-def points_to_csv(points: PointSet, config: Mapping[str, Any]) -> str:
-    return _csv_text(("position",), [(_num(x),) for x in points.points], config)
+def points_to_csv(points: Sequence[float], config: Mapping[str, Any]) -> str:
+    """One row per point, such as the left endpoints ``patch.positions()``."""
+    return _csv_text(("position",), [(_num(x),) for x in points], config)
 
 
 def survey_to_csv(rows: Sequence[SurveyRow], config: Mapping[str, Any]) -> str:

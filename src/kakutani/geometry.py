@@ -1,7 +1,8 @@
 """Exact geometry for substitution patches.
 
-Tile lengths are tracked symbolically and evaluated to floats only at
-output boundaries.  Two exact representations appear:
+A patch holds float positions and lengths, which the generators compute
+directly, and it can also give each tile's position and length exactly.
+Two exact representations appear:
 
 * ``LengthExponent(a, b)`` stands for ``alpha**a * (1-alpha)**b``; a
   ``PositionVector`` is an integer-coefficient sum of such terms.  This
@@ -14,20 +15,19 @@ output boundaries.  Two exact representations appear:
 Positions are prefix sums of tile lengths: the generators extend a
 position by one exact term per right child along the substitution
 tree, so the statement "the next tile starts where this one ends"
-never passes through floating point.  ``value`` folds the terms left to
-right in ascending order, the same order the generators add them in.
+never passes through floating point.  A float position is those terms
+added left to right in ascending order.
 
 A ``Patch`` holds its floats and labels as columns; the ``Tile``
 objects, with their exact positions and lengths, are built only when a
-caller asks for ``tiles``.
+caller asks for ``tiles``.  The Delone set of a patch is its
+``positions()``, observed in the window ``support``.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from functools import reduce
 from itertools import islice
-from operator import add, lt
+from operator import lt
 from typing import NamedTuple, Union
 
 from .errors import ParameterError
@@ -39,7 +39,6 @@ __all__ = [
     "XiSum",
     "Tile",
     "Patch",
-    "PointSet",
 ]
 
 
@@ -49,24 +48,11 @@ class LengthExponent(NamedTuple):
     a: int
     b: int
 
-    def value(self, alpha: float) -> float:
-        return alpha**self.a * (1.0 - alpha) ** self.b
-
-
-def left_sum(values: Iterable[float]) -> float:
-    """Plain left-to-right float sum, starting from the integer 0.
-
-    Unlike ``sum``, which compensates rounding from Python 3.12 on, this
-    gives the same bits on every version, and the same bits as adding
-    the values one at a time in the same order.  As with ``sum``, the
-    empty sum is the integer 0.
-    """
-    return reduce(add, values, 0)
-
 
 def term_sums(paths: Iterable[tuple], power: Mapping[int, float]) -> list[float]:
-    """``left_sum([c * power[p] for p, c in terms])`` for each path, with
-    no list and no multiply by a coefficient of one."""
+    """For each path of (p, c) terms, the sum of ``c * power[p]`` added left
+    to right from the integer 0, the same bits on every Python version
+    (``sum`` compensates from 3.12 on); a coefficient of one is not multiplied."""
     sums = []
     for terms in paths:
         total = 0
@@ -82,10 +68,9 @@ class _TermSum:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
+    def __init__(self, terms: Iterable[tuple] = ()):
         acc: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, coeff in items:
+        for key, coeff in terms:
             if coeff:
                 key = self._key(key)
                 acc[key] = acc.get(key, 0) + int(coeff)
@@ -97,10 +82,6 @@ class _TermSum:
         total = cls.__new__(cls)
         total._terms = terms
         return total
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @property
     def terms(self) -> tuple:
@@ -130,10 +111,6 @@ class PositionVector(_TermSum):
     def _key(key: tuple[int, int]) -> tuple[int, int]:
         return (int(key[0]), int(key[1]))
 
-    def value(self, alpha: float) -> float:
-        beta = 1.0 - alpha
-        return left_sum(c * alpha**a * beta**b for (a, b), c in self._terms)
-
 
 class XiSum(_TermSum):
     """Integer-coefficient combination of powers of the inflation constant,
@@ -143,17 +120,11 @@ class XiSum(_TermSum):
 
     _key = staticmethod(int)
 
-    def value(self, xi: float) -> float:
-        return left_sum(c * xi**p for p, c in self._terms)
-
 
 class XiPower(NamedTuple):
     """Length xi**(-exponent) of a prototile in a fixed-scale patch."""
 
     exponent: int
-
-    def value(self, xi: float) -> float:
-        return xi ** (-self.exponent)
 
 
 ExactPosition = Union[PositionVector, XiSum]
@@ -183,10 +154,10 @@ class Patch:
     of the tiles, in order; ``tiles`` calls it on first access and keeps
     the ``Tile`` objects it builds, so a caller that reads only the
     columns builds none.  A patch is immutable; equality, hash and repr
-    are by tiles and support, the info left out.
+    are by tiles and support.
     """
 
-    __slots__ = ("_support", "_info", "_positions", "_lengths", "_labels", "_exact", "_tiles")
+    __slots__ = ("_support", "_positions", "_lengths", "_labels", "_exact", "_tiles")
 
     def __init__(
         self,
@@ -195,7 +166,6 @@ class Patch:
         support: tuple[float, float],
         exact: Callable[[], tuple[Iterable[ExactPosition], Iterable[ExactLength]]],
         labels: Sequence[int] | None = None,
-        info: Mapping[str, object] | None = None,
     ) -> None:
         if not positions:
             raise ParameterError("a patch must contain at least one tile")
@@ -211,15 +181,10 @@ class Patch:
         self._exact = exact
         self._tiles: tuple[Tile, ...] | None = None
         self._support = support
-        self._info = {} if info is None else info
 
     @property
     def support(self) -> tuple[float, float]:
         return self._support
-
-    @property
-    def info(self) -> Mapping[str, object]:
-        return self._info
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Patch) and (self.tiles, self._support) == (
@@ -253,53 +218,3 @@ class Patch:
 
     def labels(self) -> tuple[int | None, ...]:
         return (None,) * len(self) if self._labels is None else self._labels
-
-    def boundaries(self) -> tuple[float, ...]:
-        """All tile boundaries, including the right edge of the support."""
-        return self._positions + (self._support[1],)
-
-
-class PointSet:
-    """A strictly increasing finite point sequence with its observation
-    window.  Immutable; equality, hash and repr are by both fields."""
-
-    __slots__ = ("_points", "_window")
-
-    def __init__(self, points: tuple[float, ...], window: tuple[float, float]) -> None:
-        if window[0] > window[1]:
-            raise ParameterError("window must be an interval")
-        if any(y <= x for x, y in zip(points, points[1:])):
-            raise ParameterError("points must be strictly increasing")
-        self._points = points
-        self._window = window
-
-    @property
-    def points(self) -> tuple[float, ...]:
-        return self._points
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return self._window
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._points, self._window) == (other._points, other._window)
-
-    def __hash__(self) -> int:
-        return hash((self._points, self._window))
-
-    def __repr__(self) -> str:
-        return f"PointSet(points={self._points!r}, window={self._window!r})"
-
-    @classmethod
-    def from_iterable(
-        cls, points: Iterable[float], window: tuple[float, float] | None = None
-    ) -> "PointSet":
-        pts = tuple(sorted(set(float(p) for p in points)))
-        if window is None:
-            window = (pts[0], pts[-1]) if pts else (0.0, 0.0)
-        return cls(pts, window)
-
-    def __len__(self) -> int:
-        return len(self.points)

@@ -15,13 +15,10 @@ continued-fraction heuristic, never assumed from the float alone.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import ParameterError, ResourceLimitError
-from .polynomials import IntPolynomial
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .polynomials import IntPolynomial, loop_polynomial
 
 __all__ = [
     "Commensurable",
@@ -67,12 +64,6 @@ class Commensurable(NamedTuple("Commensurable", [("n", int), ("m", int)])):
     @classmethod
     def _make(cls, iterable) -> "Commensurable":  # so _replace validates too
         return cls(*iterable)
-
-    @property
-    def ratio(self) -> Fraction:
-        from fractions import Fraction  # a package import loads no fractions
-
-        return Fraction(self.n, self.m)
 
 
 class Incommensurable(NamedTuple):
@@ -138,12 +129,13 @@ def solve_alpha(n: int, m: int) -> float:
 
 
 def f_alpha_poly(n: int, m: int) -> IntPolynomial:
-    """The nonzero-spectrum polynomial x^n - x^(n-m) - 1 for ratio n/m:
-    its root xi > 1 is the inflation constant alpha**(-1/n)."""
+    """The nonzero-spectrum polynomial x^n - x^(n-m) - 1 for ratio n/m,
+    the loop polynomial of the flower with loops (n, m): its root
+    xi > 1 is the inflation constant alpha**(-1/n)."""
     check_exponent_pair(n, m)
     if n == m:
         raise ParameterError("the lattice ratio (1, 1) has spectrum {2}")
-    return IntPolynomial.from_terms({n: 1, n - m: -1, 0: -1})
+    return loop_polynomial(n, (n, m))
 
 
 def r_of_alpha(alpha: float) -> float:

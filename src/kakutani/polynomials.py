@@ -1,5 +1,6 @@
-"""Exact integer polynomials: the relation polynomials of the rules and
-the cyclotomic factors the spectral verdicts divide out.
+"""Exact integer polynomials: the relation polynomials of the rules,
+the cyclotomic factors the spectral verdicts divide out, and the gcd
+with which the root finder splits off repeated roots.
 
 Coefficients are arbitrary-precision integers, stored constant term
 first, so ``IntPolynomial((-1, -1, 0, 1))`` is x^3 - x - 1.  Everything
@@ -8,11 +9,12 @@ here is exact: division raises if it does not come out evenly.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable, Mapping
 
 from .errors import ParameterError
 
-__all__ = ["IntPolynomial", "cyclotomic"]
+__all__ = ["IntPolynomial", "cyclotomic", "loop_polynomial", "poly_gcd"]
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -187,3 +189,40 @@ def cyclotomic(order: int) -> IntPolynomial:
             num, rem = divmod(num, cyclotomic(d))
             assert rem.is_zero
     return num
+
+
+def loop_polynomial(degree: int, loops: Iterable[int]) -> IntPolynomial:
+    """x**degree - sum(x**(degree - c) for c in loops); equal powers add up.
+    With the longest loop as degree, the relation of a flower's inflation.
+
+    >>> loop_polynomial(3, (3, 2))
+    IntPolynomial('x^3 - x - 1')
+    """
+    terms = {degree: 1}
+    for c in loops:
+        terms[degree - c] = terms.get(degree - c, 0) - 1
+    return IntPolynomial.from_terms(terms)
+
+
+def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """The gcd of two nonzero polynomials, by Euclid over the rationals,
+    scaled to coprime integer coefficients with a positive leading one.
+
+    >>> p = IntPolynomial((4, 4, 4, 4, 1, 1))  # (x + 1) * (x^2 + 2)^2
+    >>> poly_gcd(p, p.derivative())
+    IntPolynomial('x^2 + 2')
+    """
+    from fractions import Fraction  # loaded only by a root finder that stalls
+
+    u, v = [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
+    while v:
+        while len(u) >= len(v):  # u mod v, a leading term at a time
+            q, shift = u[-1] / v[-1], len(u) - len(v)
+            for i, c in enumerate(v):
+                u[shift + i] -= q * c
+            while u and not u[-1]:
+                u.pop()
+        u, v = v, u
+    scale = math.lcm(*(c.denominator for c in u))
+    ints = [int(c * scale) for c in u]
+    return IntPolynomial(c // math.gcd(*ints) * (1 if ints[-1] > 0 else -1) for c in ints)

@@ -14,7 +14,7 @@ import math
 from typing import Sequence
 
 from .errors import NumericError, ParameterError
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, poly_gcd
 
 __all__ = ["find_roots", "residual_bound", "root_residual"]
 
@@ -64,7 +64,7 @@ def _roots_and_residuals(poly: IntPolynomial) -> tuple[tuple[complex, ...], tupl
     degree = reduced.degree
     roots: list[complex] = [0j] * zero_mult
     if degree >= 1:
-        roots.extend(_aberth(reduced))
+        roots.extend(_split_roots(reduced))
     roots.sort(key=_sort_key)
     full_degree = poly.degree
     coeffs = [float(c) for c in reversed(poly.coeffs)]
@@ -78,6 +78,19 @@ def _roots_and_residuals(poly: IntPolynomial) -> tuple[tuple[complex, ...], tupl
             )
         residuals.append(res)
     return tuple(roots), tuple(residuals)
+
+
+def _split_roots(poly: IntPolynomial) -> list[complex]:
+    """The roots of ``_aberth``; where its sweep stalls, as it can at a
+    repeated root, those of p / gcd(p, p') and of gcd(p, p'), each split
+    the same way.  A squarefree p that stalls still raises."""
+    try:
+        return _aberth(poly)
+    except NumericError:
+        common = poly_gcd(poly, poly.derivative())
+        if common.degree < 1:
+            raise
+        return _split_roots(divmod(poly, common)[0]) + _split_roots(common)
 
 
 def _horner_pair(steps: list[tuple[float, float]], last: float, z: complex):

@@ -48,23 +48,17 @@ import math
 from dataclasses import dataclass  # the reports support dataclasses.replace
 from fractions import Fraction
 
-from .cover import (
-    SubstitutionMatrix,
-    _loop_polynomial,
-    build_three_interval_rule,
-)
+from .cover import SubstitutionMatrix, build_three_interval_rule
 from .errors import ParameterError
 from .params import (
     MAX_SPECTRAL_DEGREE,
     Commensurable,
     Incommensurable,
     RatioClass,
-    check_exponent_pair,
     check_spectral_degree,
-    f_alpha_poly,
     solve_alpha,
 )
-from .polynomials import IntPolynomial, cyclotomic
+from .polynomials import IntPolynomial, cyclotomic, loop_polynomial
 from .rootfind import _roots_and_residuals
 
 __all__ = [
@@ -73,10 +67,7 @@ __all__ = [
     "SpectralReport",
     "SpreadVerdict",
     "SurveyRow",
-    "f_alpha_poly",
-    "has_unit_circle_factor",
     "unit_circle_factors",
-    "is_pv_trinomial",
     "is_pv_three_interval",
     "eigenspace_not_perp",
     "MAX_SPECTRAL_DEGREE",
@@ -92,9 +83,6 @@ __all__ = [
 SPREAD_RATIOS = frozenset(
     {Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(4)}
 )
-
-#: The four trinomials x^n - x^(n-m) - 1 that are Pisot minimal polynomials.
-_PV_TRINOMIAL_PAIRS = frozenset({(2, 1), (3, 2), (3, 1), (4, 1)})
 
 _MODULUS_SLACK = 1e-9
 _PERP_TOL = 1e-9
@@ -160,24 +148,6 @@ def unit_circle_factors(poly: IntPolynomial) -> tuple[IntPolynomial, ...]:
         if IntPolynomial(tuple(folded)).is_divisible_by(phi):
             found.append(phi)
     return tuple(found)
-
-
-def has_unit_circle_factor(poly: IntPolynomial) -> bool:
-    """Exact test for roots on the unit circle of cyclotomic origin."""
-    return bool(unit_circle_factors(poly))
-
-
-def is_pv_trinomial(n: int, m: int) -> bool:
-    """Whether x^n - x^(n-m) - 1 is the minimal polynomial of a Pisot number.
-
-    Decided by exact coefficient match against the known complete list
-    of such trinomials rather than by numerics.
-    """
-    check_exponent_pair(n, m)
-    if n == m:
-        return False
-    poly = f_alpha_poly(n, m)
-    return any(poly == f_alpha_poly(a, b) for a, b in _PV_TRINOMIAL_PAIRS)
 
 
 def _pv_three_interval_family(poly: IntPolynomial) -> str | None:
@@ -269,7 +239,7 @@ def solomon_verdict(loops: tuple[int, ...]) -> SpectralReport:
         raise ParameterError("need at least two loops with positive edge counts")
     top = max(loops)
     check_spectral_degree(top)
-    reduced = _loop_polynomial(top, loops)
+    reduced = loop_polynomial(top, loops)
     if reduced.degree == 1:
         # a single nonzero eigenvalue: nothing for the criterion to watch
         only = float(-reduced.coeffs[0])
@@ -288,7 +258,7 @@ def solomon_verdict(loops: tuple[int, ...]) -> SpectralReport:
         raise ParameterError(
             f"leading eigenvalue {lambda1!r} is not a real inflation factor"
         )
-    unit_exact = has_unit_circle_factor(reduced)
+    unit_exact = bool(unit_circle_factors(reduced))
     watched = abs(roots[1])
     unresolved = False
     if watched > 1.0 + _MODULUS_SLACK:

@@ -524,10 +524,9 @@ def rule_count(rule, ell):
     return counts[0]
 
 
-def nearest_distance(points, x):
-    """Distance from x to the nearest point of a ``PointSet``, inf for an
-    empty set."""
-    pts = points.points
+def nearest_distance(pts, x):
+    """Distance from x to the nearest of the increasing points ``pts``, inf
+    for no points."""
     if not pts:
         return math.inf
     i = bisect.bisect_left(pts, x)
@@ -548,7 +547,7 @@ def _coverage_threshold(points, other):
     """Smallest eps at which every window-visible point of ``points`` is
     eps-covered by ``other``: the max over points of min(gap, 1/|x|)."""
     worst = 0.0
-    for x in points.points:
+    for x in points:
         gap = nearest_distance(other, x)
         if gap > 0.0:
             reach = math.inf if x == 0.0 else 1.0 / abs(x)
@@ -557,7 +556,9 @@ def _coverage_threshold(points, other):
 
 
 def chabauty_fell(a, b):
-    """Chabauty-Fell distance between two finite point sets.
+    """Chabauty-Fell distance between two finite point sets, each a pair
+    (increasing points, observation window), such as a patch's
+    ``(positions(), support)``.
 
     The distance is the least eps in (0, 1) such that each set,
     restricted to (-1/eps, 1/eps), lies within eps of the other; 1 if no
@@ -569,13 +570,12 @@ def chabauty_fell(a, b):
     (-1/eps, 1/eps) for the returned eps; otherwise it is a lower bound
     for the distance between the underlying unbounded sets.
     """
-    value = max(_coverage_threshold(a, b), _coverage_threshold(b, a))
+    (points_a, window_a), (points_b, window_b) = a, b
+    value = max(_coverage_threshold(points_a, points_b), _coverage_threshold(points_b, points_a))
     value = min(value, 1.0)
     if value > 0.0:
         reach = 1.0 / value
-        certified = all(
-            w[0] <= -reach and w[1] >= reach for w in (a.window, b.window)
-        )
+        certified = all(w[0] <= -reach and w[1] >= reach for w in (window_a, window_b))
     else:
         certified = False
     return CFDistance(value, certified)
@@ -616,3 +616,20 @@ def pv_pairs():
 def printed_alphas():
     """Five-digit split values as printed for the four Pisot ratios."""
     return {(3, 2): 0.43016, (2, 1): 0.38196, (3, 1): 0.31767, (4, 1): 0.27551}
+
+
+@pytest.fixture
+def near_unit_second_root(monkeypatch):
+    """Make the spectral verdicts see their second root moved radially to
+    modulus 1 + 1e-12: on the unit circle within the slack, with no
+    exact cyclotomic factor behind it."""
+    import kakutani.spectral
+
+    solve = kakutani.spectral._roots_and_residuals
+
+    def near_unit(poly):
+        roots, residuals = solve(poly)
+        z = roots[1]
+        return (roots[0], z / abs(z) * (1.0 + 1e-12), *roots[2:]), residuals
+
+    monkeypatch.setattr(kakutani.spectral, "_roots_and_residuals", near_unit)

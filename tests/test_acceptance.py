@@ -32,15 +32,14 @@ from kakutani.cover import (
     substitution_matrix,
     verify_cover,
 )
-from kakutani.engine import count_tiles, delone_points
-from kakutani.geometry import PointSet
+from kakutani.engine import count_tiles
+from kakutani.params import f_alpha_poly
 from kakutani.polynomials import IntPolynomial
 from kakutani.rootfind import find_roots
 from kakutani.spectral import (
     SpreadClass,
     classify_three_interval,
     eigenspace_not_perp,
-    f_alpha_poly,
     solomon_verdict,
     survey,
 )
@@ -304,12 +303,12 @@ def test_10_point_set_metric_axioms(announce):
     def random_set():
         size = rng.randint(1, 18)
         pts = (rng.uniform(-5.0, 5.0) for _ in range(size))
-        return PointSet.from_iterable(pts, window=(-6.0, 6.0))
+        return tuple(sorted(set(pts))), (-6.0, 6.0)
 
     pool = [random_set() for _ in range(80)]
     for t in (1.5, 2.2, 3.0):
         patch = generate_patch(0.4, t)
-        pool.append(delone_points(patch))
+        pool.append((patch.positions(), patch.support))
 
     identity_ok = all(chabauty_fell_distance(s, s) == 0.0 for s in pool)
     worst_triangle = 0.0

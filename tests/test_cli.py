@@ -67,6 +67,27 @@ class TestClassify:
         assert env["report"]["solomon"] == "Boundary"
         assert env["report"]["unit_circle_factor"] is True
 
+    def test_unresolved_near_unit(self, capsys, near_unit_second_root):
+        code, env = run_json(capsys, "classify", "--ratio", "7/3")
+        assert code == 2
+        assert env["report"]["solomon"] == "Boundary"
+        assert env["report"]["reason"] == (
+            "secondary eigenvalue numerically at the unit circle, unresolved"
+        )
+
+    def test_mismatch_reason(self, capsys, monkeypatch):
+        # a spectral verdict off the five-ratio list is flagged in the reason
+        from kakutani import spectral
+
+        monkeypatch.setattr(spectral, "SPREAD_RATIOS", frozenset())
+        code, env = run_json(capsys, "classify", "--ratio", "3/2")
+        assert code == 0
+        assert env["report"]["solomon"] == "Spread"
+        assert env["report"]["theorem_verdict"] is False
+        assert env["report"]["reason"].endswith(
+            "; spectral verdict disagrees with the five-ratio list"
+        )
+
     def test_incommensurable_alpha(self, capsys):
         code, env = run_json(capsys, "classify", "--alpha", str(1.0 / 3.0))
         assert code == 1

@@ -255,6 +255,33 @@ class TestPrefixCount:
                 for stop in (want // 7, want - 2, rng.uniform(0.0, want)):
                     assert tree.prefix_count(x, stop) == prefix_count_per_node(alpha, t, x, stop)
 
+    @pytest.mark.parametrize("alpha,t", [(0.45, 45.0), (0.4, 50.0), (0.3, 60.0)])
+    def test_steps_stop_at_widths_that_cannot_move_the_sum(self, monkeypatch, alpha, t):
+        # Deep in these trees a run along a row reaches widths below half
+        # an ulp of the sum: ``_steps`` stops there instead of adding
+        # them, and the count is that of a descent that adds every width.
+        stalled = []
+
+        def every_width(self, base, b, left, x, most):
+            for j in range(most):
+                right = left + math.exp(base + (b + j) * self.lb)
+                if x < right:
+                    return j, left
+                if right == left:
+                    stalled.append(j)
+                left = right
+            return most, left
+
+        tree = SubdivisionTree(alpha, t)
+        for frac in (1.0, 0.75, 0.5):
+            x = frac * tree.support
+            got = tree.prefix_count(x)
+            stalled.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(SubdivisionTree, "_steps", every_width)
+                assert got == tree.prefix_count(x), (alpha, t, frac)
+            assert stalled, "no width too small to move the sum"
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
             prefix_count(1.0 / 3.0, 2.0, -0.5)

@@ -11,11 +11,10 @@ from kakutani.engine import (
     SubdivisionTree,
     count_tiles,
     count_tiles_commensurable,
-    delone_points,
     generate_patch_commensurable,
 )
 from kakutani.cover import build_rho, build_three_interval_rule, iterate_primitive
-from kakutani.geometry import LengthExponent, PointSet, PositionVector, XiPower, XiSum
+from kakutani.geometry import LengthExponent, PositionVector, XiPower, XiSum
 
 from conftest import (
     ascending_fold,
@@ -188,7 +187,7 @@ class TestPositionBits:
             if count_tiles_commensurable(n, m, ell) > 5000:
                 break
             patch = generate_patch_commensurable(n, m, ell)
-            xi = patch.info["xi"]
+            xi = solve_alpha(n, m) ** (-1.0 / n)
             for tile in patch.tiles:
                 terms = tile.position.terms
                 assert XiSum(terms) == tile.position
@@ -220,7 +219,7 @@ class TestLeafWalks:
             exponents, terms = xi_patch_per_node(n, m, ell)
             assert [-tile.length.exponent for tile in patch.tiles] == exponents
             assert [tile.position.terms for tile in patch.tiles] == terms
-            xi = patch.info["xi"]
+            xi = solve_alpha(n, m) ** (-1.0 / n)
             assert patch.positions() == tuple(ascending_fold(path, lambda p: xi**p) for path in terms)
 
     @pytest.mark.parametrize(
@@ -285,7 +284,7 @@ class TestColumns:
     def test_commensurable(self, n, m, ell):
         patch = generate_patch_commensurable(n, m, ell)
         self.assert_columns_match_tiles(patch)
-        xi = patch.info["xi"]
+        xi = solve_alpha(n, m) ** (-1.0 / n)
         for tile in patch.tiles:
             assert type(tile.position) is XiSum
             assert type(tile.length) is XiPower
@@ -333,14 +332,13 @@ class TestCommensurablePatch:
 class TestDelonePoints:
     def test_left_endpoints(self):
         patch = generate_patch(1.0 / 3.0, math.log(3), origin_offset=0.0)
-        points = delone_points(patch)
-        assert points.points == pytest.approx((0.0, 1.0, 5.0 / 3.0, 19.0 / 9.0))
-        assert points.window == patch.support
+        assert patch.positions() == pytest.approx((0.0, 1.0, 5.0 / 3.0, 19.0 / 9.0))
+        assert patch.support == pytest.approx((0.0, 3.0))
 
 
 class TestChabautyFell:
     def window_set(self, values, window=(-50.0, 50.0)):
-        return PointSet.from_iterable(values, window=window)
+        return tuple(sorted(set(values))), window
 
     def test_identity(self):
         a = self.window_set([0.0, 1.5, 4.0])

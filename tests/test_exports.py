@@ -2,7 +2,6 @@ import json
 
 from kakutani import build_rho, discrepancy_scan, dyadic_windows
 from kakutani.cover import iterate_primitive
-from kakutani.engine import delone_points
 from kakutani.spectral import survey
 from kakutani._version import __version__
 from kakutani.exports import (
@@ -54,10 +53,10 @@ class TestCsv:
             assert int(label) == tile.label
 
     def test_points_round_trip(self):
-        points = delone_points(iterate_primitive(build_rho(3, 2), 5))
+        points = iterate_primitive(build_rho(3, 2), 5).positions()
         header, body = csv_body(points_to_csv(points, {"command": "t"}))
         assert header == "position"
-        assert [float(line) for line in body] == list(points.points)
+        assert [float(line) for line in body] == list(points)
 
     def test_survey_booleans_lowercase(self):
         rows = survey(3)

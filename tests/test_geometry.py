@@ -7,16 +7,13 @@ from kakutani import ParameterError
 from kakutani.geometry import (
     LengthExponent,
     Patch,
-    PointSet,
     PositionVector,
     Tile,
-    XiPower,
     XiSum,
+    term_sums,
 )
 
 from conftest import nearest_distance
-
-ALPHA = 0.3
 
 
 def make_patch(positions, lengths, support, labels=None):
@@ -24,28 +21,26 @@ def make_patch(positions, lengths, support, labels=None):
 
     def exact():
         return (
-            [PositionVector.zero()] * len(positions),
+            [PositionVector()] * len(positions),
             [LengthExponent(0, 0)] * len(positions),
         )
 
     return Patch(positions, lengths, support, exact, labels=labels)
 
 
-class TestLengthExponent:
-    def test_value(self):
-        e = LengthExponent(2, 1)
-        assert e.value(ALPHA) == pytest.approx(ALPHA**2 * 0.7)
-
-
 class TestPositionVector:
     def test_zero_value(self):
-        assert PositionVector.zero().value(ALPHA) == 0.0
+        # zero coefficients drop out, so every zero is the empty vector,
+        # and the empty path sums to the exact origin
+        zero = PositionVector()
+        assert zero.terms == ()
+        assert PositionVector([((1, 0), 0), ((2, 1), 1), ((2, 1), -1)]) == zero
+        assert term_sums([zero.terms], {}) == [0]
 
     def test_plus_accumulates(self):
         # equal keys merge: two alpha-steps are one term of coefficient 2
         v = PositionVector([((1, 0), 1), ((1, 0), 1)])
         assert v.terms == (((1, 0), 2),)
-        assert v.value(ALPHA) == pytest.approx(2 * ALPHA)
 
     def test_equality_is_structural(self):
         a = PositionVector([((1, 2), 1), ((0, 1), 1)])
@@ -56,14 +51,13 @@ class TestPositionVector:
 class TestXiSum:
     def test_cancellation(self):
         s = XiSum([(1, 1), (1, -1)])
-        assert s == XiSum.zero()
+        assert s == XiSum() and s.terms == ()
 
     def test_value(self):
-        s = XiSum([(0, 2), (-1, 1)])
-        assert s.value(2.0) == pytest.approx(2.5)
-
-    def test_xi_power_length(self):
-        assert XiPower(2).value(2.0) == pytest.approx(0.25)
+        # a float position adds c * xi**p over the merged terms in order
+        s = XiSum([(0, 1), (-1, 1), (0, 1)])
+        assert s.terms == ((-1, 1), (0, 2))
+        assert term_sums([s.terms], {-1: 0.5, 0: 1.0}) == [2.5]
 
 
 class TestPatch:
@@ -89,7 +83,6 @@ class TestPatch:
         assert patch.positions() == (0.0, 1.0)
         assert patch.lengths() == (1.0, 0.5)
         assert patch.labels() == (1, 2)
-        assert patch.boundaries() == (0.0, 1.0, 1.5)
         assert make_patch((0.0,), (1.0,), (0.0, 1.0)).labels() == (None,)
 
     def test_tiles_built_once_from_columns(self):
@@ -97,70 +90,51 @@ class TestPatch:
 
         def exact():
             calls.append(1)
-            return [PositionVector.zero()] * 2, [LengthExponent(0, 0)] * 2
+            return [PositionVector()] * 2, [LengthExponent(0, 0)] * 2
 
         patch = Patch((0.0, 1.0), (1.0, 0.5), (0.0, 1.5), exact, labels=(1, 2))
         assert calls == []
         want = (
-            Tile(PositionVector.zero(), LengthExponent(0, 0), 0.0, 1.0, 1),
-            Tile(PositionVector.zero(), LengthExponent(0, 0), 1.0, 0.5, 2),
+            Tile(PositionVector(), LengthExponent(0, 0), 0.0, 1.0, 1),
+            Tile(PositionVector(), LengthExponent(0, 0), 1.0, 0.5, 2),
         )
         assert patch.tiles == want
         assert patch.tiles is patch.tiles
         assert calls == [1]
 
     def test_value_semantics(self):
-        # equality, hash and repr by tiles and support, the info left out
+        # equality, hash and repr by tiles and support
         a = make_patch((0.0, 1.0), (1.0, 0.5), (0.0, 1.5))
         b = Patch(
             a.positions(),
             a.lengths(),
             a.support,
-            lambda: ([PositionVector.zero()] * 2, [LengthExponent(0, 0)] * 2),
-            info={"note": 1},
+            lambda: ([PositionVector()] * 2, [LengthExponent(0, 0)] * 2),
         )
         assert a == b and hash(a) == hash(b)
         assert a != make_patch((0.0, 1.0), (1.0, 0.5), (0.0, 1.6))
         assert a != make_patch((0.0, 1.0), (1.0, 0.5), (0.0, 1.5), labels=(1, 2))
         assert repr(a) == f"Patch(tiles={a.tiles!r}, support=(0.0, 1.5))"
-        for name in ("support", "info"):
-            with pytest.raises(AttributeError):
-                setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            a.support = None
 
 
-class TestPointSet:
-    def test_sorted_and_deduped(self):
-        ps = PointSet.from_iterable([3.0, 1.0, 3.0, 2.0], window=(0.0, 4.0))
-        assert ps.points == (1.0, 2.0, 3.0)
-
-    def test_rejects_disorder(self):
-        with pytest.raises(ParameterError):
-            PointSet(points=(2.0, 1.0), window=(0.0, 3.0))
-
-    def test_nearest_distance(self):
-        ps = PointSet.from_iterable([0.0, 10.0], window=(-1.0, 11.0))
-        assert nearest_distance(ps, 4.0) == pytest.approx(4.0)
-        assert nearest_distance(ps, 9.0) == pytest.approx(1.0)
-        assert nearest_distance(ps, -3.0) == pytest.approx(3.0)
+def test_nearest_distance():
+    points = (0.0, 10.0)
+    assert nearest_distance(points, 4.0) == pytest.approx(4.0)
+    assert nearest_distance(points, 9.0) == pytest.approx(1.0)
+    assert nearest_distance(points, -3.0) == pytest.approx(3.0)
+    assert nearest_distance((), 1.0) == float("inf")
 
 
-exponents = st.tuples(
-    st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)
-)
+powers = st.integers(min_value=-6, max_value=6)
 
 
-@given(st.lists(exponents, max_size=8))
+@given(st.lists(powers, max_size=8))
 @settings(max_examples=100, deadline=None)
-def test_position_vector_value_additive(steps):
-    v = PositionVector([((a, b), 1) for a, b in steps])
-    expected = 0.0
-    for a, b in steps:
-        expected += ALPHA**a * 0.7**b
-    assert v.value(ALPHA) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-@given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=12))
-@settings(max_examples=100, deadline=None)
-def test_point_set_from_iterable_is_canonical(values):
-    ps = PointSet.from_iterable(values, window=(-60.0, 60.0))
-    assert list(ps.points) == sorted(set(values))
+def test_xi_sum_value_additive(steps):
+    # merging equal powers into one coefficient keeps the sum
+    xi = 1.3247179572447460
+    power = {p: xi**p for p in range(-6, 7)}
+    (got,) = term_sums([XiSum([(p, 1) for p in steps]).terms], power)
+    assert got == pytest.approx(sum(xi**p for p in steps), rel=1e-12, abs=1e-12)

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -35,9 +34,6 @@ class TestAlphaParam:
 
 
 class TestCommensurable:
-    def test_ratio_fraction(self):
-        assert Commensurable(3, 2).ratio == Fraction(3, 2)
-
     @pytest.mark.parametrize("n,m", [(4, 2), (6, 3), (0, 1), (2, 3), (1, 0)])
     def test_rejects_bad_pairs(self, n, m):
         with pytest.raises(ParameterError):

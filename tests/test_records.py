@@ -12,7 +12,7 @@ from kakutani.discrepancy import (
     GrowthFit,
     asymptotic_density,
 )
-from kakutani.geometry import PointSet, Tile, XiPower, XiSum
+from kakutani.geometry import Tile, XiPower, XiSum
 from kakutani.params import Commensurable, Incommensurable
 from kakutani.polynomials import IntPolynomial
 
@@ -31,7 +31,7 @@ def samples():
     return [
         (Commensurable(3, 2), ("n", "m")),
         (Incommensurable(1.5), ("r",)),
-        (Tile(XiSum({-2: 1}), XiPower(1), 0.5, 0.6, 2), ("position", "length", "label")),
+        (Tile(XiSum([(-2, 1)]), XiPower(1), 0.5, 0.6, 2), ("position", "length", "label")),
         (build_rho(3, 2), ("loops", "alpha", "xi", "image_map")),
         (verify_cover(3, 2, 5), ("ok", "tile_count", "raw_equal")),
         (SubstitutionMatrix(((1, 1), (1, 0))), ("entries",)),
@@ -39,7 +39,6 @@ def samples():
         (DiscrepancySeries(**SERIES), ("alpha", "windows", "max_disc")),
         (GrowthFit("constant", 0.0, {"constant": 0.0}), ("best", "heuristic")),
         (IntPolynomial((-1, -1, 1)), ("coeffs",)),
-        (PointSet((0.0, 1.0), (0.0, 2.0)), ("points", "window")),
     ]
 
 
@@ -70,10 +69,6 @@ def test_validation_keeps_its_messages():
     ]:
         with pytest.raises(ParameterError, match=message):
             DiscrepancySeries(**{**SERIES, **change})
-    with pytest.raises(ParameterError, match="window must be an interval"):
-        PointSet((0.0,), (1.0, 0.0))
-    with pytest.raises(ParameterError, match="points must be strictly increasing"):
-        PointSet((0.0, 0.0), (0.0, 1.0))
 
 
 def test_replace_validates():
@@ -90,7 +85,7 @@ def test_repr_names_every_field():
     assert repr(Commensurable(3, 2)) == "Commensurable(n=3, m=2)"
     assert repr(Incommensurable(1.5)) == "Incommensurable(r=1.5)"
     assert repr(DensityValue(1.5, "perron")) == "DensityValue(value=1.5, method='perron')"
-    assert repr(Tile(XiSum({-2: 1}), XiPower(1), 0.5, 0.6)) == (
+    assert repr(Tile(XiSum([(-2, 1)]), XiPower(1), 0.5, 0.6)) == (
         "Tile(position=XiSum([(-2, 1)]), length=XiPower(exponent=1), "
         "position_value=0.5, length_value=0.6, label=None)"
     )
@@ -108,9 +103,6 @@ def test_repr_names_every_field():
         "first_mismatch=None, raw_equal=True)"
     )
     assert repr(IntPolynomial((-1, -1, 1))) == "IntPolynomial('x^2 - x - 1')"
-    assert repr(PointSet((0.0, 1.0), (0.0, 2.0))) == (
-        "PointSet(points=(0.0, 1.0), window=(0.0, 2.0))"
-    )
     assert repr(build_rho(2, 1)).startswith("LoopRule(loops=(2, 1), alpha=0.381966")
 
 
@@ -129,21 +121,15 @@ def test_equality_and_hash_follow_the_fields():
     assert p == q and hash(p) == hash(q) == hash(((-1, -1, 1),))
     assert p != IntPolynomial((1, -1, 1))
     assert p != (-1, -1, 1)
-    a, b = PointSet((0.0, 1.0), (0.0, 2.0)), PointSet((0.0, 1.0), (0.0, 2.0))
-    assert a == b and hash(a) == hash(b) == hash(((0.0, 1.0), (0.0, 2.0)))
-    assert a != PointSet((0.0, 1.0), (0.0, 3.0))
-    assert a != ((0.0, 1.0), (0.0, 2.0))
     with pytest.raises(TypeError):
         hash(GrowthFit("constant", 0.0, {"constant": 0.0}))  # a dict field
 
 
 def test_records_that_are_not_sequences():
-    # a polynomial divides as a polynomial, and a point set has the
-    # length of its points
+    # a polynomial divides as a polynomial
     x = IntPolynomial((0, 1))
     assert divmod(IntPolynomial((0, 0, 1)), x) == (x, IntPolynomial.zero())
-    assert len(PointSet((0.0, 1.0, 2.0), (0.0, 3.0))) == 3
-    assert not isinstance(x, tuple) and not isinstance(PointSet((), (0.0, 0.0)), tuple)
+    assert not isinstance(x, tuple)
 
 
 def test_cover_report_truth_is_ok():

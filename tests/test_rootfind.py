@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from kakutani import NumericError, ParameterError
 from kakutani.polynomials import IntPolynomial
+from kakutani import rootfind
 from kakutani.rootfind import (
+    _aberth,
     _roots_and_residuals,
     find_roots,
     residual_bound,
@@ -63,6 +65,27 @@ class TestKnownRoots:
         roots = find_roots(poly)
         assert sum(1 for z in roots if z == 0) == 3
         assert any(abs(z - 2) < 1e-12 for z in roots)
+
+    def test_repeated_roots_after_a_stall(self):
+        # (x + 1) * (x^2 + 2)^2: the sweep stalls on the double pair, and
+        # the roots come from p / gcd(p, p') and gcd(p, p') = x^2 + 2
+        poly = IntPolynomial((4, 4, 4, 4, 1, 1))
+        with pytest.raises(NumericError, match="did not converge"):
+            _aberth(poly)
+        roots = find_roots(poly)
+        assert len(roots) == 5
+        for z in roots:
+            assert root_residual(poly, z) <= residual_bound(poly.degree, z)
+        for want, count in ((1j * math.sqrt(2.0), 2), (-1j * math.sqrt(2.0), 2), (-1.0, 1)):
+            assert sum(1 for z in roots if abs(z - want) < 1e-9) == count
+
+    def test_squarefree_stall_still_raises(self, monkeypatch):
+        def stalls(poly):
+            raise NumericError("Aberth iteration did not converge")
+
+        monkeypatch.setattr(rootfind, "_aberth", stalls)
+        with pytest.raises(NumericError, match="did not converge"):
+            find_roots(IntPolynomial((-1, -1, 1)))
 
     def test_cyclotomic_on_unit_circle(self):
         # x^4 - x^2 + 1, all roots on the unit circle

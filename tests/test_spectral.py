@@ -15,7 +15,7 @@ from kakutani import (
 )
 from kakutani.cli import main
 from kakutani.cover import build_three_interval_rule, substitution_matrix
-from kakutani.params import Incommensurable, r_of_alpha
+from kakutani.params import Incommensurable, f_alpha_poly, r_of_alpha
 from kakutani.polynomials import IntPolynomial, cyclotomic
 from kakutani.rootfind import find_roots, residual_bound
 from kakutani.spectral import (
@@ -23,10 +23,7 @@ from kakutani.spectral import (
     SPREAD_RATIOS,
     classify_three_interval,
     eigenspace_not_perp,
-    f_alpha_poly,
-    has_unit_circle_factor,
     is_pv_three_interval,
-    is_pv_trinomial,
     solomon_verdict,
     survey,
     unit_circle_factors,
@@ -100,14 +97,14 @@ class TestUnitCircleFactors:
 
     def test_factor_set_matches_sixth_root_oracle(self):
         for n, m in coprime_pairs(12):
-            got = has_unit_circle_factor(f_alpha_poly(n, m))
+            got = bool(unit_circle_factors(f_alpha_poly(n, m)))
             assert got == trinomial_kills_sixth_root(n, m), (n, m)
 
     def test_factor_pairs_up_to_twelve(self):
         found = {
             (n, m)
             for n, m in coprime_pairs(12)
-            if has_unit_circle_factor(f_alpha_poly(n, m))
+            if unit_circle_factors(f_alpha_poly(n, m))
         }
         assert found == SIXTH_ROOT_PAIRS
 
@@ -146,7 +143,7 @@ class TestUnitCircleFactors:
 
     def test_pisot_trinomials_have_none(self):
         for n, m in PV_PAIRS:
-            assert not has_unit_circle_factor(f_alpha_poly(n, m))
+            assert not unit_circle_factors(f_alpha_poly(n, m))
 
     def test_rejects_zero(self):
         with pytest.raises(ParameterError):
@@ -155,11 +152,17 @@ class TestUnitCircleFactors:
 
 class TestPisotMembership:
     def test_trinomial_exact_set(self):
+        # the nontrivial spread ratios are the Pisot trinomials' pairs
         for n, m in coprime_pairs(12):
-            assert is_pv_trinomial(n, m) == ((n, m) in PV_PAIRS), (n, m)
+            assert (Fraction(n, m) in SPREAD_RATIOS) == ((n, m) in PV_PAIRS), (n, m)
 
     def test_lattice_is_not_pisot_trinomial(self):
-        assert not is_pv_trinomial(1, 1)
+        # ratio 1 is spread as a lattice, with no trinomial to be Pisot
+        with pytest.raises(ParameterError, match="lattice"):
+            f_alpha_poly(1, 1)
+        verdict = classify_spreadness(Commensurable(1, 1))
+        assert verdict.theorem_verdict and not verdict.mismatch
+        assert verdict.rationale is Rationale.LATTICE
 
     def test_three_interval_members(self):
         silver = IntPolynomial.from_terms({2: 1, 1: -2, 0: -1})
@@ -226,6 +229,17 @@ class TestSolomonVerdict:
         assert report.has_unit_modulus_eigenvalue
         assert not report.unresolved
         assert report.lambda2_modulus == pytest.approx(1.0, abs=1e-9)
+
+    def test_unresolved_near_unit(self, near_unit_second_root):
+        # a watched root within the slack of the unit circle and no exact
+        # cyclotomic factor: Boundary, flagged unresolved, never guessed
+        report = solomon_verdict((7, 3))
+        assert report.solomon is SpreadClass.BOUNDARY
+        assert report.unresolved
+        assert not report.has_unit_modulus_eigenvalue
+        verdict = classify_spreadness(Commensurable(7, 3))
+        assert verdict.rationale is Rationale.UNRESOLVED_NEAR_UNIT
+        assert not verdict.mismatch
 
     def test_unit_factor_loses_to_larger_modulus(self):
         # x^12 - x^2 - 1 for (7, 5) also vanishes at the sixth root of
