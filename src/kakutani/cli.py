@@ -81,6 +81,13 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     return n, m
 
 
+def _parse_windows(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(w) for w in text.split(","))
+    except ValueError as exc:
+        raise ParameterError(f"expected comma-separated numbers as windows, got {text!r}") from exc
+
+
 def _parse_loops(text: str) -> tuple[int, int, int]:
     parts = text.replace("/", ",").split(",")
     if len(parts) != 3:
@@ -347,7 +354,7 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
         t = args.t
     support = SubdivisionTree(alpha, t).support
     if args.windows is not None:
-        windows = tuple(float(w) for w in args.windows.split(","))
+        windows = _parse_windows(args.windows)
         grid_echo: dict[str, Any] = {"windows": list(windows)}
     else:
         high = args.high if args.high is not None else int(math.log2(support))
@@ -446,7 +453,7 @@ def _cmd_verify_cover(args: argparse.Namespace) -> int:
         "ell": report.ell,
         "tile_count": report.tile_count,
         "first_mismatch": report.first_mismatch,
-        "raw_equal": report.raw_equal,
+        "raw_equal": report.ok,
     }
     _emit(json_envelope(payload, config), args.out)
     return 0 if report.ok else 1

@@ -16,11 +16,10 @@ with inflation constant xi = e**g = alpha**(-1/n):
 
 A chain prototile only passes through, so a patch of the rule is the
 flower's hub recursion, "k steps to go -> k - c_i, one piece per loop".
-``iterate_primitive`` grows patches with exact positions (integer sums
-of powers of xi) by ``engine.hub_patch``, the one walk of it, which
-reads the loops alone.  ``verify_cover`` checks, exactly, that after
-any number of steps the fixed-scale patch and the multiscale patch are
-the same subdivision of the line.  In both a position is the sum of the
+``iterate_primitive`` grows its patches by ``engine.hub_patch``, the
+one walk of it, which reads the loops alone.  ``verify_cover`` checks,
+exactly, that after any number of steps the fixed-scale patch and the
+multiscale patch are the same subdivision of the line.  In both a position is the sum of the
 lengths to its left, so the check compares two words of length
 exponents, the rule's read off its label map.
 
@@ -226,7 +225,7 @@ def iterate_primitive(
 ) -> Patch:
     """The labelled patch after ell inflate-and-subdivide steps on the hub.
 
-    Tiles are exact translates of prototiles.  A chain prototile only
+    Tiles are translates of prototiles.  A chain prototile only
     passes through to the next one on its loop, so the patch is the hub
     split "k steps to go -> k - c_i, one piece per loop" that
     ``engine.hub_patch`` walks from the loops alone, with each leaf's
@@ -247,7 +246,6 @@ class CoverReport(NamedTuple):
     ell: int
     tile_count: int
     first_mismatch: int | None
-    raw_equal: bool
 
     def __bool__(self) -> bool:
         return self.ok
@@ -299,9 +297,7 @@ def verify_cover(
     length exponents do.  The two words come from independent trees: the
     covering rule's label tree and the engine's e -> (e - n, e - m)
     split.  ``first_mismatch`` is the first index where they differ, -1
-    when the tile counts differ.  Both sides build positions from the
-    same hub splits, so ``raw_equal`` (term-wise equal exact positions)
-    holds exactly when the words agree.
+    when the tile counts differ.
     """
     rule = build_rho(n, m)
     if ell < 0:
@@ -322,5 +318,4 @@ def verify_cover(
         ell=ell,
         tile_count=len(fixed),
         first_mismatch=first_mismatch,
-        raw_equal=ok,
     )

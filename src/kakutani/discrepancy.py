@@ -30,6 +30,7 @@ cost independent of the number of points.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cache
 from typing import NamedTuple, Sequence
 
@@ -338,6 +339,12 @@ def dyadic_windows(low_exp: int, high_exp: int) -> tuple[float, ...]:
     """Window grid 2**low_exp .. 2**high_exp, one point per exponent."""
     if high_exp < low_exp:
         raise ParameterError("need low_exp <= high_exp")
+    # 2**-1074 is the least positive float, 2**1023 the greatest power of two
+    lowest = sys.float_info.min_exp - sys.float_info.mant_dig
+    if low_exp < lowest or high_exp >= sys.float_info.max_exp:
+        raise ParameterError(
+            f"dyadic exponents must lie in the float range {lowest} .. {sys.float_info.max_exp - 1}"
+        )
     return tuple(float(2**e) for e in range(low_exp, high_exp + 1))
 
 

@@ -12,8 +12,6 @@ without materializing anything, and ``generate_patch`` and the direct
 discrepancy scan walk it through tables of node ids laid out from the
 staircase's row ends, down left spines and along rows of leaf children
 with no push per leaf.
-``generate_patch`` sums float positions alone; the exact terms are
-built by the same walk when ``patch.tiles`` first asks for them.
 
 Lengths of exactly one are detected in log scale with a fixed slack, so
 that e.g. alpha = 1/2 at t = log 2 yields two unit tiles and not four
@@ -27,17 +25,11 @@ patches of ``cover.iterate_primitive`` are the same walk with labels.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import accumulate
 
 from .errors import ParameterError, ResourceLimitError
-from .geometry import (
-    LengthExponent,
-    Patch,
-    PositionVector,
-    XiPower,
-    XiSum,
-    term_sums,
-)
+from .geometry import Patch, term_sums
 from .params import check_alpha, check_exponent_pair, solve_alpha
 
 __all__ = [
@@ -485,34 +477,28 @@ def hub_patch(loops: tuple[int, ...], xi: float, ell: int, labelled: bool) -> Pa
     # along a path, so the terms come out sorted; more loops can repeat
     # or interleave powers, and those are merged.
     if p > 2:
-        paths = [XiSum(terms).terms for terms in paths]
+        paths = [sorted(Counter(e for e, _ in terms).items()) for terms in paths]
     size = [power.get(e) for _, _, e in slots]
-
-    def exact() -> tuple[list[XiSum], list[XiPower]]:
-        lengths = [XiPower(-e) for _, _, e in slots]
-        return [XiSum._from_sorted(terms) for terms in paths], [lengths[s] for s in ids]
-
     labels = None
     if labelled:
         along = loop_labels(loops)
         label = [along[i][k] if e <= 0 else 0 for k, i, e in slots]
         labels = [label[s] for s in ids]
-    return Patch(term_sums(paths, power), [size[s] for s in ids], (0.0, xi**ell), exact, labels)
+    return Patch(term_sums(paths, power), [size[s] for s in ids], (0.0, xi**ell), labels)
 
 
-def _leaf_walk(row: int, kind: list[int], step: list, start) -> tuple[list[int], list]:
+def _leaf_walk(row: int, kind: list[int], step: list[float]) -> tuple[list[int], list[float]]:
     """Ids of the leaves of a walk table's tree, left to right, and the
-    sums ``... + step[k] + start`` over the right steps of their paths:
-    down left spines, pushing right children, and along rows of leaf
-    children with no push.  ``kind`` is ``SubdivisionTree.walk_table``'s.
-    ``+`` adds floats and joins tuples, so one walk sums positions or
-    collects exact terms, the last step's first."""
+    float sums of ``step[k]`` over the right steps of their paths, from
+    the root down: down left spines, pushing right children, and along
+    rows of leaf children with no push.  ``kind`` is
+    ``SubdivisionTree.walk_table``'s."""
     ids: list[int] = []
-    sums: list = []
+    sums: list[float] = []
     found, note = ids.append, sums.append
-    stack = [(-1, start)]  # popping the sentinel ends the walk
+    stack = [(-1, 0.0)]  # popping the sentinel ends the walk
     pop, push = stack.pop, stack.append
-    k, val = 0, start
+    k, val = 0, 0.0
     while k >= 0:
         c = kind[k]
         if c == 1:
@@ -552,25 +538,12 @@ def generate_patch(
     rows = len(kind) // row
     columns = beta_pow[:row]
     step = [p * q for p in alpha_pow[1 : rows + 1] for q in columns]
-    ids, sums = _leaf_walk(row, kind, step, 0.0)
+    ids, sums = _leaf_walk(row, kind, step)
     size = [s * q for s in [scale * p for p in alpha_pow[:rows]] for q in columns]
-
-    def exact() -> tuple[list[PositionVector], list[LengthExponent]]:
-        # A right step adds the exact term of its left sibling; these
-        # ascend along a path, so a path read backwards is sorted.
-        terms = [(((a, b), 1),) for a in range(1, rows + 1) for b in range(row)]
-        _, terms = _leaf_walk(row, kind, terms, ())
-        exponents = {k: LengthExponent(*divmod(k, row)) for k in set(ids)}
-        return (
-            [PositionVector._from_sorted(path[::-1]) for path in terms],
-            [exponents[k] for k in ids],
-        )
-
     return Patch(
         [anchor + scale * val for val in sums],
         [size[k] for k in ids],
         (anchor, anchor + scale),
-        exact,
     )
 
 
@@ -582,9 +555,8 @@ def generate_patch_commensurable(
     Tile lengths are xi**e for integers e; substitution applies exactly
     when e > 0.  A tile xi**e splits into xi**(e - n) and xi**(e - m),
     which is the hub of the flower with loops (n, m) splitting with e
-    steps to go, so ``hub_patch`` builds the patch.  Positions are exact
-    sums of powers of xi, so the result can be compared tile-for-tile
-    against a fixed-scale construction without tolerances.
+    steps to go, so ``hub_patch`` builds the patch: the covering rule's
+    patch (``cover.iterate_primitive``) without its labels.
     """
     if ell < 0:
         raise ParameterError("ell must be nonnegative")

@@ -33,8 +33,8 @@ Numerically deciding "modulus one" is hopeless at the boundary, so an
 exact test runs alongside the numerics: for these trinomials a root on
 the unit circle forces divisibility by x^2 - x + 1 (the root must be a
 primitive sixth root of unity), and for the quadrinomials of the
-three-interval rules all cyclotomic factors up to a configurable order
-are tried by exact division.
+three-interval rules the cyclotomic factors whose orders divide a loop
+length are tried by exact division.
 
 The closed classification: the endpoint set is uniformly spread exactly
 for the ratios 1, 3/2, 2, 3 and 4, the four nontrivial ones being the
@@ -111,13 +111,13 @@ class Rationale(str, enum.Enum):
         return self.value
 
 
-def _is_two_split_trinomial(poly: IntPolynomial) -> bool:
-    """Recognize the exact shape x^n - x^k - 1 with 0 < k < n."""
+def _flower_loops(poly: IntPolynomial) -> tuple[int, ...]:
+    """The loops c_i, longest first, of the shape x^K - sum(x^(K - c_i)),
+    equal loops adding up; none for any other shape."""
     coeffs = poly.coeffs
-    if len(coeffs) < 3 or coeffs[-1] != 1 or coeffs[0] != -1:
-        return False
-    middles = [c for c in coeffs[1:-1] if c]
-    return middles == [-1]
+    if coeffs[-1] != 1 or any(c > 0 for c in coeffs[:-1]):
+        return ()
+    return tuple(poly.degree - power for power, c in enumerate(coeffs[:-1]) for _ in range(-c))
 
 
 def unit_circle_factors(poly: IntPolynomial) -> tuple[IntPolynomial, ...]:
@@ -125,15 +125,22 @@ def unit_circle_factors(poly: IntPolynomial) -> tuple[IntPolynomial, ...]:
 
     For the two-split trinomials x^n - x^k - 1 a unit-circle root can
     only be a primitive sixth root of unity, so only x^2 - x + 1 needs
-    testing.  Other shapes get the full sweep of cyclotomic orders up to
-    ``_CYCLOTOMIC_ORDER_BOUND``.
+    testing.  For three loops, a unit-circle root lambda makes
+    lambda^-c_1 + lambda^-c_2 + lambda^-c_3 + (-1) a sum of four unit
+    vectors that is zero, so they pair off into opposite vectors and
+    some lambda^c_i is 1: the order of lambda divides a loop length, and
+    only those divisors need testing.  Other shapes get the full sweep
+    of cyclotomic orders up to ``_CYCLOTOMIC_ORDER_BOUND``.
     """
     if poly.is_zero:
         raise ParameterError("the zero polynomial is not a valid spectrum")
-    if _is_two_split_trinomial(poly):
-        orders: tuple[int, ...] = (6,)
+    loops = _flower_loops(poly)
+    if len(loops) == 2 and loops[0] == poly.degree > loops[1]:  # x^n - x^k - 1
+        orders = [6]
+    elif len(loops) == 3:
+        orders = sorted({d for c in loops for d in range(1, c + 1) if c % d == 0})
     else:
-        orders = tuple(range(1, _CYCLOTOMIC_ORDER_BOUND + 1))
+        orders = list(range(1, _CYCLOTOMIC_ORDER_BOUND + 1))
     # cyclotomic(k) divides x^k - 1, so it divides poly exactly when it
     # divides poly mod x^k - 1: the terms folded onto degrees below k
     terms = [(power, c) for power, c in enumerate(poly.coeffs) if c]

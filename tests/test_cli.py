@@ -631,6 +631,23 @@ def test_bad_t_is_a_parameter_error(capsys, command):
     assert "parameter error" in err
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("--windows 1,abc", "expected comma-separated numbers as windows"),
+        ("--windows ,", "expected comma-separated numbers as windows"),
+        ("--high 2000", "float range"),
+        ("--low -2000 --high 2", "float range"),
+    ],
+)
+def test_malformed_windows_are_usage_errors(capsys, command, message):
+    code, out, err = run_cli(capsys, "discrepancy", "--alpha", "0.3", "--t", "10", *command.split())
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "parameter error" in err and message in err
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

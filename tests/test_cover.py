@@ -21,7 +21,6 @@ from kakutani.cover import (
     verify_cover,
 )
 from kakutani.polynomials import IntPolynomial
-from kakutani.geometry import XiSum
 from kakutani.spectral import solomon_verdict
 
 from conftest import (
@@ -35,6 +34,7 @@ from conftest import (
     matmul,
     matrix_power,
     rule_count,
+    rule_patch_per_node,
     tile_counts,
 )
 
@@ -367,16 +367,16 @@ class TestIteratePrimitive:
         ids=lambda rule: str(rule.loops),
     )
     def test_positions_fold_exact_terms(self, rule):
-        # bit for bit: the float position is the exact position added up
-        # term by term in ascending order, and the terms are canonical
+        # bit for bit: the float position is the exact position of the
+        # label tree's recursion added up term by term in ascending order
         xi = rule.xi
         for ell in (0, 1, 4, 9, 14, 20):
             if sum(tile_counts(substitution_matrix(rule), ell)) > 5000:
                 break
-            for tile in iterate_primitive(rule, ell).tiles:
-                terms = tile.position.terms
-                assert XiSum(terms) == tile.position
-                assert tile.position_value == ascending_fold(terms, lambda p: xi**p)
+            _labels, terms = rule_patch_per_node(rule, ell)
+            assert iterate_primitive(rule, ell).positions() == tuple(
+                ascending_fold(path, lambda p: xi**p) for path in terms
+            )
 
     def test_tile_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -414,7 +414,6 @@ class TestVerifyCover:
     def test_report_fields(self):
         report = verify_cover(3, 2, 5)
         assert (report.n, report.m, report.ell) == (3, 2, 5)
-        assert isinstance(report.raw_equal, bool)
 
     def test_respects_tile_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -443,7 +442,6 @@ class TestVerifyCover:
         assert not report
         assert report.tile_count == 8
         assert report.first_mismatch == 3
-        assert report.raw_equal is False
 
     def test_count_mismatch_is_minus_one(self, monkeypatch):
         # a rule for 3/1 checked against the 2/1 engine: 6 tiles against 8
@@ -452,7 +450,6 @@ class TestVerifyCover:
         report = verify_cover(2, 1, 4)
         assert report.ok is False
         assert report.first_mismatch == -1
-        assert report.raw_equal is False
 
 
 class TestProperties:

@@ -521,6 +521,13 @@ class TestScan:
                 with pytest.raises(ParameterError):
                     discrepancy_scan(1.0 / 3.0, 2.0, [bad], mode=mode)
 
+    def test_dyadic_grid_stays_in_the_float_range(self):
+        assert dyadic_windows(-1074, -1073) == (2.0**-1074, 2.0**-1073)
+        assert dyadic_windows(1022, 1023) == (2.0**1022, 2.0**1023)
+        for low, high in ((-1075, 2), (4, 1024), (4, 2000)):
+            with pytest.raises(ParameterError, match="float range"):
+                dyadic_windows(low, high)
+
     def test_series_fields(self):
         alpha = 1.0 / 3.0
         series = discrepancy_scan(alpha, 10.0, dyadic_windows(2, 10))

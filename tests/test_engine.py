@@ -14,7 +14,6 @@ from kakutani.engine import (
     generate_patch_commensurable,
 )
 from kakutani.cover import build_rho, build_three_interval_rule, iterate_primitive
-from kakutani.geometry import LengthExponent, PositionVector, XiPower, XiSum
 
 from conftest import (
     ascending_fold,
@@ -164,8 +163,9 @@ class TestGeneratePatch:
 
 
 class TestPositionBits:
-    """Each float position is its exact position added up term by term,
-    in ascending order; bit for bit, not within a tolerance."""
+    """Each float position is the exact position terms of the per-node
+    walk added up term by term, in ascending order; bit for bit, not
+    within a tolerance."""
 
     @pytest.mark.parametrize("alpha", [0.5, 0.45, 0.4, 1.0 / 3.0, 0.3, 0.2, 0.1])
     @pytest.mark.parametrize("t", [0.0, 1.0, 2.5, 5.0, 7.0])
@@ -175,52 +175,55 @@ class TestPositionBits:
         for offset in (0.5, 0.0, 1.0):
             anchor = -offset * scale
             patch = generate_patch(alpha, t, origin_offset=offset)
-            for tile in patch.tiles:
-                terms = tile.position.terms
-                assert PositionVector(terms) == tile.position
-                folded = ascending_fold(terms, lambda ab: alpha ** ab[0] * beta ** ab[1])
-                assert tile.position_value == anchor + scale * folded
+            _pairs, _positions, _lengths, terms = patch_per_node(alpha, t, offset)
+            assert patch.positions() == tuple(
+                anchor + scale * ascending_fold(path, lambda ab: alpha ** ab[0] * beta ** ab[1])
+                for path in terms
+            )
 
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 3), (5, 2), (7, 3), (1, 1)])
     def test_commensurable_patch(self, n, m):
+        xi = solve_alpha(n, m) ** (-1.0 / n)
         for ell in (0, 1, 4, 11, 20):
             if count_tiles_commensurable(n, m, ell) > 5000:
                 break
             patch = generate_patch_commensurable(n, m, ell)
-            xi = solve_alpha(n, m) ** (-1.0 / n)
-            for tile in patch.tiles:
-                terms = tile.position.terms
-                assert XiSum(terms) == tile.position
-                assert tile.position_value == ascending_fold(terms, lambda p: xi**p)
+            _exponents, terms = xi_patch_per_node(n, m, ell)
+            assert patch.positions() == tuple(ascending_fold(path, lambda p: xi**p) for path in terms)
 
 
 class TestLeafWalks:
     """The row-run walks give, with ==, the leaves of the walks that test
-    and push both children of every node, and the lazily built exact
-    terms of those walks."""
+    and push both children of every node: their positions, lengths and
+    labels, and the float fold of their exact position terms."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_multiscale_equals_the_per_node_walk(self, seed):
         for k, (alpha, t) in enumerate(walk_cases(f"patch:{seed}", 40, max_tiles=600)):
             offset = (0.5, 0.0, 1.0, 0.3)[k % 4]
             patch = generate_patch(alpha, t, origin_offset=offset)
-            pairs, positions, lengths, terms = patch_per_node(alpha, t, offset)
+            _pairs, positions, lengths, terms = patch_per_node(alpha, t, offset)
             assert patch.positions() == tuple(positions)
             assert patch.lengths() == tuple(lengths)
-            assert [tuple(tile.length) for tile in patch.tiles] == pairs
-            assert [tile.position.terms for tile in patch.tiles] == terms
+            assert patch.labels() == (None,) * len(positions)
+            beta, scale = 1.0 - alpha, math.exp(t)
+            assert patch.positions() == tuple(
+                -offset * scale
+                + scale * ascending_fold(path, lambda ab: alpha ** ab[0] * beta ** ab[1])
+                for path in terms
+            )
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 2), (5, 3), (7, 3), (9, 2), (41, 20)])
     def test_commensurable_equals_the_per_node_walk(self, n, m):
+        xi = solve_alpha(n, m) ** (-1.0 / n)
         for ell in (0, 1, 2, n, n + m, 17, 45):
             if count_tiles_commensurable(n, m, ell) > 20000:
                 continue
             patch = generate_patch_commensurable(n, m, ell)
             exponents, terms = xi_patch_per_node(n, m, ell)
-            assert [-tile.length.exponent for tile in patch.tiles] == exponents
-            assert [tile.position.terms for tile in patch.tiles] == terms
-            xi = solve_alpha(n, m) ** (-1.0 / n)
+            assert patch.lengths() == tuple(xi**e for e in exponents)
             assert patch.positions() == tuple(ascending_fold(path, lambda p: xi**p) for path in terms)
+            assert patch.labels() == (None,) * len(exponents)
 
     @pytest.mark.parametrize(
         "rule",
@@ -230,18 +233,18 @@ class TestLeafWalks:
         ids=["2/1", "3/2", "7/3", "13/5", "3,2,1", "2,2,1", "5,3,3", "7,4,1"],
     )
     def test_fixed_scale_equals_the_per_node_walk(self, rule):
+        xi, exponents = rule.xi, rule.length_exponents
         for ell in (0, 1, 2, 5, 9, 14):
             patch = iterate_primitive(rule, ell)
             labels, terms = rule_patch_per_node(rule, ell)
             assert list(patch.labels()) == labels
-            assert [tile.position.terms for tile in patch.tiles] == terms
-            xi = rule.xi
+            assert patch.lengths() == tuple(xi ** -exponents[label - 1] for label in labels)
             assert patch.positions() == tuple(ascending_fold(path, lambda p: xi**p) for path in terms)
 
     @pytest.mark.parametrize("n,m", coprime_pairs(9))
     def test_fixed_scale_equals_the_commensurable_patch(self, n, m):
         # the labelled patch of the covering rule is the plain recursion's
-        # patch, float for float and term for term, labels aside
+        # patch, float for float, labels aside; the labels tell them apart
         top = 0
         while count_tiles_commensurable(n, m, top + 1) <= 10**4:
             top += 1
@@ -251,17 +254,16 @@ class TestLeafWalks:
             assert fixed.positions() == plain.positions()
             assert fixed.lengths() == plain.lengths()
             assert fixed.support == plain.support
-            assert [(t.position, t.length) for t in fixed.tiles] == [
-                (t.position, t.length) for t in plain.tiles
-            ]
+            assert fixed != plain
+            assert plain == generate_patch_commensurable(n, m, ell)
 
 
 class TestColumns:
-    """The columns a generator returns are the fields of the tiles that
-    the patch builds from them on request."""
+    """A patch's rows are its columns side by side, and each length is
+    the one the per-node walk gives its leaf."""
 
     @staticmethod
-    def assert_columns_match_tiles(patch):
+    def assert_rows_are_the_columns(patch):
         tiles = patch.tiles
         assert len(tiles) == len(patch)
         assert patch.positions() == tuple(tile.position_value for tile in tiles)
@@ -271,24 +273,18 @@ class TestColumns:
     @pytest.mark.parametrize("alpha,t", [(0.5, 0.0), (0.3, 4.0), (0.41, 7.5), (0.12, 6.0)])
     def test_multiscale(self, alpha, t):
         patch = generate_patch(alpha, t, origin_offset=0.25)
-        self.assert_columns_match_tiles(patch)
+        self.assert_rows_are_the_columns(patch)
         beta = 1.0 - alpha
-        for tile in patch.tiles:
-            assert type(tile.position) is PositionVector
-            assert type(tile.length) is LengthExponent
-            a, b = tile.length
-            assert tile.length_value == math.exp(t) * alpha**a * beta**b
-            assert tile.label is None
+        pairs = patch_per_node(alpha, t, 0.25)[0]
+        assert patch.lengths() == tuple(math.exp(t) * alpha**a * beta**b for a, b in pairs)
 
     @pytest.mark.parametrize("n,m,ell", [(1, 1, 5), (2, 1, 9), (3, 2, 14), (7, 3, 25)])
     def test_commensurable(self, n, m, ell):
         patch = generate_patch_commensurable(n, m, ell)
-        self.assert_columns_match_tiles(patch)
+        self.assert_rows_are_the_columns(patch)
         xi = solve_alpha(n, m) ** (-1.0 / n)
-        for tile in patch.tiles:
-            assert type(tile.position) is XiSum
-            assert type(tile.length) is XiPower
-            assert tile.length_value == xi ** -tile.length.exponent
+        exponents = xi_patch_per_node(n, m, ell)[0]
+        assert patch.lengths() == tuple(xi**e for e in exponents)
 
     @pytest.mark.parametrize(
         "rule",
@@ -297,11 +293,11 @@ class TestColumns:
     )
     def test_fixed_scale(self, rule):
         patch = iterate_primitive(rule, 9)
-        self.assert_columns_match_tiles(patch)
-        for tile in patch.tiles:
-            assert type(tile.position) is XiSum
-            assert tile.length == XiPower(rule.length_exponents[tile.label - 1])
-            assert tile.length_value == rule.xi ** -rule.length_exponents[tile.label - 1]
+        self.assert_rows_are_the_columns(patch)
+        labels = rule_patch_per_node(rule, 9)[0]
+        assert patch.lengths() == tuple(
+            rule.xi ** -rule.length_exponents[label - 1] for label in labels
+        )
 
 
 class TestCommensurablePatch:

@@ -12,7 +12,7 @@ from kakutani.discrepancy import (
     GrowthFit,
     asymptotic_density,
 )
-from kakutani.geometry import Tile, XiPower, XiSum
+from kakutani.geometry import Tile
 from kakutani.params import Commensurable, Incommensurable
 from kakutani.polynomials import IntPolynomial
 
@@ -31,9 +31,9 @@ def samples():
     return [
         (Commensurable(3, 2), ("n", "m")),
         (Incommensurable(1.5), ("r",)),
-        (Tile(XiSum([(-2, 1)]), XiPower(1), 0.5, 0.6, 2), ("position", "length", "label")),
+        (Tile(0.5, 0.6, 2), ("position_value", "length_value", "label")),
         (build_rho(3, 2), ("loops", "alpha", "xi", "image_map")),
-        (verify_cover(3, 2, 5), ("ok", "tile_count", "raw_equal")),
+        (verify_cover(3, 2, 5), ("ok", "tile_count", "first_mismatch")),
         (SubstitutionMatrix(((1, 1), (1, 0))), ("entries",)),
         (DensityValue(1.5, "perron"), ("value", "method")),
         (DiscrepancySeries(**SERIES), ("alpha", "windows", "max_disc")),
@@ -85,10 +85,7 @@ def test_repr_names_every_field():
     assert repr(Commensurable(3, 2)) == "Commensurable(n=3, m=2)"
     assert repr(Incommensurable(1.5)) == "Incommensurable(r=1.5)"
     assert repr(DensityValue(1.5, "perron")) == "DensityValue(value=1.5, method='perron')"
-    assert repr(Tile(XiSum([(-2, 1)]), XiPower(1), 0.5, 0.6)) == (
-        "Tile(position=XiSum([(-2, 1)]), length=XiPower(exponent=1), "
-        "position_value=0.5, length_value=0.6, label=None)"
-    )
+    assert repr(Tile(0.5, 0.6)) == "Tile(position_value=0.5, length_value=0.6, label=None)"
     assert repr(SubstitutionMatrix(((1,),))) == "SubstitutionMatrix(entries=((1,),))"
     assert repr(DiscrepancySeries(**SERIES)) == (
         "DiscrepancySeries(alpha=0.3, t=10.0, density=1.5, "
@@ -100,7 +97,7 @@ def test_repr_names_every_field():
     )
     assert repr(verify_cover(2, 1, 3)) == (
         "CoverReport(ok=True, n=2, m=1, ell=3, tile_count=5, "
-        "first_mismatch=None, raw_equal=True)"
+        "first_mismatch=None)"
     )
     assert repr(IntPolynomial((-1, -1, 1))) == "IntPolynomial('x^2 - x - 1')"
     assert repr(build_rho(2, 1)).startswith("LoopRule(loops=(2, 1), alpha=0.381966")

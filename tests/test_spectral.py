@@ -118,7 +118,9 @@ class TestUnitCircleFactors:
         assert cyclotomic(4) in unit_circle_factors(other)
 
     def test_folded_sweep_matches_full_division(self):
-        # the sweep divides p mod x^k - 1; the oracle divides p itself
+        # the sweep divides p mod x^k - 1; the oracle divides p itself.
+        # A cyclotomic factor of degree at most 16 has order at most 60,
+        # so on the three-loop rules to n = 16 the oracle finds every one
         def divided(poly):
             return tuple(
                 phi
@@ -128,7 +130,7 @@ class TestUnitCircleFactors:
 
         polys = [
             build_three_interval_rule(*loops).polynomial
-            for loops in coprime_triples(12)
+            for loops in coprime_triples(16)
         ]
         polys += [
             multiply(multiply(cyclotomic(a), cyclotomic(b)), f_alpha_poly(3, 2))
@@ -137,6 +139,16 @@ class TestUnitCircleFactors:
         ]
         for poly in polys:
             assert unit_circle_factors(poly) == divided(poly), poly
+
+    @pytest.mark.parametrize("j", range(5))
+    def test_three_loop_factor_past_order_sixty(self, j):
+        # at a root of Phi_64, x^32 = -1, so x^(63 - 2j) = -x^(31 - 2j)
+        # and x^64 - x^(63 - 2j) - x^(31 - 2j) - 1 vanishes there
+        loops = (64, 33 + 2 * j, 1 + 2 * j)
+        assert cyclotomic(64) in unit_circle_factors(build_three_interval_rule(*loops).polynomial)
+        verdict = classify_three_interval(*loops)
+        assert verdict.spectral.has_unit_modulus_eigenvalue
+        assert verdict.spectral.solomon is SpreadClass.NOT_SPREAD
 
     def test_cyclotomic_detects_itself(self):
         assert unit_circle_factors(cyclotomic(5)) == (cyclotomic(5),)
