@@ -337,6 +337,8 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
     from .exports import json_envelope, series_to_csv, series_to_svg
     from .params import Commensurable, detect_commensurability, solve_alpha
 
+    if args.fit and args.format != "json":
+        raise ParameterError("--fit supports only json output")  # before any scan
     if args.ratio is not None:
         # whole substitution steps only: between steps the snapshot
         # density drifts away from the Perron value

@@ -16,16 +16,17 @@ steps along a row come in runs whose leaves sum by the hockey-stick
 identity, so a query makes O(t) runs of O(t) binomials each and stores
 one integer per row.  The
 discrepancy scan goes one step further: the deviation profile of a
-subtree depends only on its exponent pair, so each internal pair gets
-an exact (sup, inf) of the running deviation over its span, together
-with its leaf count, and the maximum over a window is assembled from
-O(t) of these entries.  The table is kept by staircase row: flat
-``hi``, ``lo`` and ``count`` lists indexed by column, and the widths
-of the row's nodes, each computed once.  Rows are filled bottom up,
-only as far up as the descents reach, and a descent reads widths and
-the leaf test from the rows, with no ``exp`` per step.  The result
-equals an exact scan over every tile boundary and its left limit, at
-cost independent of the number of points.
+subtree depends only on its exponent pair, so each node gets an exact
+(sup, inf) of the running deviation over its span, together with its
+leaf count, and the maximum over a window is assembled from O(t) of
+these entries.  The table is kept by staircase row: flat ``hi``, ``lo``
+and ``count`` lists over every node of the row, leaves included, and
+the widths of those nodes, each computed once.  A row is filled whole,
+with every row below it, the first time a descent walks along it, and
+a descent reads widths, entries and the leaf test from the rows, with
+no ``exp`` per step.  The result equals an exact scan over every tile
+boundary and its left limit, at cost independent of the number of
+points.
 """
 from __future__ import annotations
 
@@ -115,18 +116,19 @@ def asymptotic_density(alpha: float, ratio: RatioClass | None = None) -> Density
 class _DeviationProfile:
     """Exact extrema of count([0, x]) - density * x over subtree spans.
 
-    The table entry of an internal pair (a, b) is the sup and the inf of
-    the deviation over its subtree's span and the subtree's leaf count.
-    The internal pairs form the tree's staircase, so the table is kept
-    by staircase row: row a holds flat lists ``hi``, ``lo`` and
-    ``count`` indexed by column b, filled from the row's end leftward
-    down to ``start[a]``, as an entry needs the one below it, in the
-    next row, and the one to its right.  Row a also holds the widths
-    ``exp(t + a*la + b*lb)`` of its nodes, each computed once, for the
-    whole row when a fill or a descent first goes right along it; until
-    then it holds only the width of its spine node (a, 0).  A descent
-    reads its widths from the rows and its leaf test from the row ends,
-    with no ``exp`` and no call per step.
+    The table entry of a node (a, b) is the sup and the inf of the
+    deviation over its subtree's span and the subtree's leaf count.  A
+    leaf's entry is (1, 1 - density * width, 1): the deviation jumps to
+    1 at its left endpoint and decays linearly to its right edge.  The
+    table is kept by staircase row: row a holds flat lists ``hi``,
+    ``lo`` and ``count``, and the widths ``exp(t + a*la + b*lb)``, for
+    every node of the row, columns 0 .. B(a - 1) + 1 (row 0:
+    0 .. B(0) + 1).  An internal entry needs the one below it, in the
+    next row, and the one to its right, so the rows are filled whole,
+    bottom up, each once: the rows from ``_top`` down are filled, and a
+    row above holds only the width of its spine node (a, 0).  A descent
+    reads its widths, entries and leaf test from the rows, with no
+    ``exp`` and no call per step.
     """
 
     def __init__(self, tree: SubdivisionTree, density: float):
@@ -139,68 +141,34 @@ class _DeviationProfile:
         self.density = density
         # row len(ends) below the staircase has no internal column
         self._ends = ends = tree.row_ends() + [-1]
-        rows = len(ends)
         t, la = tree.t, tree.la
-        self._widths = [[math.exp(t + a * la)] for a in range(rows)]
-        self._wide = rows  # the rows from here down hold all their widths
-        self._start = [end + 1 for end in ends]  # nothing filled yet
+        self._widths = [[math.exp(t + a * la)] for a in range(len(ends))]
+        self._top = len(ends)  # the rows from here down are filled
         self._hi: list[list[float]] = [[] for _ in ends]
         self._lo: list[list[float]] = [[] for _ in ends]
         self._count: list[list[int]] = [[] for _ in ends]
 
-    def _widen(self, top: int) -> None:
-        """Give row top and the rows below it all their widths.  The
-        nodes of row a sit in columns 0 .. B(a - 1) + 1, as children of
-        row a - 1 or right of row a's end (row 0: 0 .. B(0) + 1)."""
-        if top >= self._wide:
-            return
+    def _fill(self, top: int) -> None:
+        """Fill row top and the rows below it, whole, bottom up."""
         t, la, lb = self.tree.t, self.tree.la, self.tree.lb
+        d = self.density
         exp = math.exp
         ends, widths = self._ends, self._widths
-        steps = [b * lb for b in range(ends[top - 1 if top else 0] + 2)]
-        for a in range(top, self._wide):
+        for a in range(self._top - 1, top - 1, -1):
             base = t + a * la  # t + a*la + b*lb, summed in the same order
-            widths[a] = [exp(base + step) for step in steps[: ends[a - 1 if a else 0] + 2]]
-        self._wide = top
-
-    def _fill(self, top: int, first: int) -> None:
-        """Fill the entries of the subtree at internal pair (top, first),
-        the rows bottom up, each from where it stopped down to ``first``."""
-        self._widen(top)
-        d = self.density
-        ends, widths, start = self._ends, self._widths, self._start
-        last = top
-        while ends[last + 1] >= first:
-            last += 1
-        for a in range(last, top - 1, -1):
-            stop = start[a]
-            if stop <= first:
-                continue
+            row = widths[a] = [exp(base + b * lb) for b in range(ends[max(a - 1, 0)] + 2)]
             end = ends[a]
+            # the leaves right of the row's end, then the internal nodes
+            # from right to left
+            hi = self._hi[a] = [1.0] * len(row)
+            lo = self._lo[a] = [0.0] * (end + 1) + [1.0 - d * w for w in row[end + 1 :]]
+            count = self._count[a] = [1] * len(row)
+            if end < 0:
+                continue
             below = widths[a + 1]
-            if stop > end:
-                hi, lo, count = [0.0] * (end + 1), [0.0] * (end + 1), [0] * (end + 1)
-                self._hi[a], self._lo[a], self._count[a] = hi, lo, count
-                # the leaf right of the row's end: the deviation jumps to 1
-                # at its left endpoint and decays linearly to its right edge
-                rh, rl, rc = 1.0, 1.0 - d * widths[a][end + 1], 1
-            else:
-                hi, lo, count = self._hi[a], self._lo[a], self._count[a]
-                rh, rl, rc = hi[stop], lo[stop], count[stop]
-            # the columns whose left child (a + 1, b) is a leaf, then the rest
-            split = ends[a + 1]
-            for b in range(stop - 1, max(first, split + 1) - 1, -1):
-                step = 1.0 - d * below[b]
-                v = step + rh
-                rh = v if v > 1.0 else 1.0
-                v = step + rl
-                rl = v if v < step else step
-                rc += 1
-                hi[b] = rh
-                lo[b] = rl
-                count[b] = rc
             next_hi, next_lo, next_count = self._hi[a + 1], self._lo[a + 1], self._count[a + 1]
-            for b in range(min(split, stop - 1), first - 1, -1):
+            rh, rl, rc = 1.0, lo[end + 1], 1
+            for b in range(end, -1, -1):
                 c = next_count[b]
                 step = c - d * below[b]
                 v = step + rh
@@ -213,7 +181,7 @@ class _DeviationProfile:
                 hi[b] = rh
                 lo[b] = rl
                 count[b] = rc
-            start[a] = first
+        self._top = min(self._top, top)
 
     def max_abs_upto(self, x: float) -> float:
         """sup over 0 <= y <= x of |count([0, y]) - density * y|,
@@ -231,11 +199,8 @@ class _DeviationProfile:
         if not whole:
             while ends[a] >= 0 and x < widths[a + 1][0]:
                 a += 1
+        self._fill(a)  # the row the descent walks along or ends in, and those below
         if not whole and ends[a] >= 0:
-            # along the rows; those below (a, 0) are filled whole
-            self._widen(a)
-            if self._start[a + 1]:
-                self._fill(a + 1, 0)
             his, los, counts = self._hi, self._lo, self._count
             row, below, end, split = widths[a], widths[a + 1], ends[a], ends[a + 1]
             next_hi, next_lo, next_count = his[a + 1], los[a + 1], counts[a + 1]
@@ -250,24 +215,14 @@ class _DeviationProfile:
                     row, below, end, split = below, widths[a + 1], split, ends[a + 1]
                     next_hi, next_lo, next_count = his[a + 1], los[a + 1], counts[a + 1]
                     continue
-                # the left child lies in [0, x]: its entry, or a leaf's
-                if b > split:
-                    lo = 1.0 - d * wl  # its inf, and its count 1 less d * wl
-                    v = acc + 1.0
-                    if v > best_hi:
-                        best_hi = v
-                    v = acc + lo
-                    if v < best_lo:
-                        best_lo = v
-                    acc += lo
-                else:
-                    v = acc + next_hi[b]
-                    if v > best_hi:
-                        best_hi = v
-                    v = acc + next_lo[b]
-                    if v < best_lo:
-                        best_lo = v
-                    acc += next_count[b] - d * wl
+                # the left child lies in [0, x]: its entry
+                v = acc + next_hi[b]
+                if v > best_hi:
+                    best_hi = v
+                v = acc + next_lo[b]
+                if v < best_lo:
+                    best_lo = v
+                acc += next_count[b] - d * wl
                 left = right
                 b += 1
                 if x >= left + row[b]:
@@ -277,14 +232,8 @@ class _DeviationProfile:
                     break  # a leaf straddling x
         if whole:
             # the subtree (a, b) lies in [0, x]
-            if b <= ends[a]:
-                if b < self._start[a]:
-                    self._fill(a, b)
-                hi, lo = self._hi[a][b], self._lo[a][b]
-            else:
-                hi, lo = 1.0, 1.0 - d * widths[a][b]
-            best_hi = max(best_hi, acc + hi)
-            best_lo = min(best_lo, acc + lo)
+            best_hi = max(best_hi, acc + self._hi[a][b])
+            best_lo = min(best_lo, acc + self._lo[a][b])
         elif left <= x:
             best_hi = max(best_hi, acc + 1.0)
             best_lo = min(best_lo, acc + 1.0 - d * (x - left))

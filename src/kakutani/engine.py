@@ -79,6 +79,11 @@ class SubdivisionTree:
         self.t = t
         self.la = math.log(alpha)
         self.lb = math.log1p(-alpha)
+        if t / -self.lb == math.inf:
+            raise ResourceLimitError(
+                f"row 0 of the staircase, t / -log(1 - alpha) = {t!r} / {-self.lb!r} "
+                "columns, overflows a float"
+            )
         self._ends: list[int] | None = None
 
     def is_leaf(self, a: int, b: int) -> bool:

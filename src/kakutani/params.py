@@ -76,9 +76,14 @@ RatioClass = Commensurable | Incommensurable
 
 
 def check_alpha(alpha: float) -> None:
-    """Validate a splitting ratio: alpha in (0, 1/2]; NaN is refused."""
+    """Validate a splitting ratio: alpha in (0, 1/2]; NaN is refused, and
+    so is an alpha below about 3.9e-306, whose ratio r overflows a float."""
     if not (0.0 < alpha <= 0.5):
         raise ParameterError(f"alpha must lie in (0, 1/2], got {alpha!r}")
+    if math.log(alpha) / math.log1p(-alpha) == math.inf:
+        raise ParameterError(
+            f"alpha = {alpha!r} is too small: r = log(alpha) / log(1 - alpha) overflows a float"
+        )
 
 
 def check_exponent_pair(n: int, m: int) -> None:

@@ -327,6 +327,24 @@ class TestDiscrepancy:
         assert fit["heuristic"] is True
         assert set(fit["residuals"]) == {"constant", "power", "w_over_log_w"}
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "csv"], ["--format", "svg"]], ids=str)
+    @pytest.mark.parametrize(
+        "source", [["--ratio", "7/3", "--ell", "70"], ["--alpha", "0.3", "--t", "10"]],
+        ids=["ratio", "alpha"],
+    )
+    def test_fit_refused_before_any_scan(self, capsys, monkeypatch, source, fmt):
+        # only the JSON report has a place for the fit
+        from kakutani import discrepancy
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a scan ran")
+
+        monkeypatch.setattr(discrepancy, "discrepancy_scan", no_scan)
+        code, out, err = run_cli(capsys, "discrepancy", *source, "--fit", *fmt)
+        assert code == 3
+        assert out == ""
+        assert err == "kakutani: parameter error: --fit supports only json output\n"
+
     def test_explicit_windows(self, capsys):
         code, env = run_json(
             capsys,
@@ -629,6 +647,31 @@ def test_bad_t_is_a_parameter_error(capsys, command):
     assert code == 3
     assert out == ""
     assert "parameter error" in err
+
+
+# An alpha whose r = log(alpha) / log(1 - alpha), about 703 / alpha,
+# overflows a float is a usage error, and a staircase whose row 0,
+# t / -log(1 - alpha) columns, overflows one is a resource limit: each
+# raised OverflowError, an internal error.
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        ("classify --alpha 3e-306", 3, "parameter error: alpha = 3e-306 is too small"),
+        ("generate --alpha 5e-324 --t 1", 3, "parameter error: alpha = 5e-324 is too small"),
+        ("discrepancy --alpha 1e-310 --t 1 --windows 0.5", 3,
+         "parameter error: alpha = 1e-310 is too small"),
+        ("discrepancy --alpha 1e-310 --t 1 --windows 0.5 --mode direct", 3,
+         "parameter error: alpha = 1e-310 is too small"),
+        ("generate --alpha 3.92e-306 --t 709", 4, "resource limit: row 0 of the staircase"),
+    ],
+)
+def test_tiny_alpha_is_refused(capsys, command, code, message):
+    got, out, err = run_cli(capsys, *command.split())
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("kakutani: " + message)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

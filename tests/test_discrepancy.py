@@ -476,9 +476,35 @@ class TestScan:
             oracle = TwoPassProfile(alpha, t, series.density)
             assert series.max_disc == tuple(oracle.max_abs_upto(w) for w in windows)
 
+    def test_profile_rows_equal_the_two_pass_memos(self):
+        # after _fill(0) every row holds an entry for each of its nodes,
+        # internal and leaf, equal bit for bit to the per-pair memos
+        internal = leaf = 0
+        for alpha, t in walk_cases("table", 24):
+            tree = SubdivisionTree(alpha, t)
+            density = asymptotic_density(alpha).value
+            profile = discrepancy._DeviationProfile(tree, density)
+            profile._fill(0)
+            oracle = TwoPassProfile(alpha, t, density)
+            ends = tree.row_ends() + [-1]
+            assert profile._top == 0
+            for a in range(len(ends)):
+                columns = ends[max(a - 1, 0)] + 2
+                assert len(profile._hi[a]) == len(profile._lo[a]) == columns
+                assert len(profile._count[a]) == columns
+                for b in range(columns):
+                    assert (profile._hi[a][b], profile._lo[a][b]) == oracle.tables(a, b)
+                    assert profile._count[a][b] == oracle.leaves(a, b)
+                    assert profile._widths[a][b] == tree.width(a, b)
+                    if tree.is_leaf(a, b):
+                        leaf += 1
+                    else:
+                        internal += 1
+        assert internal and leaf
+
     def test_profile_fills_only_the_rows_its_descents_request(self):
-        # discrepancy --t 700 with small windows: a descent requests the
-        # row below the spine node (a, 0) whose left child first fits in
+        # discrepancy --t 700 with small windows: a descent walks along
+        # the row of the spine node (a, 0) whose left child first fits in
         # [0, x], and the rows from the shallowest such row down are
         # filled whole; the rows above stay empty
         alpha, t = 0.3, 700.0
@@ -492,8 +518,9 @@ class TestScan:
             next(a for a in range(1, len(ends) + 1) if tree.width(a, 0) <= w)
             for w in windows
         )
-        filled = sum(end + 1 - start for end, start in zip(ends, profile._start))
-        assert filled == sum(ends[a] + 1 for a in range(top, len(ends)))
+        assert profile._top == top - 1
+        assert not any(profile._hi[a] for a in range(profile._top))
+        filled = sum(ends[a] + 1 for a in range(profile._top, len(ends)))
         assert filled < tree.internal_pairs()
 
     def test_profile_table_refused_before_it_is_built(self, monkeypatch):

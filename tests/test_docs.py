@@ -1,19 +1,34 @@
 """The documented entry points: the README library block, the script and
 the top-level names they import."""
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kakutani
-from kakutani import SpreadClass, growth_fit
+from kakutani import SpreadClass, cli, growth_fit
 from kakutani.cover import substitution_matrix
 
 from conftest import is_primitive
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "run_discrepancy.py"
+
+
+def readme_commands():
+    """The ``kakutani ...`` lines of the README's usage blocks, as
+    argument lists, their trailing comments cut."""
+    commands, fence = [], None  # fence: the open block's language, "" for none
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fence = line[3:] if fence is None else None
+        elif fence == "" and line.startswith("kakutani "):
+            commands.append(line.split("#")[0].split()[1:])
+    return commands
 
 
 def script_env():
@@ -34,6 +49,23 @@ def test_readme_library_block_runs():
     assert namespace["rule"].is_primitive
     assert is_primitive(substitution_matrix(namespace["rule"]))
     assert growth_fit(namespace["series"]).best == "w_over_log_w"
+
+
+def test_readme_lists_every_command():
+    assert {args[0] for args in readme_commands()} == {
+        "classify", "survey", "solve-alpha", "spectrum", "generate",
+        "discrepancy", "three-interval", "verify-cover",
+    }
+
+
+@pytest.mark.parametrize("args", readme_commands(), ids=" ".join)
+def test_readme_command_lines_run(capsys, args):
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), captured.err
+    if "--fit" in args:
+        fit = json.loads(captured.out)["report"]["fit"]
+        assert isinstance(fit, dict) and fit["best"]
 
 
 def test_discrepancy_script_writes_three_regimes(tmp_path):

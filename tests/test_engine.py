@@ -106,6 +106,12 @@ class TestStaircase:
             for a, end in enumerate(ends):
                 assert not tree.is_leaf(a, end) and tree.is_leaf(a, end + 1)
 
+    def test_a_row_past_the_float_range_is_refused(self):
+        # row 0 holds about t / -log(1 - alpha) columns: 1.8e308 here
+        with pytest.raises(ResourceLimitError, match="overflows a float"):
+            SubdivisionTree(3.92e-306, 709.0)
+        assert SubdivisionTree(3.92e-306, 1.0).row_ends()[0] > 10**305
+
     def test_exact_at_dyadic_depth(self):
         # alpha = 1/2 halves every tile: 2**1001 leaves, a 302-digit count
         assert count_tiles(0.5, 1000.5 * math.log(2.0)) == 2**1001

@@ -32,6 +32,17 @@ class TestAlphaParam:
         with pytest.raises(ParameterError, match=r"alpha must lie in \(0, 1/2\], got"):
             check_alpha(bad)
 
+    @pytest.mark.parametrize("tiny", [3e-306, 1e-310, 5e-324])
+    def test_rejects_an_alpha_whose_ratio_overflows(self, tiny):
+        # r = log(alpha) / log(1 - alpha) is about 703 / alpha here
+        with pytest.raises(ParameterError, match="overflows a float"):
+            check_alpha(tiny)
+
+    def test_accepts_the_least_alphas_with_a_finite_ratio(self):
+        for alpha in (3.92e-306, 4e-306):
+            check_alpha(alpha)
+            assert math.isfinite(r_of_alpha(alpha))
+
 
 class TestCommensurable:
     @pytest.mark.parametrize("n,m", [(4, 2), (6, 3), (0, 1), (2, 3), (1, 0)])

@@ -111,7 +111,7 @@ def test_commands_load_what_they_run(bare):
     _, modules = python("-c", COMMAND, "classify", "--ratio", "3/2")
     assert SPECTRAL <= set(modules)
     _, modules = python(
-        "-c", COMMAND, "discrepancy", "--ratio", "3/2", "--ell", "40", "--fit"
+        "-c", COMMAND, "discrepancy", "--ratio", "3/2", "--ell", "40", "--fit", "--format", "json"
     )
     assert {"numpy", "kakutani.cover"} <= set(modules)
 
