@@ -13,15 +13,14 @@ pays the import time of those alone: ``generate``, ``verify-cover``
 and ``discrepancy --alpha`` load no spectral, root-finding or numpy
 code.
 
-The only environment influence is KAKUTANI_MAX_TILES, an override for
-the tile-count safety cap; everything else comes from the arguments,
-and identical invocations produce byte-identical output.
+Everything comes from the arguments, the tile-count safety cap
+(--max-tiles) included, and identical invocations produce
+byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Any, Sequence
 
@@ -102,17 +101,7 @@ def _parse_loops(text: str) -> tuple[int, int, int]:
 def _resolve_max_tiles(value: int | None) -> int:
     from .engine import DEFAULT_TILE_CAP
 
-    if value is not None:
-        return value
-    env = os.environ.get("KAKUTANI_MAX_TILES")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParameterError(
-                f"KAKUTANI_MAX_TILES must be an integer, got {env!r}"
-            ) from exc
-    return DEFAULT_TILE_CAP
+    return DEFAULT_TILE_CAP if value is None else value
 
 
 def _emit(text: str, out: str | None) -> None:

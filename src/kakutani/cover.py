@@ -16,12 +16,13 @@ with inflation constant xi = e**g = alpha**(-1/n):
 
 A chain prototile only passes through, so a patch of the rule is the
 flower's hub recursion, "k steps to go -> k - c_i, one piece per loop".
-``iterate_primitive`` grows its patches by ``engine.hub_patch``, the
-one walk of it, which reads the loops alone.  ``verify_cover`` checks,
-exactly, that after any number of steps the fixed-scale patch and the
-multiscale patch are the same subdivision of the line.  In both a position is the sum of the
-lengths to its left, so the check compares two words of length
-exponents, the rule's read off its label map.
+``iterate_primitive`` grows its patches by ``engine.hub_patch``, which
+builds the leaves below a hub once for each k, from the loops alone.
+``verify_cover`` checks, exactly, that after any number of steps the
+fixed-scale patch and the multiscale patch are the same subdivision of
+the line.  In both a position is the sum of the lengths to its left, so
+the check compares two words of length exponents, the rule's read off
+its label map.
 
 The same machinery with three loops produces the three-interval rules
 used by ``classify_three_interval``: ``LoopRule`` is one rule type for
@@ -228,7 +229,7 @@ def iterate_primitive(
     Tiles are translates of prototiles.  A chain prototile only
     passes through to the next one on its loop, so the patch is the hub
     split "k steps to go -> k - c_i, one piece per loop" that
-    ``engine.hub_patch`` walks from the loops alone, with each leaf's
+    ``engine.hub_patch`` builds from the loops alone, with each leaf's
     label attached.
     """
     if ell < 0:

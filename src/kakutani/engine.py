@@ -19,8 +19,9 @@ halves.  In the commensurable case there is an exact integer-mode
 twin, ``generate_patch_commensurable``, where the decision "length
 greater than one" is an integer comparison.  It is the hub recursion of
 a flower, "k steps to go -> k - c_i, one piece per loop", which
-``count_hub_tiles`` counts and ``hub_patch`` walks; the fixed-scale
-patches of ``cover.iterate_primitive`` are the same walk with labels.
+``count_hub_tiles`` counts and ``hub_patch`` builds, once for each
+number of steps to go; the fixed-scale patches of
+``cover.iterate_primitive`` are the same recursion with labels.
 """
 from __future__ import annotations
 
@@ -444,52 +445,37 @@ def hub_patch(loops: tuple[int, ...], xi: float, ell: int, labelled: bool) -> Pa
     starting where the one before ends.  Piece i has length
     xi**(k - c_i) and is a hub again while k - c_i > 0, else a leaf;
     with ``labelled`` a leaf carries its label, that of the tile k steps
-    along loop i in ``loop_labels``.
-    Slot k * p + i, p the number of loops, is piece i of a hub with k
-    steps to go, and the walk reads what a slot does from tables.  The
-    loops are longest first, so a hub's leaf pieces come first and the
-    steps along them push nothing.
+    along loop i in ``loop_labels``.  The leaves below a hub depend on k
+    alone, so they are built once for each k, from those of its pieces.
+    A position sums the lengths of the elder siblings up its path in
+    ascending order from the integer 0, as ``term_sums`` does.  With two
+    loops every length a deeper piece adds is below its elder sibling's,
+    so that one is added last; more loops can repeat or interleave
+    powers, so a leaf keeps its exponents for one merged sum at the end.
     """
-    p = len(loops)
     power = {e: xi**e for e in range(1 - loops[0], ell + 1)}
-    slots = [(k, i, k - c) for k in range(ell + loops[-1] + 1) for i, c in enumerate(loops)]
-    # 0 a leaf, 1 the last piece and a leaf, 2 a hub, 3 the last piece and a hub
-    kind = [2 * (e > 0) + (i == p - 1) for _, i, e in slots]
-    down = [e * p for _, _, e in slots]
-    step = [((e, 1),) for _, _, e in slots]
-    ids: list[int] = []
-    paths: list[tuple] = []
-    found, note = ids.append, paths.append
-    stack = [(-1, ())]  # popping the sentinel ends the walk
-    pop, push = stack.pop, stack.append
-    s, path = len(slots) - 1, ()  # the root is the last piece of the hub c_p steps up
-    while s >= 0:
-        c = kind[s]
-        if c == 0:
-            found(s)
-            note(path)
-            path, s = step[s] + path, s + 1
-        elif c == 2:
-            push((s + 1, step[s] + path))
-            s = down[s]
-        elif c == 3:
-            s = down[s]
-        else:
-            found(s)
-            note(path)
-            s, path = pop()
-    # A right step prepends its power.  With two loops the powers fall
-    # along a path, so the terms come out sorted; more loops can repeat
-    # or interleave powers, and those are merged.
-    if p > 2:
-        paths = [sorted(Counter(e for e, _ in terms).items()) for terms in paths]
-    size = [power.get(e) for _, _, e in slots]
-    labels = None
-    if labelled:
-        along = loop_labels(loops)
-        label = [along[i][k] if e <= 0 else 0 for k, i, e in slots]
-        labels = [label[s] for s in ids]
-    return Patch(term_sums(paths, power), [size[s] for s in ids], (0.0, xi**ell), labels)
+    along = loop_labels(loops)
+    two = len(loops) == 2
+    start = 0 if two else ()
+    below = {0: ([start], [power[0]], [1])}  # below[k]: the leaves of a hub k steps to go
+    for k in range(1, ell + 1):
+        positions, lengths, labels = [], [], []
+        shift = start
+        for i, c in enumerate(loops):
+            e = k - c
+            inner, sizes, names = below[e] if e > 0 else ([start], [power[e]], [along[i][k]])
+            positions += [x + shift for x in inner] if i else inner
+            lengths += sizes
+            if labelled:
+                labels += names
+            shift = power[e] if two else shift + (e,)
+        below[k] = positions, lengths, labels
+        below.pop(k - loops[0], None)
+    positions, lengths, labels = below.pop(ell)
+    below.clear()
+    if not two:
+        positions = term_sums((sorted(Counter(terms).items()) for terms in positions), power)
+    return Patch(positions, lengths, (0.0, xi**ell), labels if labelled else None)
 
 
 def _leaf_walk(row: int, kind: list[int], step: list[float]) -> tuple[list[int], list[float]]:

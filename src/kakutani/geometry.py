@@ -4,8 +4,10 @@ A ``Patch`` holds the float positions and lengths that the generators
 compute directly, the tile labels and the support.  Positions are
 prefix sums of tile lengths: the generators extend a position by one
 term per right child along the substitution tree, the length of its
-left sibling, and a float position is those terms added left to right
-in ascending order (``term_sums``).
+left sibling.  A fixed-scale position is those terms added left to
+right in ascending order from the integer 0: with two loops the
+recursion adds them in that order as it goes, and with three or more,
+where powers repeat or interleave, ``term_sums`` adds the merged terms.
 
 The Delone set of a patch is its ``positions()``, observed in the
 window ``support``.

@@ -168,8 +168,9 @@ def _convergents(x: float, max_q: int):
         yield p1, q1
 
 
-#: Log-scale defect below which a convergent n/m is accepted.
-_COMMENSURABLE_TOLERANCE = 1e-12
+#: Defect |m*r - n| below which a convergent n/m is accepted, its
+#: rounding bound included.
+_COMMENSURABLE_TOLERANCE = 1e-10
 
 
 def detect_commensurability(alpha: float, max_denominator: int) -> RatioClass:
@@ -177,12 +178,14 @@ def detect_commensurability(alpha: float, max_denominator: int) -> RatioClass:
 
     Scans continued-fraction convergents n/m of r with m bounded by
     ``max_denominator`` and accepts the first one whose defect
-    ``|m*log(alpha) - n*log(1 - alpha)|`` is below
-    ``_COMMENSURABLE_TOLERANCE``.  The defect is measured in log scale:
-    for large exponents both ``alpha**m`` and ``(1-alpha)**n`` underflow
-    toward zero and their absolute difference would pass any fixed
-    cutoff vacuously, while the log-scale defect stays honest at every
-    denominator.
+    ``|m*r - n|``, plus the bound ``n * 2**-48`` on its rounding, is
+    below ``_COMMENSURABLE_TOLERANCE``.  The defect is the log-scale
+    defect ``|m*log(alpha) - n*log(1 - alpha)|`` in units of
+    ``|log(1 - alpha)|``, so one tolerance holds at every alpha: the log
+    defect itself shrinks with alpha, and would pass nearly every small
+    alpha.  The rounding bound covers the few ulps r carries, which
+    refuses every n of more than some 28,000 (r past 2**53 would
+    otherwise pass as n = r, m = 1 with defect 0).
 
     This is a bounded heuristic: a truly irrational ratio is reported
     Incommensurable only relative to the denominator bound.
@@ -191,11 +194,9 @@ def detect_commensurability(alpha: float, max_denominator: int) -> RatioClass:
     if max_denominator < 1:
         raise ParameterError("max_denominator must be >= 1")
     r = r_of_alpha(alpha)
-    la = math.log(alpha)
-    lb = math.log1p(-alpha)
     for n, m in _convergents(r, max_denominator):
         if n < m or n < 1:
             continue
-        if abs(m * la - n * lb) < _COMMENSURABLE_TOLERANCE:
+        if abs(m * r - n) + n * 2.0**-48 < _COMMENSURABLE_TOLERANCE:
             return Commensurable(n, m)
     return Incommensurable(r)

@@ -265,27 +265,14 @@ class TestGenerate:
         code, _out, _err = run_cli(capsys, "generate", "--alpha", "0.4")
         assert code == 3
 
-    def test_env_cap(self, capsys, monkeypatch):
+    def test_environment_leaves_the_cap_alone(self, capsys, monkeypatch):
+        # the cap comes from --max-tiles alone
+        args = ("generate", "--ratio", "2/1", "--ell", "5")
+        _code, plain, _err = run_cli(capsys, *args)
         monkeypatch.setenv("KAKUTANI_MAX_TILES", "5")
-        code, _out, _err = run_cli(
-            capsys, "generate", "--ratio", "2/1", "--ell", "5"
-        )
-        assert code == 4
-
-    def test_explicit_cap_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("KAKUTANI_MAX_TILES", "5")
-        code, _out, _err = run_cli(
-            capsys,
-            "generate", "--ratio", "2/1", "--ell", "5", "--max-tiles", "100",
-        )
+        code, out, _err = run_cli(capsys, *args)
         assert code == 0
-
-    def test_env_cap_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("KAKUTANI_MAX_TILES", "many")
-        code, _out, _err = run_cli(
-            capsys, "generate", "--ratio", "2/1", "--ell", "3"
-        )
-        assert code == 3
+        assert out == plain
 
 
 class TestSpectrum:
@@ -673,6 +660,25 @@ def test_tiny_alpha_is_refused(capsys, command, code, message):
     assert err.startswith("kakutani: " + message)
     assert "Traceback" not in err
 
+
+
+# A tiny alpha has a huge r, and no convergent of it passes the defect
+# test with its rounding bound: the verdict is incommensurable, not a
+# spectrum of some 10**12 or 10**102 degrees refused as a resource limit.
+@pytest.mark.parametrize("alpha", ["1e-100", "1e-11"])
+def test_tiny_alpha_is_incommensurable(capsys, alpha):
+    code, env = run_json(capsys, "classify", "--alpha", alpha)
+    assert code == 1
+    report = env["report"]
+    assert report["n"] is None and report["solomon"] is None
+    assert report["reason"].startswith("incommensurable ratio")
+
+
+def test_tiny_alpha_discrepancy_scans_the_tree(capsys):
+    code, out, err = run_cli(capsys, "discrepancy", "--alpha", "1e-11", "--t", "1e-4", "--windows", "1")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[-2:] == ["window,max_disc", "1.0,3788174714.463909"]
 
 @pytest.mark.parametrize(
     "command, message",

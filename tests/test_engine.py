@@ -264,6 +264,34 @@ class TestLeafWalks:
             assert plain == generate_patch_commensurable(n, m, ell)
 
 
+_HUB_RULES = [build_rho(2, 1), build_rho(3, 2), build_rho(7, 3),
+              build_three_interval_rule(3, 2, 1), build_three_interval_rule(2, 2, 1),
+              build_three_interval_rule(7, 4, 1)]
+_HUB_IDS = ["2/1", "3/2", "7/3", "3,2,1", "2,2,1", "7,4,1"]
+
+
+class TestHubRecursion:
+    """``hub_patch`` builds the leaves below a hub once per step count;
+    the per-node walks above check its bits."""
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize("rule", _HUB_RULES, ids=_HUB_IDS)
+    def test_the_first_position_is_the_integer_zero(self, rule, labelled):
+        # the leading int 0 is in the JSON bytes of a commensurable patch
+        for ell in (0, 1, rule.loops[0], 14):
+            positions = engine.hub_patch(rule.loops, rule.xi, ell, labelled).positions()
+            assert type(positions[0]) is int and positions[0] == 0
+            assert all(type(x) is float for x in positions[1:])
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize("rule", _HUB_RULES, ids=_HUB_IDS)
+    def test_zero_steps_is_the_hub(self, rule, labelled):
+        patch = engine.hub_patch(rule.loops, rule.xi, 0, labelled)
+        assert patch.lengths() == (1.0,) and type(patch.lengths()[0]) is float
+        assert patch.labels() == ((1,) if labelled else (None,))
+        assert patch.support == (0.0, 1.0)
+
+
 class TestColumns:
     """A patch's rows are its columns side by side, and each length is
     the one the per-node walk gives its leaf."""

@@ -1,11 +1,12 @@
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakutani import Commensurable, ParameterError, solve_alpha
+from kakutani import Commensurable, ParameterError, params, solve_alpha
 from kakutani.params import (
     Incommensurable,
     check_alpha,
@@ -114,6 +115,36 @@ class TestRatioDetection:
         alpha = solve_alpha(9, 2)
         assert isinstance(detect_commensurability(alpha, 1), Incommensurable)
         assert detect_commensurability(alpha, 2) == Commensurable(9, 2)
+
+
+class TestDefect:
+    """The defect |m*r - n| plus its rounding bound, against one tolerance."""
+
+    def test_round_trip_up_to_the_degree_limit(self):
+        # every coprime n/m with n up to MAX_SPECTRAL_DEGREE and m up to 64
+        for n in range(1, 451):
+            for m in range(1, min(n, 64) + 1):
+                if math.gcd(n, m) == 1:
+                    assert detect_commensurability(solve_alpha(n, m), 64) == Commensurable(n, m)
+
+    @pytest.mark.parametrize("low,high", [(1e-12, 1e-10), (1e-10, 1e-8)])
+    def test_small_alphas_are_incommensurable(self, low, high):
+        # the log defect shrinks with alpha and passed nearly all of these
+        rng = random.Random(f"small:{low}")
+        for _ in range(100):
+            alpha = rng.uniform(low, high)
+            ratio = detect_commensurability(alpha, 64)
+            assert ratio == Incommensurable(r_of_alpha(alpha))
+
+    @pytest.mark.parametrize("alpha", [1e-100, 1e-15, 4e-306, 2.8e-4])
+    def test_a_ratio_past_the_rounding_bound_is_incommensurable(self, alpha):
+        # past 2**53, r is an integer float and n = r, m = 1 has defect 0
+        assert isinstance(detect_commensurability(alpha, 64), Incommensurable)
+
+    def test_the_rounding_bound_alone_refuses_n_past_28147(self):
+        # 28148 * 2**-48 is above the tolerance, whatever the defect
+        assert 28147 * 2.0**-48 < params._COMMENSURABLE_TOLERANCE <= 28148 * 2.0**-48
+        assert isinstance(detect_commensurability(solve_alpha(28148, 1), 64), Incommensurable)
 
 
 @given(
