@@ -2,16 +2,35 @@
 
 Aberth-Ehrlich iteration with a deterministic start: the initial guesses
 sit equally spaced on the circle of the Cauchy root bound, rotated by a
-fixed offset so no guess lands on a symmetry axis.  Every root is then
-polished independently by a few Newton steps and checked against a
-residual bound that scales with the root's magnitude.  The whole
-procedure is deterministic: identical inputs give bit-identical output.
+fixed offset so no guess lands on a symmetry axis.  A sweep is
+Gauss-Seidel: root i moves by the Newton ratio p/p' corrected by its
+repulsion sum over the other roots, one pass over them in index order
+that already reads this sweep's updates of the roots before i.  Every
+root is then polished independently by a few Newton steps and checked
+against a residual bound that scales with the root's magnitude.
+
+p and p' are evaluated by Horner's rule over the polynomial's run
+table, built once: each nonzero coefficient of p with the aligned
+coefficient of p' and the number of zero coefficients after it, for
+which only the multiply by z runs.  A flower polynomial has three or
+four terms, so an evaluation tests no coefficient.  Skipping the add of
+an exact 0.0 could flip only the sign of a zero part, never a nonzero
+bit, and a residual's modulus ignores that sign.
+
+At a repeated root the sweep stalls: its largest step stops shrinking
+near 1e-8.  When the largest step has not shrunk for ``_STALL_SWEEPS``
+sweeps, gcd(p, p') is computed once; if it is nontrivial the sweep
+gives up at once, and the roots come from p / gcd(p, p') and
+gcd(p, p'), each split the same way.  A squarefree p sweeps on to the
+cap as before, so where it converges no bit depends on the test.  The
+whole procedure is deterministic: identical inputs give bit-identical
+output.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence
+from itertools import repeat
 
 from .errors import NumericError, ParameterError
 from .polynomials import IntPolynomial, poly_gcd
@@ -20,8 +39,14 @@ __all__ = ["find_roots", "residual_bound", "root_residual"]
 
 _ABERTH_MAX_ITER = 400
 _ABERTH_STEP_TOL = 1e-14
+# the longest run of sweeps without a smaller largest step was 22 over
+# some 1,800 flower polynomials that converge, degrees 2 to 450
+_STALL_SWEEPS = 32
 _NEWTON_STEPS = 6
 _RESIDUAL_SCALE = 1e-12
+# complex / complex runs the same quotient as float / complex, without
+# first trying float's slot
+_ONE = complex(1.0, 0.0)
 
 
 def residual_bound(degree: int, z: complex) -> float:
@@ -29,15 +54,40 @@ def residual_bound(degree: int, z: complex) -> float:
     return _RESIDUAL_SCALE * (1.0 + abs(z)) ** degree
 
 
-def _horner(coeffs_desc: Sequence[float], z: complex) -> complex:
-    acc = 0j
-    for c in coeffs_desc:
-        acc = acc * z + c
-    return acc
+def _run_table(poly: IntPolynomial) -> tuple[list[tuple[float, float, int]], float]:
+    """The run table of p, and its constant term.
+
+    Each run is a nonzero coefficient of p but the constant, descending,
+    the aligned coefficient of p', and the number of zero coefficients
+    between it and the next nonzero one or the constant.
+    """
+    coeffs = [float(c) for c in reversed(poly.coeffs)]
+    dcoeffs = [float(c) for c in reversed(poly.derivative().coeffs)]
+    starts = [k for k, c in enumerate(coeffs[:-1]) if c]
+    ends = starts[1:] + [len(coeffs) - 1]
+    runs = [(coeffs[k], dcoeffs[k], end - k - 1) for k, end in zip(starts, ends)]
+    return runs, coeffs[-1] if coeffs else 0.0
+
+
+def _horner_pair(runs: list[tuple[float, float, int]], last: float, z: complex):
+    """p(z) and p'(z) in one loop over the run table ``runs`` of p.
+
+    Each value follows its own Horner recurrence; a zero coefficient
+    only multiplies by z, and ``last``, the constant, is added at the
+    end.
+    """
+    p = dp = 0j
+    for c, d, zeros in runs:
+        p = p * z + c
+        dp = dp * z + d
+        for _ in repeat(None, zeros):
+            p = p * z
+            dp = dp * z
+    return p * z + last, dp
 
 
 def root_residual(poly: IntPolynomial, z: complex) -> float:
-    return abs(_horner([float(c) for c in reversed(poly.coeffs)], z))
+    return abs(_horner_pair(*_run_table(poly), z)[0])
 
 
 def _sort_key(z: complex):
@@ -67,10 +117,10 @@ def _roots_and_residuals(poly: IntPolynomial) -> tuple[tuple[complex, ...], tupl
         roots.extend(_split_roots(reduced))
     roots.sort(key=_sort_key)
     full_degree = poly.degree
-    coeffs = [float(c) for c in reversed(poly.coeffs)]
+    runs, last = _run_table(poly)
     residuals = []
     for z in roots:
-        res = abs(_horner(coeffs, z))
+        res = abs(_horner_pair(runs, last, z)[0])
         if res > residual_bound(full_degree, z):
             raise NumericError(
                 f"root residual {res:.3e} exceeds bound at z={z!r} "
@@ -81,7 +131,7 @@ def _roots_and_residuals(poly: IntPolynomial) -> tuple[tuple[complex, ...], tupl
 
 
 def _split_roots(poly: IntPolynomial) -> list[complex]:
-    """The roots of ``_aberth``; where its sweep stalls, as it can at a
+    """The roots of ``_aberth``; where its sweep stalls, as it does at a
     repeated root, those of p / gcd(p, p') and of gcd(p, p'), each split
     the same way.  A squarefree p that stalls still raises."""
     try:
@@ -93,32 +143,10 @@ def _split_roots(poly: IntPolynomial) -> list[complex]:
         return _split_roots(divmod(poly, common)[0]) + _split_roots(common)
 
 
-def _horner_pair(steps: list[tuple[float, float]], last: float, z: complex):
-    """p(z) and p'(z) in one loop.
-
-    ``steps`` pairs each descending coefficient of p but the constant
-    with the aligned coefficient of p', and ``last`` is the constant.
-    Each value follows its own Horner recurrence in ``_horner``'s order.
-    A zero coefficient adds nothing: adding an exact 0.0 could only
-    flip the sign of a zero part, never a nonzero bit.
-    """
-    p = dp = 0j
-    for c, d in steps:
-        if c:
-            p = p * z + c
-            dp = dp * z + d
-        else:
-            p = p * z
-            dp = dp * z
-    return p * z + last, dp
-
-
 def _aberth(poly: IntPolynomial) -> list[complex]:
     degree = poly.degree
     coeffs = [float(c) for c in reversed(poly.coeffs)]  # descending
-    dcoeffs = [float(c) for c in reversed(poly.derivative().coeffs)]
-    steps = list(zip(coeffs, dcoeffs))
-    last = coeffs[-1]
+    runs, last = _run_table(poly)
     lead = coeffs[0]
     radius = 1.0 + max(abs(c / lead) for c in coeffs[1:]) if degree else 1.0
     offset = math.pi / (2.0 * degree)
@@ -126,12 +154,15 @@ def _aberth(poly: IntPolynomial) -> list[complex]:
         radius * cmath.exp(1j * (2.0 * math.pi * k / degree + offset))
         for k in range(degree)
     ]
+    one = _ONE
     converged = False
+    least = math.inf  # the smallest largest step so far
+    stale = 0  # sweeps since it shrank
     for _ in range(_ABERTH_MAX_ITER):
         biggest = 0.0
         for i in range(degree):
             zi = z[i]
-            p, dp = _horner_pair(steps, last, zi)
+            p, dp = _horner_pair(runs, last, zi)
             if p == 0:
                 continue
             if dp == 0:
@@ -140,19 +171,30 @@ def _aberth(poly: IntPolynomial) -> list[complex]:
                 biggest = math.inf
                 continue
             ratio = p / dp
-            # Gauss-Seidel: z[:i] already holds this sweep's updates;
-            # one running sum from int 0, in index order
-            rep = sum(
-                [1.0 / (zi - w) for w in z[i + 1:]],
-                sum([1.0 / (zi - w) for w in z[:i]]),
-            )
+            # Gauss-Seidel: z[:i] already holds this sweep's updates.  One
+            # running sum from int 0 in index order; every entry of z is
+            # its own object, so the identity test skips entry i alone
+            rep = 0
+            for w in z:
+                if w is not zi:
+                    rep += one / (zi - w)
             denom = 1.0 - ratio * rep
             step = ratio if denom == 0 else ratio / denom
-            z[i] = zi - step
-            biggest = max(biggest, abs(step) / (1.0 + abs(z[i])))
+            zi = z[i] = zi - step
+            rel = abs(step) / (1.0 + abs(zi))
+            if rel > biggest:
+                biggest = rel
         if biggest < _ABERTH_STEP_TOL:
             converged = True
             break
+        if biggest < least:
+            least, stale = biggest, 0
+        else:
+            stale += 1
+            if stale == _STALL_SWEEPS:
+                if poly_gcd(poly, poly.derivative()).degree >= 1:
+                    break  # a repeated root: _split_roots takes over
+                least = -math.inf  # squarefree: stale never resets, no second gcd
     if not converged:
         raise NumericError(
             f"Aberth iteration did not converge in {_ABERTH_MAX_ITER} steps "
@@ -162,7 +204,7 @@ def _aberth(poly: IntPolynomial) -> list[complex]:
     for i in range(degree):
         zi = z[i]
         for _ in range(_NEWTON_STEPS):
-            p, dp = _horner_pair(steps, last, zi)
+            p, dp = _horner_pair(runs, last, zi)
             if p == 0 or dp == 0:
                 break
             nxt = zi - p / dp
@@ -180,7 +222,8 @@ def _conjugate_clean(roots: list[complex]) -> list[complex]:
 
     Real coefficients force a conjugate-closed root multiset; roundoff
     breaks the symmetry at the last digit, which would leak into sorted
-    output order.  Pair mirror roots greedily and symmetrize them.
+    output order.  Pair mirror roots greedily, each with the first of
+    the nearest, and symmetrize them.
     """
     out: list[complex] = []
     pool = list(roots)
@@ -189,13 +232,11 @@ def _conjugate_clean(roots: list[complex]) -> list[complex]:
         if abs(z.imag) <= 1e-10 * (1.0 + abs(z.real)):
             out.append(complex(z.real, 0.0))
             continue
-        mirror = min(
-            range(len(pool)),
-            key=lambda j: abs(pool[j] - z.conjugate()),
-            default=None,
-        )
-        if mirror is not None and abs(pool[mirror] - z.conjugate()) <= 1e-8 * (1.0 + abs(z)):
-            w = pool.pop(mirror)
+        mirror = z.conjugate()
+        gaps = [abs(w - mirror) for w in pool]
+        gap = min(gaps, default=math.inf)
+        if gap <= 1e-8 * (1.0 + abs(z)):
+            w = pool.pop(gaps.index(gap))
             re = 0.5 * (z.real + w.real)
             im = 0.5 * (abs(z.imag) + abs(w.imag))
             out.append(complex(re, im))

@@ -424,9 +424,12 @@ def survey(max_n: int) -> tuple[SurveyRow, ...]:
 
     Rows are ordered by (n, m).  The lattice pair (1, 1) appears as the
     first row, with the doubling eigenvalue 2 and no second eigenvalue.
+    A bound above ``MAX_SPECTRAL_DEGREE`` is refused with
+    ResourceLimitError before any ratio is classified.
     """
     if max_n < 1:
         raise ParameterError("max_n must be at least 1")
+    check_spectral_degree(max_n)
     rows = []
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):

@@ -150,6 +150,20 @@ class TestSurvey:
         code, _out, _err = run_cli(capsys, "survey", "--max-n", "0")
         assert code == 3
 
+    def test_bound_past_the_degree_limit_refused_up_front(self, capsys, monkeypatch):
+        from kakutani import spectral
+
+        def no_classify(*args, **kwargs):
+            raise AssertionError("classified a ratio")
+
+        monkeypatch.setattr(spectral, "classify_spreadness", no_classify)
+        code, out, err = run_cli(capsys, "survey", "--max-n", "451")
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "kakutani: resource limit: a spectrum of degree 451 is above the limit 450\n"
+        )
+
 
 class TestSolveAlpha:
     def test_plastic_ratio(self, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakutani import NumericError, ParameterError
-from kakutani.polynomials import IntPolynomial
+from kakutani.polynomials import IntPolynomial, loop_polynomial
 from kakutani import rootfind
 from kakutani.rootfind import (
     _aberth,
@@ -78,6 +78,75 @@ class TestKnownRoots:
             assert root_residual(poly, z) <= residual_bound(poly.degree, z)
         for want, count in ((1j * math.sqrt(2.0), 2), (-1j * math.sqrt(2.0), 2), (-1.0, 1)):
             assert sum(1 for z in roots if abs(z - want) < 1e-9) == count
+
+    def test_stall_splits_soon_after_the_last_shrink(self, monkeypatch):
+        # the sweep gives up _STALL_SWEEPS sweeps after its largest step
+        # last shrank, far below the cap, and the split finds the roots
+        poly = IntPolynomial((4, 4, 4, 4, 1, 1))
+        degree = poly.degree
+        seen = []
+        evaluate = rootfind._horner_pair
+
+        def counting(runs, last, z):
+            seen.append(z)
+            return evaluate(runs, last, z)
+
+        monkeypatch.setattr(rootfind, "_horner_pair", counting)
+        with pytest.raises(NumericError, match="did not converge"):
+            _aberth(poly)
+        sweeps, rest = divmod(len(seen), degree)
+        assert rest == 0
+        # each sweep's largest relative step, from where every root stood
+        # at its start and at the next sweep's
+        starts = [seen[s * degree:(s + 1) * degree] for s in range(sweeps)]
+        steps = [
+            max(abs(a - b) / (1.0 + abs(b)) for a, b in zip(before, after))
+            for before, after in zip(starts, starts[1:])
+        ]
+        last_shrink = max(
+            s for s, step in enumerate(steps) if step < min(steps[:s], default=math.inf)
+        )
+        assert sweeps == last_shrink + 1 + rootfind._STALL_SWEEPS
+        assert sweeps < rootfind._ABERTH_MAX_ITER // 3
+        del seen[:]
+        roots = find_roots(poly)
+        assert len(roots) == 5
+        # the stalled sweep, the sweeps of p / gcd(p, p') and of
+        # gcd(p, p') = x^2 + 2, the polish and the residuals take fewer
+        # evaluations than the stalled sweep alone at the cap
+        assert len(seen) < rootfind._ABERTH_MAX_ITER * degree
+
+    def test_squarefree_stall_sweeps_to_the_cap(self, monkeypatch):
+        # a trivial gcd leaves the sweep to run to the cap, with one gcd
+        poly = IntPolynomial((4, 4, 4, 4, 1, 1))
+        calls = []
+        gcds = []
+        evaluate = rootfind._horner_pair
+
+        def counting(runs, last, z):
+            calls.append(z)
+            return evaluate(runs, last, z)
+
+        def trivial(a, b):
+            gcds.append((a, b))
+            return IntPolynomial((1,))
+
+        monkeypatch.setattr(rootfind, "_horner_pair", counting)
+        monkeypatch.setattr(rootfind, "poly_gcd", trivial)
+        with pytest.raises(NumericError, match="did not converge in 400 steps"):
+            _aberth(poly)
+        assert len(calls) == rootfind._ABERTH_MAX_ITER * poly.degree
+        assert gcds == [(poly, poly.derivative())]
+
+    def test_converging_sweeps_take_no_gcd(self, monkeypatch):
+        def no_gcd(a, b):
+            raise AssertionError(f"gcd of {a!r}")
+
+        monkeypatch.setattr(rootfind, "poly_gcd", no_gcd)
+        for n in range(2, 31):
+            for m in range(1, n):
+                if math.gcd(n, m) == 1:
+                    find_roots(loop_polynomial(n, (n, m)))
 
     def test_squarefree_stall_still_raises(self, monkeypatch):
         def stalls(poly):

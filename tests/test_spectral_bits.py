@@ -2,14 +2,17 @@
 
 The digest pins the exact bits (``float.hex``) of every root, every
 residual and ``ell`` that ``solomon_verdict`` reports for each coprime
-ratio n/m with n <= 40 and each three-loop rule with n <= 12.  Any
-change to the root finder that moves one bit changes the digest.
+ratio n/m with n <= 40 and each three-loop rule with n <= 12.  A second
+digest pins the same for 23 larger ratios, degrees 41 to 200, where the
+sweep's loops over roots and zero coefficients run long.  Any change to
+the root finder that moves one bit changes a digest.
 
 The SVD null vector of M - lambda2 I is the independent oracle for the
 closed form in ``spectral``: the right eigenvector of a flower, scaled
 to 1 at the hub, sums to (p - 1) / (lambda2 - 1) for p loops.
 """
 import hashlib
+import math
 
 import pytest
 
@@ -20,6 +23,10 @@ from conftest import coprime_pairs, coprime_triples
 
 #: sha256 of the spectra below, recorded before the fused Aberth sweep.
 SPECTRA_DIGEST = "fb5c99f450b6f4ac5d9dde899a39c13f88fd1a13e46f06dcc49d8c7b7f7657f5"
+
+#: sha256 of the spectra of ``large_ratios()``, recorded before the
+#: one-pass repulsion sum and the run table of the Aberth sweep.
+LARGE_DIGEST = "d673c18cfa9241bb4173131ff465504ebbc1b40c7b25797b28066907ad1dd4a9"
 
 
 def pinned_rules():
@@ -37,17 +44,35 @@ def spectra():
     return out
 
 
-def test_spectra_digest(spectra):
+def large_ratios():
+    for n in (41, 50, 64, 77, 90, 101, 120):
+        for m in sorted({1, 2, n // 2 + 1, n - 1}):
+            if math.gcd(n, m) == 1:
+                yield n, m
+    yield 200, 3
+
+
+def spectra_digest(reports):
     digest = hashlib.sha256()
-    for _loops, _matrix, report in spectra:
+    for report in reports:
         record = (
             [(z.real.hex(), z.imag.hex()) for z in report.roots],
             [r.hex() for r in report.residuals],
             report.ell,
         )
         digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+def test_spectra_digest(spectra):
     assert len(spectra) == 775
-    assert digest.hexdigest() == SPECTRA_DIGEST
+    assert spectra_digest(report for _loops, _matrix, report in spectra) == SPECTRA_DIGEST
+
+
+def test_large_ratio_digest():
+    ratios = list(large_ratios())
+    assert len(ratios) == 23
+    assert spectra_digest(solomon_verdict(loops) for loops in ratios) == LARGE_DIGEST
 
 
 def test_watched_eigenvalue_is_not_perpendicular(spectra):
