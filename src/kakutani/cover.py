@@ -303,7 +303,8 @@ def verify_cover(
     rule = build_rho(n, m)
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
-    engine.check_hub_tile_cap(rule.loops, rule.xi, ell, max_tiles)
+    # the two words peaked near 36 bytes a tile in RSS (3/2 at 50 steps)
+    engine.check_hub_tile_cap(rule.loops, rule.xi, ell, max_tiles, tile_bytes=48)
     fixed = _rule_word(rule, ell)
     multi = _multiscale_word(n, m, ell)
     ok = fixed == multi

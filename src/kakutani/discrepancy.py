@@ -375,25 +375,10 @@ def _direct_scan(
                 f"a direct scan to {upto} walks more than "
                 f"{DEFAULT_TILE_CAP} leaves, the cap"
             )
-    # One entry per id (a - top) * row + b of node (a, b), laid out a row
-    # at a time from the row ends as walk_table's node kinds are: the
-    # left child's width for an internal node whose left child is a
-    # leaf, its negative where the left child is internal, and 0.0 for a
-    # leaf.  The walk reads a row only below a negative entry, so the
-    # rows end after the first row with none.
-    ends = tree.row_ends()
-    t, la, lb = tree.t, tree.la, tree.lb
-    exp = math.exp
-    span: list[float] = []
-    for a in range(top, top + rows):
-        internal = min(ends[a] + 1, row) if a < len(ends) else 0
-        inner = min(ends[a + 1] + 1, row) if a + 1 < len(ends) else 0
-        base = t + (a + 1) * la  # width(a + 1, b) is exp(base + b * lb)
-        span += [-exp(base + b * lb) for b in range(inner)]
-        span += [exp(base + b * lb) for b in range(inner, internal)]
-        span += [0.0] * (row - internal)
-        if not inner:
-            break
+    t, la, lb, exp = tree.t, tree.la, tree.lb, math.exp
+    span = tree.walk_steps(
+        rows, row, top, lambda a, n: [exp(t + (a + 1) * la + b * lb) for b in range(n)]
+    )
     # generate_patch's walk, streamed: a right child past upto is dropped,
     # a right child is pushed only below an internal left child, and each
     # leaf is handled where it is found, with no list of leaves.

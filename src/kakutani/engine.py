@@ -9,9 +9,9 @@ the directed walks of length t on a one-vertex graph with two loops of
 lengths log(1/alpha) and log(1/(1-alpha)).  ``SubdivisionTree`` is the
 tree of these splits: ``count_tiles`` and the discrepancy module count on it
 without materializing anything, and ``generate_patch`` and the direct
-discrepancy scan walk it through tables of node ids laid out from the
-staircase's row ends, down left spines and along rows of leaf children
-with no push per leaf.
+discrepancy scan walk it through one table of signed left-child widths
+laid out from the staircase's row ends (``SubdivisionTree.walk_steps``),
+down left spines and along rows of leaf children with no push per leaf.
 
 Lengths of exactly one are detected in log scale with a fixed slack, so
 that e.g. alpha = 1/2 at t = log 2 yields two unit tiles and not four
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from itertools import accumulate
 
 from .errors import ParameterError, ResourceLimitError
@@ -46,16 +47,34 @@ __all__ = [
 #: Hard ceiling on materialized tiles; counting works far beyond it.
 DEFAULT_TILE_CAP = 10**8
 
+#: Memory a materialized patch may take, with its rendering.
+MEMORY_BUDGET = 2 << 30
+
+#: Bytes per tile of a patch and its rendering: a patch rendered as JSON,
+#: the largest rendering, peaked at 1,060-1,110 B a tile in RSS (CPython
+#: 3.11, 4e5 tiles, multiscale and labelled).
+TILE_BYTES = 1200
+
 #: Log-lengths within this slack of zero count as "exactly one".
 LENGTH_ONE_SLACK = 1e-12
 
 
-def check_tile_cap(count: int, max_tiles: int) -> None:
-    """Refuse to materialize a patch of more than ``max_tiles`` tiles."""
+def check_tile_cap(count: int, max_tiles: int, tile_bytes: int = TILE_BYTES) -> None:
+    """Refuse to materialize a patch of more than ``max_tiles`` tiles, or
+    of more than ``MEMORY_BUDGET`` bytes at ``tile_bytes`` a tile."""
     if count > max_tiles:
         raise ResourceLimitError(
             f"patch would contain {count} tiles, above the cap {max_tiles}"
         )
+    if count * tile_bytes > MEMORY_BUDGET:
+        raise ResourceLimitError(_over_budget(f"{count}", tile_bytes))
+
+
+def _over_budget(count: str, tile_bytes: int) -> str:
+    return (
+        f"patch would contain {count} tiles, above the memory budget of "
+        f"{MEMORY_BUDGET / 2**30:g} GiB at {tile_bytes} bytes a tile"
+    )
 
 
 class SubdivisionTree:
@@ -316,8 +335,8 @@ class SubdivisionTree:
         return done + self._steps(base, b, left, x, most)[0]
 
     def walk_shape(self, top: int = 0, upto: float = math.inf) -> tuple[int, int]:
-        """Rows and ids per row of a ``walk_table`` of the subtree at node
-        (top, 0), for a walk that pushes a right child only when it
+        """Rows and ids per row of a ``walk_steps`` table of the subtree at
+        node (top, 0), for a walk that pushes a right child only when it
         starts at or before ``upto``, with (top + 1, 0) no longer.
 
         The rows run past the deepest child the walk reaches, with one
@@ -346,27 +365,30 @@ class SubdivisionTree:
             )
         return rows, row
 
-    def walk_table(self) -> tuple[int, list[int]]:
-        """Node ids for a depth-first walk of the tree.
+    def walk_steps(
+        self, rows: int, row: int, top: int, widths: Callable[[int, int], list[float]]
+    ) -> list[float]:
+        """The table a depth-first walk of the subtree at node (top, 0)
+        reads, in the shape (rows, row) that ``walk_shape`` gives it.
 
-        Whether a node is a leaf, and how long its children are, depend
-        on its exponent pair alone, so a walk looks them up by node id
-        instead of working them out at every node.  Node (a, b) has id
-        a * row + b, its left child id + row and its right child id + 1.
-        Returns row and the kind of each id, read off the row ends a row
-        at a time: 0 a leaf, 1 an internal node whose left child is a
-        leaf, 2 one whose left child is internal.  A caller builds its
-        other tables a row at a time, from the exponent pair
-        (id // row, id % row).
+        Node (a, b) has id (a - top) * row + b, its left child id + row
+        and its right child id + 1.  Its entry is its left child's width
+        ``widths(a, n)[b]``, negated where that child is internal, and 0.0
+        at a leaf: a walk goes down while the entry is negative, along the
+        row while it is positive, and pops at 0.0.  The table is laid out
+        a row at a time from the row ends, and ends after the first row
+        with no internal left child, as a walk reads a row only below one.
         """
-        rows, row = self.walk_shape()
         ends = self.row_ends()
-        kind: list[int] = []
-        for a in range(rows):
+        steps: list[float] = []
+        for a in range(top, top + rows):
             internal = min(ends[a] + 1, row) if a < len(ends) else 0
             inner = min(ends[a + 1] + 1, row) if a + 1 < len(ends) else 0
-            kind += [2] * inner + [1] * (internal - inner) + [0] * (row - internal)
-        return row, kind
+            left = widths(a, internal)
+            steps += [-w for w in left[:inner]] + left[inner:] + [0.0] * (row - internal)
+            if not inner:
+                break
+        return steps
 
 
 def count_tiles(alpha: float, t: float) -> int:
@@ -406,24 +428,26 @@ def count_hub_tiles(loops: tuple[int, ...], ell: int) -> int:
     return counts[-1]
 
 
-def check_hub_tile_cap(loops: tuple[int, ...], xi: float, ell: int, max_tiles: int) -> None:
+def check_hub_tile_cap(
+    loops: tuple[int, ...], xi: float, ell: int, max_tiles: int, tile_bytes: int = TILE_BYTES
+) -> None:
     """Refuse a patch grown ell steps from the hub of a flower with these
-    loops and inflation xi when it holds more than ``max_tiles`` tiles.
+    loops and inflation xi when ``check_tile_cap`` refuses its tiles.
 
     The count H(ell) of ``count_hub_tiles`` is at least xi**(ell - c),
     c the longest loop: so is H(k) = 1 for k <= 0, and the recurrence
     H(k) = sum(H(k - c_i)) keeps it, as sum(xi**-c_i) = 1.  A patch
-    that bound puts above the cap is refused at once, with no count of
-    ell * log2(xi) bits to work out or print; any other is counted
-    exactly.
+    that bound puts above the cap or the memory budget is refused at
+    once, with no count of ell * log2(xi) bits to work out or print; any
+    other is counted exactly.
     """
     exponent = (ell - max(loops)) * math.log(xi) * (1.0 - 1e-9)  # xi is a float
+    least = f"at least 10**{max(int(exponent / math.log(10.0)), 0)}"
     if max_tiles < 1 or exponent > math.log(max_tiles):
-        digits = max(int(exponent / math.log(10.0)), 0)
-        raise ResourceLimitError(
-            f"patch would contain at least 10**{digits} tiles, above the cap {max_tiles}"
-        )
-    check_tile_cap(count_hub_tiles(loops, ell), max_tiles)
+        raise ResourceLimitError(f"patch would contain {least} tiles, above the cap {max_tiles}")
+    if exponent > math.log(MEMORY_BUDGET / tile_bytes):
+        raise ResourceLimitError(_over_budget(least, tile_bytes))
+    check_tile_cap(count_hub_tiles(loops, ell), max_tiles, tile_bytes)
 
 
 def loop_labels(loops: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -478,34 +502,6 @@ def hub_patch(loops: tuple[int, ...], xi: float, ell: int, labelled: bool) -> Pa
     return Patch(positions, lengths, (0.0, xi**ell), labels if labelled else None)
 
 
-def _leaf_walk(row: int, kind: list[int], step: list[float]) -> tuple[list[int], list[float]]:
-    """Ids of the leaves of a walk table's tree, left to right, and the
-    float sums of ``step[k]`` over the right steps of their paths, from
-    the root down: down left spines, pushing right children, and along
-    rows of leaf children with no push.  ``kind`` is
-    ``SubdivisionTree.walk_table``'s."""
-    ids: list[int] = []
-    sums: list[float] = []
-    found, note = ids.append, sums.append
-    stack = [(-1, 0.0)]  # popping the sentinel ends the walk
-    pop, push = stack.pop, stack.append
-    k, val = 0, 0.0
-    while k >= 0:
-        c = kind[k]
-        if c == 1:
-            found(k + row)
-            note(val)
-            val, k = step[k] + val, k + 1
-        elif c:
-            push((k + 1, step[k] + val))
-            k += row
-        else:
-            found(k)
-            note(val)
-            k, val = pop()
-    return ids, sums
-
-
 def generate_patch(
     alpha: float,
     t: float,
@@ -521,21 +517,35 @@ def generate_patch(
     check_tile_cap(tree.leaves(), max_tiles)
     scale = tree.support
     anchor = -origin_offset * scale
-    beta = 1.0 - alpha
-    # every power a table row, its left child or a column reaches
-    alpha_pow = [alpha**k for k in range(int(t / -tree.la) + 4)]
-    beta_pow = [beta**k for k in range(int(t / -tree.lb) + 4)]
-    row, kind = tree.walk_table()
-    rows = len(kind) // row
-    columns = beta_pow[:row]
-    step = [p * q for p in alpha_pow[1 : rows + 1] for q in columns]
-    ids, sums = _leaf_walk(row, kind, step)
-    size = [s * q for s in [scale * p for p in alpha_pow[:rows]] for q in columns]
-    return Patch(
-        [anchor + scale * val for val in sums],
-        [size[k] for k in ids],
-        (anchor, anchor + scale),
-    )
+    rows, row = tree.walk_shape()
+    alpha_pow = [alpha**k for k in range(rows + 1)]  # every row's, and its left children's
+    columns = [(1.0 - alpha) ** k for k in range(row)]
+    step = tree.walk_steps(rows, row, 0, lambda a, n: [alpha_pow[a + 1] * q for q in columns[:n]])
+    # the length of each id, and of the left children of the table's last row
+    size = [s * q for s in [scale * p for p in alpha_pow[: len(step) // row + 1]] for q in columns]
+    positions, lengths = [], []
+    place, keep = positions.append, lengths.append
+    stack = [(-1, 0.0)]  # popping the sentinel ends the walk
+    pop, push = stack.pop, stack.append
+    k, val, w = 0, 0.0, step[0]
+    while True:
+        while w < 0.0:  # down the left spine
+            push((k + 1, val - w))
+            k += row
+            w = step[k]
+        # a leaf at val: the left child of node k, or node k itself
+        place(anchor + scale * val)
+        if w:
+            keep(size[k + row])
+            val += w  # on along the row, to the right sibling
+            k += 1
+        else:
+            keep(size[k])
+            k, val = pop()
+            if k < 0:
+                break
+        w = step[k]
+    return Patch(positions, lengths, (anchor, anchor + scale))
 
 
 def generate_patch_commensurable(

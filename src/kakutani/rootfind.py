@@ -20,11 +20,11 @@ bit, and a residual's modulus ignores that sign.
 At a repeated root the sweep stalls: its largest step stops shrinking
 near 1e-8.  When the largest step has not shrunk for ``_STALL_SWEEPS``
 sweeps, gcd(p, p') is computed once; if it is nontrivial the sweep
-gives up at once, and the roots come from p / gcd(p, p') and
-gcd(p, p'), each split the same way.  A squarefree p sweeps on to the
-cap as before, so where it converges no bit depends on the test.  The
-whole procedure is deterministic: identical inputs give bit-identical
-output.
+gives up at once and hands it over on its error, and the roots come
+from p / gcd(p, p') and gcd(p, p'), each split the same way.  A
+squarefree p sweeps on to the cap as before, so where it converges no
+bit depends on the test.  The whole procedure is deterministic:
+identical inputs give bit-identical output.
 """
 from __future__ import annotations
 
@@ -47,6 +47,14 @@ _RESIDUAL_SCALE = 1e-12
 # complex / complex runs the same quotient as float / complex, without
 # first trying float's slot
 _ONE = complex(1.0, 0.0)
+
+
+class _Unconverged(NumericError):
+    """An Aberth sweep that gave up, with gcd(p, p') of its polynomial."""
+
+    def __init__(self, message: str, common: IntPolynomial):
+        super().__init__(message)
+        self.common = common
 
 
 def residual_bound(degree: int, z: complex) -> float:
@@ -136,8 +144,8 @@ def _split_roots(poly: IntPolynomial) -> list[complex]:
     the same way.  A squarefree p that stalls still raises."""
     try:
         return _aberth(poly)
-    except NumericError:
-        common = poly_gcd(poly, poly.derivative())
+    except _Unconverged as error:
+        common = error.common
         if common.degree < 1:
             raise
         return _split_roots(divmod(poly, common)[0]) + _split_roots(common)
@@ -158,6 +166,7 @@ def _aberth(poly: IntPolynomial) -> list[complex]:
     converged = False
     least = math.inf  # the smallest largest step so far
     stale = 0  # sweeps since it shrank
+    common = None  # gcd(p, p'), once the sweep has stalled
     for _ in range(_ABERTH_MAX_ITER):
         biggest = 0.0
         for i in range(degree):
@@ -192,13 +201,17 @@ def _aberth(poly: IntPolynomial) -> list[complex]:
         else:
             stale += 1
             if stale == _STALL_SWEEPS:
-                if poly_gcd(poly, poly.derivative()).degree >= 1:
+                common = poly_gcd(poly, poly.derivative())
+                if common.degree >= 1:
                     break  # a repeated root: _split_roots takes over
                 least = -math.inf  # squarefree: stale never resets, no second gcd
     if not converged:
-        raise NumericError(
+        if common is None:  # the cap came before a stall
+            common = poly_gcd(poly, poly.derivative())
+        raise _Unconverged(
             f"Aberth iteration did not converge in {_ABERTH_MAX_ITER} steps "
-            f"for {poly!r} (last relative step {biggest:.3e})"
+            f"for {poly!r} (last relative step {biggest:.3e})",
+            common,
         )
     # independent Newton polish per root
     for i in range(degree):

@@ -515,6 +515,32 @@ def test_direct_scan_of_a_long_leaf_row_is_refused_fast():
     assert "resource limit" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--ratio", "3/2", "--ell", "60"],  # 26,931,732 tiles
+        ["generate", "--ratio", "3/2", "--ell", "51"],  # counted: 2,143,648 tiles
+        ["generate", "--alpha", "0.3", "--t", "14.3", "--format", "json"],
+        ["verify-cover", "--ratio", "3/2", "--ell", "64"],  # 82,938,844 tiles
+    ],
+)
+def test_a_patch_past_the_memory_budget_is_refused_fast(args):
+    # under the tile cap, but past the memory budget: the first of these
+    # was killed by the kernel as its memory grew
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "kakutani", *args],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_limit_memory,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert "above the memory budget of 2 GiB" in result.stderr
+
+
 # Both commands scaled with n and had no bound: the DOT graph of the
 # loops 3000000,1,1 took 23 s and 237 MB, and the dense Perron eigensolve
 # behind the density of 1501/1500 took 68 s.

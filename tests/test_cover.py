@@ -322,15 +322,20 @@ class TestIteratePrimitive:
         "loops",
         list(coprime_pairs(12)) + list(THREE_LOOP_TRIPLES),
     )
-    def test_hub_count_bound_refuses_only_counts_past_the_cap(self, loops):
-        # xi**(ell - c) <= H(ell): a cap of exactly H(ell) is never refused
-        # from the bound, and one below it always is, bound or count
+    def test_hub_count_bound_refuses_only_counts_past_the_cap(self, loops, monkeypatch):
+        # xi**(ell - c) <= H(ell): a cap, or a memory budget, of exactly
+        # H(ell) tiles is never refused from the bound, and one below it
+        # always is, bound or count
         rule = build_rule(loops)
         for ell in range(0, 120, 7):
             count = rule_count(rule, ell)
+            monkeypatch.setattr(engine, "MEMORY_BUDGET", count * engine.TILE_BYTES)
             engine.check_hub_tile_cap(rule.loops, rule.xi, ell, count)
-            with pytest.raises(ResourceLimitError):
+            with pytest.raises(ResourceLimitError, match="above the cap"):
                 engine.check_hub_tile_cap(rule.loops, rule.xi, ell, count - 1)
+            monkeypatch.setattr(engine, "MEMORY_BUDGET", count * engine.TILE_BYTES - 1)
+            with pytest.raises(ResourceLimitError, match="memory budget"):
+                engine.check_hub_tile_cap(rule.loops, rule.xi, ell, count)
 
     def test_cap_is_checked_on_the_hub_count(self):
         rule = build_three_interval_rule(5, 3, 2)

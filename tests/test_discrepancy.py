@@ -388,11 +388,22 @@ class TestScan:
 
     def test_walk_table_refused_before_it_is_built(self, monkeypatch):
         tree = SubdivisionTree(0.3, 10.0)
-        row, kind = tree.walk_table()
-        assert len(kind) % row == 0
-        monkeypatch.setattr(engine, "DEFAULT_TILE_CAP", len(kind) - 1)
+        rows, row = tree.walk_shape()
+        steps = tree.walk_steps(rows, row, 0, lambda a, n: [tree.width(a + 1, b) for b in range(n)])
+        assert len(steps) % row == 0 and len(steps) <= rows * row
+        monkeypatch.setattr(engine, "DEFAULT_TILE_CAP", rows * row - 1)
         with pytest.raises(ResourceLimitError):
-            tree.walk_table()
+            tree.walk_shape()
+
+        def unbuilt(*args):
+            raise AssertionError("a walk table built past the cap")
+
+        # both walks size their table first
+        monkeypatch.setattr(SubdivisionTree, "walk_steps", unbuilt)
+        with pytest.raises(ResourceLimitError, match="walk table"):
+            generate_patch(0.3, 10.0)
+        with pytest.raises(ResourceLimitError, match="walk table"):
+            discrepancy_scan(0.3, 10.0, [math.exp(10.0)], mode="direct")
         # the sums along row top stop at the cap too: this row has 1e9 nodes
         monkeypatch.setattr(engine, "DEFAULT_TILE_CAP", 1000)
         with pytest.raises(ResourceLimitError):

@@ -163,6 +163,21 @@ class TestGeneratePatch:
         with pytest.raises(ResourceLimitError):
             generate_patch(0.5, 20 * math.log(2), max_tiles=100)
 
+    def test_memory_budget(self, monkeypatch):
+        # a patch is refused on its tiles' bytes, with the patch and its
+        # rendering, whatever the tile cap
+        assert engine.MEMORY_BUDGET == 2 << 30
+        most = (2 << 30) // engine.TILE_BYTES
+        engine.check_tile_cap(most, engine.DEFAULT_TILE_CAP)
+        with pytest.raises(ResourceLimitError, match="above the memory budget of 2 GiB"):
+            engine.check_tile_cap(most + 1, engine.DEFAULT_TILE_CAP)
+        count = count_tiles(0.3, 6.0)
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", count * engine.TILE_BYTES)
+        assert len(generate_patch(0.3, 6.0, max_tiles=count)) == count
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", count * engine.TILE_BYTES - 1)
+        with pytest.raises(ResourceLimitError, match=f"contain {count} tiles, above the memory budget"):
+            generate_patch(0.3, 6.0, max_tiles=10 * count)
+
     def test_rejects_negative_time(self):
         with pytest.raises(ParameterError):
             generate_patch(0.3, -1.0)

@@ -116,6 +116,21 @@ class TestKnownRoots:
         # evaluations than the stalled sweep alone at the cap
         assert len(seen) < rootfind._ABERTH_MAX_ITER * degree
 
+    def test_a_stall_takes_one_gcd(self, monkeypatch):
+        # the stalled sweep hands its gcd(p, p') over to the split; the
+        # squarefree factors converge with no gcd of their own
+        poly = IntPolynomial((4, 4, 4, 4, 1, 1))  # (x + 1) * (x^2 + 2)^2
+        gcds = []
+        gcd = rootfind.poly_gcd
+
+        def counting(a, b):
+            gcds.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(rootfind, "poly_gcd", counting)
+        assert len(find_roots(poly)) == 5
+        assert gcds == [(poly, poly.derivative())]
+
     def test_squarefree_stall_sweeps_to_the_cap(self, monkeypatch):
         # a trivial gcd leaves the sweep to run to the cap, with one gcd
         poly = IntPolynomial((4, 4, 4, 4, 1, 1))
