@@ -45,7 +45,7 @@ from typing import NamedTuple
 from . import engine
 from .errors import ParameterError
 from .geometry import Patch
-from .params import _loop_alpha, check_exponent_pair
+from .params import _loop_alpha, check_exponent_pair, check_loop_triple
 from .polynomials import IntPolynomial, loop_polynomial
 
 __all__ = [
@@ -154,12 +154,7 @@ def build_rho(n: int, m: int) -> LoopRule:
 
 def build_three_interval_rule(n: int, m: int, k: int) -> LoopRule:
     """Fixed-scale rule for a three-way split with loop counts n >= m >= k."""
-    if not (n >= m >= k >= 1):
-        raise ParameterError(f"need n >= m >= k >= 1, got ({n}, {m}, {k})")
-    if math.gcd(math.gcd(n, m), k) != 1:
-        raise ParameterError(f"loop counts ({n}, {m}, {k}) must be coprime overall")
-    if n == m == k:
-        raise ParameterError("equal loop counts give the trivial lattice split")
+    check_loop_triple(n, m, k)
     return _loop_rule((n, m, k))
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "RatioClass",
     "check_alpha",
     "check_exponent_pair",
+    "check_loop_triple",
     "detect_commensurability",
     "f_alpha_poly",
     "r_of_alpha",
@@ -98,6 +99,81 @@ def check_exponent_pair(n: int, m: int) -> None:
         raise ParameterError(f"({n}, {m}) must be coprime")
 
 
+def check_loop_triple(n: int, m: int, k: int) -> None:
+    """Validate the loop counts of a three-interval rule: n >= m >= k >= 1,
+    coprime overall, not all equal."""
+    if not (n >= m >= k >= 1):
+        raise ParameterError(f"need n >= m >= k >= 1, got ({n}, {m}, {k})")
+    if math.gcd(math.gcd(n, m), k) != 1:
+        raise ParameterError(f"loop counts ({n}, {m}, {k}) must be coprime overall")
+    if n == m == k:
+        raise ParameterError("equal loop counts give the trivial lattice split")
+
+
+#: Half-width of the window around the Newton estimate of a flower's
+#: alpha, relative to the estimate.
+_WINDOW = 2.0**-46
+#: Below this the bisection's cells are not all exact dyadic ones.
+_TINY = 2.0**-1000
+
+
+def _alpha_estimate(loops: tuple[int, ...]) -> float:
+    """A float estimate of the alpha of ``_loop_alpha``, by Newton's method,
+    or NaN where it finds none.
+
+    Newton on h(u) = sum(exp(u * c_i / c_1)) - 1, u = log(alpha), is
+    defined everywhere and, h being convex and increasing, falls
+    monotonically onto the root from u = -log(p), where h >= 0.  As the
+    terms sum to 1, h is only good to about 2**-53, and the root to
+    2**-53 / h'(u) in u: too coarse for the window of ``_loop_alpha``
+    where c_1 / c_p is large.  So once its steps are below 2**-20, one
+    Newton step on the gap of ``_loop_alpha`` ends it, whose slope in u
+    is c_p + c_1 * x * S'(x) / (1 - S).
+    """
+    top, last = loops[0], loops[-1]
+    powers = [c / top for c in loops[1:]]  # the first loop's power is 1
+    x = 1.0 / len(loops)
+    for _ in range(64):
+        h, slope = x - 1.0, x
+        for p in powers:
+            t = x**p
+            h += t
+            slope += p * t
+        step = h / slope
+        x *= math.exp(-step)
+        if step < 2.0**-20 or not x > _TINY:
+            break
+    s, slope = x, x
+    for p in powers[:-1]:
+        t = x**p
+        s += t
+        slope += p * t
+    if not (x > _TINY and s < 1.0):
+        return math.nan  # no estimate: the full bisection runs
+    gap = last * math.log(x) - top * math.log1p(-s)
+    slope = last + top * slope / (1.0 - s)
+    return x - x * (gap / slope)
+
+
+def _dyadic_cell(a: float, b: float) -> tuple[float, float]:
+    """The deepest cell of the bisection of [ulp(0), 1/2] that holds
+    [a, b], 0 < a < b < 1/2, and whose midpoint lies strictly inside.
+
+    In units of ulp(0), 2**-1074, every float is an integer, and the
+    cells of width 2**d are the integers that agree from bit d up: the
+    cell holds the window when a and b - 1 do.  The lowest cell keeps
+    ulp(0) as its lower end, as the bisection does.
+    """
+    ends = []
+    for x in (a, b):
+        num, den = x.as_integer_ratio()  # den = 2**k, k <= 1074
+        ends.append(num << (1075 - den.bit_length()))
+    low, high = ends
+    d = (low ^ (high - 1)).bit_length()
+    j = low >> d
+    return (math.ldexp(j, d - 1074) if j else math.ulp(0.0)), math.ldexp(j + 1, d - 1074)
+
+
 def _loop_alpha(loops: tuple[int, ...]) -> float:
     """The alpha = xi**-c_1 of a flower with loops c_1 >= ... >= c_p.
 
@@ -109,19 +185,47 @@ def _loop_alpha(loops: tuple[int, ...]) -> float:
     smallest of p terms summing to one), so bisection on
     [ulp(0), 1/2] runs until the bracket is two adjacent floats.  With
     two loops (n, m) the gap is m*log(alpha) - n*log1p(-alpha).
+
+    The bisection skips its steps far from the root.  A Newton estimate
+    x of the root (``_alpha_estimate``) gives the window
+    x*(1 -+ 2**-46).  The computed gap is checked to be negative at its
+    lower edge and not at its upper edge; the bisection then starts
+    from the deepest of its cells that holds the window
+    (``_dyadic_cell``) and goes on exactly as from [ulp(0), 1/2].  Each
+    step skipped has its midpoint past an edge, and would have gone the
+    way the skip sends it: the computed gap is monotone in alpha, as
+    every operation in it is (log, log1p, powers with positive
+    exponents, sums, products with the loop counts, the last
+    difference) and each is rounded to within about half an ulp, so
+    past an edge it keeps the sign checked there.  (An error margin
+    would not carry this: at tiny alphas, such as that of loops
+    (319, 2, 1), the exact gap at the edges is below the rounding
+    error.)  If an edge check fails, or the window reaches 1/2 or nears
+    the subnormal floats, the full bisection runs.  On every coprime
+    ratio up to 450, every three-loop rule with n <= 40 and every
+    four-loop one with n <= 12 the result is the float of the full
+    bisection.
     """
     top, last = loops[0], loops[-1]
     # S is alpha, the first loop's term, plus the terms of the loops between
     powers = [c / top for c in loops[1:-1]]
+
+    def below(x: float) -> bool:
+        s = x
+        for p in powers:
+            s += x**p
+        return s < 1.0 and last * math.log(x) - top * math.log1p(-s) < 0.0
+
     lo, hi = math.ulp(0.0), 0.5
+    guess = _alpha_estimate(loops)
+    a, b = guess * (1.0 - _WINDOW), guess * (1.0 + _WINDOW)
+    if _TINY < a and b < 0.5 and below(a) and not below(b):
+        lo, hi = _dyadic_cell(a, b)
     while True:
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             return hi
-        s = mid
-        for p in powers:
-            s += mid**p
-        if s < 1.0 and last * math.log(mid) - top * math.log1p(-s) < 0.0:
+        if below(mid):
             lo = mid
         else:
             hi = mid

@@ -130,12 +130,13 @@ class IntPolynomial:
         return r.is_zero
 
     def strip_zero_roots(self) -> tuple["IntPolynomial", int]:
-        """Factor out the largest power of x exactly.
+        """Factor out the largest power of x exactly; with a nonzero
+        constant term, the polynomial itself.
 
         >>> IntPolynomial((0, 0, -1, 1)).strip_zero_roots()
         (IntPolynomial('x - 1'), 2)
         """
-        if self.is_zero:
+        if self.is_zero or self.coeffs[0]:
             return self, 0
         k = 0
         while self.coeffs[k] == 0:

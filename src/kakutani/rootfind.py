@@ -69,12 +69,16 @@ def _run_table(poly: IntPolynomial) -> tuple[list[tuple[float, float, int]], flo
     the aligned coefficient of p', and the number of zero coefficients
     between it and the next nonzero one or the constant.
     """
-    coeffs = [float(c) for c in reversed(poly.coeffs)]
-    dcoeffs = [float(c) for c in reversed(poly.derivative().coeffs)]
+    coeffs = poly.coeffs[::-1]
+    degree = len(coeffs) - 1
     starts = [k for k, c in enumerate(coeffs[:-1]) if c]
-    ends = starts[1:] + [len(coeffs) - 1]
-    runs = [(coeffs[k], dcoeffs[k], end - k - 1) for k, end in zip(starts, ends)]
-    return runs, coeffs[-1] if coeffs else 0.0
+    ends = starts[1:] + [degree]
+    # the coefficient at power degree - k, times that power, is p' there
+    runs = [
+        (float(coeffs[k]), float((degree - k) * coeffs[k]), end - k - 1)
+        for k, end in zip(starts, ends)
+    ]
+    return runs, float(coeffs[-1]) if coeffs else 0.0
 
 
 def _horner_pair(runs: list[tuple[float, float, int]], last: float, z: complex):

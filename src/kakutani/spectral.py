@@ -22,8 +22,9 @@ of each loop, so every eigenspace is a line, and its entries sum to
 which is never 0 (lambda = 1 is no root: sum(1) = p >= 2).  So no
 eigenspace is orthogonal to the all-ones vector, and the criterion
 watches the second eigenvalue.  The verdicts take the loops from the
-ratio, (n, m), or from the three-interval rule (``LoopRule.loops``), and
-build that polynomial from them; no matrix is built on the way.
+ratio, (n, m), or from the loop counts (n, m, k) of a three-interval
+rule, and build that polynomial from them; no rule and no matrix is
+built on the way, and a three-loop verdict solves for no alpha.
 ``eigenspace_not_perp`` is the SVD test on a matrix that this replaces;
 the package no longer calls it, and it stays public for the benchmark's
 traced replay, which rebuilds the matrix and its ``char_poly``.
@@ -32,9 +33,13 @@ The nonzero spectrum here is the root set of f(x) = x^n - x^(n-m) - 1.
 Numerically deciding "modulus one" is hopeless at the boundary, so an
 exact test runs alongside the numerics: for these trinomials a root on
 the unit circle forces divisibility by x^2 - x + 1 (the root must be a
-primitive sixth root of unity), and for the quadrinomials of the
+primitive sixth root of unity omega = exp(i*pi/3)), which holds exactly
+when f(omega) = 0.  With omega^2 = omega - 1 and omega^3 = -1, each
+power of omega is u + v*omega, read off its exponent mod 6, and f(omega)
+is zero when both parts of the sum are.  For the quadrinomials of the
 three-interval rules the cyclotomic factors whose orders divide a loop
-length are tried by exact division.
+length are tried by exact division of f folded mod x^k - 1, on lists of
+ints.
 
 The closed classification: the endpoint set is uniformly spread exactly
 for the ratios 1, 3/2, 2, 3 and 4, the four nontrivial ones being the
@@ -47,19 +52,23 @@ import enum
 import math
 from dataclasses import dataclass  # the reports support dataclasses.replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .cover import SubstitutionMatrix, build_three_interval_rule
 from .errors import ParameterError
 from .params import (
     MAX_SPECTRAL_DEGREE,
     Commensurable,
     Incommensurable,
     RatioClass,
+    check_loop_triple,
     check_spectral_degree,
     solve_alpha,
 )
 from .polynomials import IntPolynomial, cyclotomic, loop_polynomial
 from .rootfind import _roots_and_residuals
+
+if TYPE_CHECKING:
+    from .cover import SubstitutionMatrix
 
 __all__ = [
     "SpreadClass",
@@ -120,27 +129,48 @@ def _flower_loops(poly: IntPolynomial) -> tuple[int, ...]:
     return tuple(poly.degree - power for power, c in enumerate(coeffs[:-1]) for _ in range(-c))
 
 
+#: omega**e for e = 0, ..., 5 as (u, v) in u + v*omega, omega = exp(i*pi/3):
+#: omega**2 = omega - 1 and omega**3 = -1.
+_OMEGA_POWERS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+
+
+def _divides(phi: tuple[int, ...], coeffs: list[int]) -> bool:
+    """Whether the monic ``phi`` divides the polynomial ``coeffs``, both
+    constant first, exactly: long division in place, then the remainder."""
+    top = len(phi) - 1
+    for k in range(len(coeffs) - 1, top - 1, -1):
+        q = coeffs[k]
+        if q:
+            for i, c in enumerate(phi, k - top):
+                coeffs[i] -= q * c
+    return not any(coeffs[:top])
+
+
 def unit_circle_factors(poly: IntPolynomial) -> tuple[IntPolynomial, ...]:
     """Cyclotomic polynomials that divide ``poly`` exactly.
 
     For the two-split trinomials x^n - x^k - 1 a unit-circle root can
     only be a primitive sixth root of unity, so only x^2 - x + 1 needs
-    testing.  For three loops, a unit-circle root lambda makes
-    lambda^-c_1 + lambda^-c_2 + lambda^-c_3 + (-1) a sum of four unit
-    vectors that is zero, so they pair off into opposite vectors and
-    some lambda^c_i is 1: the order of lambda divides a loop length, and
-    only those divisors need testing.  Other shapes get the full sweep
-    of cyclotomic orders up to ``_CYCLOTOMIC_ORDER_BOUND``.
+    testing: it divides exactly when omega^n - omega^k - 1 = 0, which
+    the exponents mod 6 decide in the basis 1, omega.  For three loops,
+    a unit-circle root lambda makes lambda^-c_1 + lambda^-c_2 +
+    lambda^-c_3 + (-1) a sum of four unit vectors that is zero, so they
+    pair off into opposite vectors and some lambda^c_i is 1: the order
+    of lambda divides a loop length, and only those divisors need
+    testing.  Other shapes get the full sweep of cyclotomic orders up to
+    ``_CYCLOTOMIC_ORDER_BOUND``.
     """
     if poly.is_zero:
         raise ParameterError("the zero polynomial is not a valid spectrum")
     loops = _flower_loops(poly)
     if len(loops) == 2 and loops[0] == poly.degree > loops[1]:  # x^n - x^k - 1
-        orders = [6]
-    elif len(loops) == 3:
+        n, k = poly.degree, poly.degree - loops[1]
+        (a, b), (c, d) = _OMEGA_POWERS[n % 6], _OMEGA_POWERS[k % 6]
+        return (cyclotomic(6),) if a - c == 1 and b == d else ()
+    if len(loops) == 3:
         orders = sorted({d for c in loops for d in range(1, c + 1) if c % d == 0})
     else:
-        orders = list(range(1, _CYCLOTOMIC_ORDER_BOUND + 1))
+        orders = range(1, _CYCLOTOMIC_ORDER_BOUND + 1)
     # cyclotomic(k) divides x^k - 1, so it divides poly exactly when it
     # divides poly mod x^k - 1: the terms folded onto degrees below k
     terms = [(power, c) for power, c in enumerate(poly.coeffs) if c]
@@ -152,32 +182,33 @@ def unit_circle_factors(poly: IntPolynomial) -> tuple[IntPolynomial, ...]:
         folded = [0] * order
         for power, c in terms:
             folded[power % order] += c
-        if IntPolynomial(tuple(folded)).is_divisible_by(phi):
+        if _divides(phi.coeffs, folded):
             found.append(phi)
     return tuple(found)
 
 
-def _pv_three_interval_family(poly: IntPolynomial) -> str | None:
-    """Name of the Pisot family containing ``poly``, if any.
+def _pv_family(loops: tuple[int, ...]) -> str | None:
+    """Name of the Pisot family holding the flower with these loops,
+    longest first, if any.
 
-    The families: the sporadic x^5 - x^4 - x^2 - 1, the line
-    x^d - 2x^(d-1) - 1 for d >= 1, and x^d - x^(d-1) - x^(d-2) - 1 for
-    odd d >= 3.
+    The families: the sporadic x^5 - x^4 - x^2 - 1, loops (5, 3, 1);
+    the line x^d - 2x^(d-1) - 1 for d >= 1, loops (d, 1, 1); and
+    x^d - x^(d-1) - x^(d-2) - 1 for odd d >= 3, loops (d, 2, 1).
     """
-    d = poly.degree
-    if d >= 1 and poly == IntPolynomial.from_terms({d: 1, d - 1: -2, 0: -1}):
+    if loops[1:] == (1, 1):
         return "x^d - 2x^(d-1) - 1"
-    if d >= 3 and d % 2 == 1 and poly == IntPolynomial.from_terms(
-        {d: 1, d - 1: -1, d - 2: -1, 0: -1}
-    ):
+    if loops[1:] == (2, 1) and loops[0] % 2 == 1:
         return "x^d - x^(d-1) - x^(d-2) - 1"
-    if poly == IntPolynomial.from_terms({5: 1, 4: -1, 2: -1, 0: -1}):
+    if loops == (5, 3, 1):
         return "x^5 - x^4 - x^2 - 1"
     return None
 
 
 def is_pv_three_interval(poly: IntPolynomial) -> bool:
-    return _pv_three_interval_family(poly) is not None
+    """Whether ``poly`` is the polynomial x^d - x^(d-m) - x^(d-k) - 1 of
+    three loops (d, m, k) in a Pisot family of ``_pv_family``."""
+    loops = _flower_loops(poly)
+    return len(loops) == 3 and loops[0] == poly.degree and _pv_family(loops) is not None
 
 
 def eigenspace_not_perp(matrix: SubstitutionMatrix, eigenvalue: complex) -> bool:
@@ -246,7 +277,11 @@ def solomon_verdict(loops: tuple[int, ...]) -> SpectralReport:
         raise ParameterError("need at least two loops with positive edge counts")
     top = max(loops)
     check_spectral_degree(top)
-    reduced = loop_polynomial(top, loops)
+    return _verdict(loop_polynomial(top, loops))
+
+
+def _verdict(reduced: IntPolynomial) -> SpectralReport:
+    """``solomon_verdict`` on the flower's polynomial ``reduced``."""
     if reduced.degree == 1:
         # a single nonzero eigenvalue: nothing for the criterion to watch
         only = float(-reduced.coeffs[0])
@@ -386,21 +421,24 @@ def classify_three_interval(n: int, m: int, k: int) -> ThreeIntervalVerdict:
     """Spreadness of the three-interval rule with loop counts (n, m, k).
 
     Membership of x^n - x^(n-m) - x^(n-k) - 1 in the known Pisot
-    families is tested exactly; the Solomon criterion runs on the
-    rule's loops as an independent check.
+    families is read off the loops exactly; the Solomon criterion runs
+    on the same loops as an independent check.  No rule is built: the
+    verdict reads the polynomial of the loops, and needs no alpha.
     """
-    check_spectral_degree(n)  # before the rule is built
-    rule = build_three_interval_rule(n, m, k)
-    report = solomon_verdict(rule.loops)
-    family = _pv_three_interval_family(rule.polynomial)
+    check_spectral_degree(n)  # before the loops are checked
+    check_loop_triple(n, m, k)
+    loops = (n, m, k)
+    polynomial = loop_polynomial(n, loops)
+    report = _verdict(polynomial)
+    family = _pv_family(loops)
     member = family is not None
     if report.solomon is SpreadClass.BOUNDARY:
         mismatch = member  # a Pisot-family polynomial cannot sit on the circle
     else:
         mismatch = (report.solomon is SpreadClass.SPREAD) != member
     return ThreeIntervalVerdict(
-        loops=rule.loops,
-        polynomial=rule.polynomial,
+        loops=loops,
+        polynomial=polynomial,
         pv_member=member,
         pv_family=family,
         spectral=report,

@@ -14,12 +14,48 @@ from kakutani.params import (
     r_of_alpha,
 )
 
-from conftest import alpha_oracle, coprime_pairs
+from conftest import alpha_oracle, coprime_pairs, coprime_triples
 
 #: sha256 of ``solve_alpha(n, m).hex()``, one per line, over every coprime
 #: pair 1 <= m <= n <= 100 in (n, m) order, recorded before the two-loop
 #: and the three-loop bisections were merged into one.
 ALPHA_DIGEST = "b5a7fedf3571e48ba26f9914b1f4de14b4b2f95229d7237ea84c8ff87f667b22"
+
+
+#: sha256 of ``_loop_alpha(loops).hex()``, one per line, recorded before
+#: the bisection skipped its far steps: over every three-loop rule with
+#: n <= 24 (``coprime_triples(24)``) and over ``large_pairs()``.
+TRIPLE_ALPHA_DIGEST = "19d731971bacd19e0699d826ba621a090e20f1ad7ffc710bbd6337cc1c5b143f"
+LARGE_ALPHA_DIGEST = "5c6617880c130841e3fd3db58fab52ae4402feacc548ff549b062cef2076bdfc"
+
+
+def large_pairs():
+    """The coprime n/m with 101 <= n <= 450 and m in {1, 2, n//2 + 1, n - 1}."""
+    for n in range(101, 451):
+        for m in sorted({1, 2, n // 2 + 1, n - 1}):
+            if math.gcd(n, m) == 1:
+                yield n, m
+
+
+def loop_alpha_digest(tuples):
+    digest = hashlib.sha256()
+    for loops in tuples:
+        digest.update(params._loop_alpha(loops).hex().encode() + b"\n")
+    return digest.hexdigest()
+
+
+def simulated_cell(a, b):
+    """The bisection of [ulp(0), 1/2] run on the window alone: every
+    midpoint at or below a goes up, at or above b goes down."""
+    lo, hi = math.ulp(0.0), 0.5
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= a:
+            lo = mid
+        elif mid >= b:
+            hi = mid
+        else:
+            return lo, hi
 
 
 class TestAlphaParam:
@@ -78,6 +114,46 @@ class TestSolveAlpha:
                 if math.gcd(n, m) == 1:
                     digest.update(solve_alpha(n, m).hex().encode() + b"\n")
         assert digest.hexdigest() == ALPHA_DIGEST
+
+    def test_three_loop_and_large_ratio_bits_pinned(self):
+        triples = coprime_triples(24)
+        assert len(triples) == 2105
+        assert loop_alpha_digest(triples) == TRIPLE_ALPHA_DIGEST
+        pairs = list(large_pairs())
+        assert len(pairs) == 1137
+        assert loop_alpha_digest(pairs) == LARGE_ALPHA_DIGEST
+
+    @pytest.mark.parametrize("shift", [1.0 + 2.0**-40, 1.0 - 2.0**-40, math.nan, 0.75])
+    def test_full_bisection_when_an_edge_check_fails(self, monkeypatch, shift):
+        tuples = coprime_pairs(30) + coprime_triples(8)
+        want = [params._loop_alpha(loops) for loops in tuples]
+        estimate = params._alpha_estimate
+        cells = []
+        monkeypatch.setattr(params, "_alpha_estimate", lambda loops: estimate(loops) * shift)
+        monkeypatch.setattr(params, "_dyadic_cell", lambda a, b: cells.append((a, b)))
+        assert [params._loop_alpha(loops) for loops in tuples] == want
+        assert cells == []  # every window missed the root: no step was skipped
+
+    def test_far_steps_skipped(self, monkeypatch):
+        # the estimate lands in its window for every ratio up to 450
+        cell = params._dyadic_cell
+        cells = []
+        monkeypatch.setattr(params, "_dyadic_cell", lambda a, b: cells.append(1) or cell(a, b))
+        pairs = coprime_pairs(450)
+        for n, m in pairs:
+            solve_alpha(n, m)
+        assert len(cells) == len(pairs)
+
+    def test_dyadic_cell_is_where_the_bisection_stops(self):
+        rng = random.Random(7)
+        windows = [(2.0**-e, 2.0**-e * (1 + 2.0**-40)) for e in range(2, 1000)]
+        windows += [(2.0**-e * (1 - 2.0**-40), 2.0**-e) for e in range(2, 1000)]
+        windows += [(0.25 * (1 - 2.0**-46), 0.25 * (1 + 2.0**-46))]
+        for _ in range(2000):
+            x = rng.uniform(0.0, 0.5) * 2.0 ** -rng.randrange(0, 60)
+            windows.append((x * (1 - 2.0**-46), x * (1 + 2.0**-46)))
+        for a, b in windows:
+            assert params._dyadic_cell(a, b) == simulated_cell(a, b), (a, b)
 
     def test_printed_decimals(self, printed_alphas):
         for (n, m), printed in printed_alphas.items():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,16 @@ class TestUnitCircleFactors:
         for poly in polys:
             assert unit_circle_factors(poly) == divided(poly), poly
 
+    def test_sixth_root_test_matches_division(self):
+        # the trinomials are tested at omega by their exponents mod 6; the
+        # oracle divides each by x^2 - x + 1
+        phi6 = cyclotomic(6)
+        for n in range(2, 201):
+            for k in range(1, n):
+                poly = IntPolynomial.from_terms({n: 1, k: -1, 0: -1})
+                want = (phi6,) if poly.is_divisible_by(phi6) else ()
+                assert unit_circle_factors(poly) == want, (n, k)
+
     @pytest.mark.parametrize("j", range(5))
     def test_three_loop_factor_past_order_sixty(self, j):
         # at a root of Phi_64, x^32 = -1, so x^(63 - 2j) = -x^(31 - 2j)
@@ -183,6 +194,11 @@ class TestPisotMembership:
         deep = IntPolynomial.from_terms({7: 1, 6: -2, 0: -1})
         for poly in (silver, tribonacci, sporadic, deep):
             assert is_pv_three_interval(poly)
+
+    def test_first_line_member(self):
+        # x^d - 2x^(d-1) - 1 at d = 1 is x - 3, whose root 3 is Pisot
+        assert is_pv_three_interval(IntPolynomial((-3, 1)))
+        assert not is_pv_three_interval(IntPolynomial((-1, 1)))
 
     def test_three_interval_non_members(self):
         quartic = IntPolynomial.from_terms({4: 1, 3: -1, 2: -1, 0: -1})
@@ -303,10 +319,12 @@ class TestDegreeBudget:
         def unbuilt(*loops):
             raise AssertionError(f"built a rule for {loops}")
 
-        # a two-loop verdict builds no rule: its one step before the
-        # roots is the bisection for alpha
+        # no verdict builds a rule: a two-loop one's one step before the
+        # roots is the bisection for alpha, a three-loop one's the check
+        # of its loops and their polynomial
         monkeypatch.setattr(kakutani.spectral, "solve_alpha", unbuilt)
-        monkeypatch.setattr(kakutani.spectral, "build_three_interval_rule", unbuilt)
+        monkeypatch.setattr(kakutani.spectral, "check_loop_triple", unbuilt)
+        monkeypatch.setattr(kakutani.spectral, "loop_polynomial", unbuilt)
         with pytest.raises(ResourceLimitError):
             classify_spreadness(Commensurable(10**6, 1))
         with pytest.raises(ResourceLimitError):
@@ -444,6 +462,37 @@ class TestThreeInterval:
         assert verdict.pv_member
         assert verdict.pv_family == "x^d - 2x^(d-1) - 1"
         assert verdict.spread_class is SpreadClass.SPREAD
+
+
+    def test_builds_no_rule(self, monkeypatch):
+        import kakutani.cover
+        import kakutani.params
+
+        def unsolved(loops):
+            raise AssertionError(f"solved alpha for {loops}")
+
+        # a rule solves for its alpha, which no verdict reads
+        monkeypatch.setattr(kakutani.params, "_loop_alpha", unsolved)
+        monkeypatch.setattr(kakutani.cover, "_loop_alpha", unsolved)
+        verdict = classify_three_interval(3, 2, 1)
+        assert verdict.loops == (3, 2, 1)
+        assert verdict.polynomial == IntPolynomial((-1, -1, -1, 1))
+        assert verdict.spread_class is SpreadClass.SPREAD
+
+    @pytest.mark.parametrize("loops", [(1, 2, 1), (2, 1, 0), (4, 2, 2), (1, 1, 1), (6, 4, 2)])
+    def test_refuses_what_the_rule_refuses(self, loops):
+        with pytest.raises(ParameterError) as refused:
+            build_three_interval_rule(*loops)
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(refused.value))}$"):
+            classify_three_interval(*loops)
+
+    def test_matches_the_rule(self):
+        for loops in coprime_triples(9):
+            rule = build_three_interval_rule(*loops)
+            verdict = classify_three_interval(*loops)
+            assert verdict.loops == rule.loops
+            assert verdict.polynomial == rule.polynomial
+            assert verdict.spectral == solomon_verdict(rule.loops)
 
 
 class TestSurvey:

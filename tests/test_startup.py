@@ -67,7 +67,8 @@ def unused(args):
         # the graph of the rule and the degree limit, which params holds
         return SPECTRAL | SCANS | {"fractions"}
     if name in ("classify", "survey", "spectrum", "three-interval"):
-        return SCANS
+        # a verdict reads its loops: no rule, patch or tree
+        return SCANS | {"kakutani.cover", "kakutani.engine", "kakutani.geometry"}
     if name == "discrepancy":
         if "--ratio" in args:
             # the Perron density: numpy and the matrix; the degree limit
