@@ -8,11 +8,9 @@ state: identical inputs give byte-identical output.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ._version import __version__
 from .errors import ParameterError
@@ -56,19 +54,11 @@ def json_envelope(report: Mapping[str, Any], config: Mapping[str, Any]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_text(
-    header: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-    config: Mapping[str, Any],
-) -> str:
-    buffer = io.StringIO()
-    for line in _comment_header(config):
-        buffer.write(line + "\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
+def _csv_text(header: str, lines: Iterable[str], config: Mapping[str, Any]) -> str:
+    """The comment header, the column header and one line per row, each
+    ending in a newline.  No field needs quoting: every one is a number,
+    a label, an enum value or a boolean."""
+    return "\n".join([*_comment_header(config), header, *lines, ""])
 
 
 def _num(value: float) -> str:
@@ -77,42 +67,33 @@ def _num(value: float) -> str:
 
 
 def patch_to_csv(patch: Patch, config: Mapping[str, Any]) -> str:
-    rows = [
-        (_num(position), _num(length), label or "")
+    lines = (
+        f"{_num(position)},{_num(length)},{label or ''}"
         for position, length, label in zip(
             patch.positions(), patch.lengths(), patch.labels()
         )
-    ]
-    return _csv_text(("position", "length", "label"), rows, config)
+    )
+    return _csv_text("position,length,label", lines, config)
 
 
 def points_to_csv(points: Sequence[float], config: Mapping[str, Any]) -> str:
     """One row per point, such as the left endpoints ``patch.positions()``."""
-    return _csv_text(("position",), [(_num(x),) for x in points], config)
+    return _csv_text("position", map(_num, points), config)
 
 
 def survey_to_csv(rows: Sequence[SurveyRow], config: Mapping[str, Any]) -> str:
-    table = [
-        (
-            row.n,
-            row.m,
-            _num(row.alpha),
-            _num(row.lambda1),
-            _num(row.lambda2_modulus),
-            row.solomon.value,
-            str(row.theorem).lower(),
-        )
+    lines = (
+        f"{row.n},{row.m},{_num(row.alpha)},{_num(row.lambda1)},"
+        f"{_num(row.lambda2_modulus)},{row.solomon.value},{str(row.theorem).lower()}"
         for row in rows
-    ]
-    header = ("n", "m", "alpha", "lambda1", "lambda2_modulus", "solomon", "theorem")
-    return _csv_text(header, table, config)
+    )
+    header = "n,m,alpha,lambda1,lambda2_modulus,solomon,theorem"
+    return _csv_text(header, lines, config)
 
 
 def series_to_csv(series: DiscrepancySeries, config: Mapping[str, Any]) -> str:
-    rows = [
-        (_num(w), _num(d)) for w, d in zip(series.windows, series.max_disc)
-    ]
-    return _csv_text(("window", "max_disc"), rows, config)
+    lines = (f"{_num(w)},{_num(d)}" for w, d in zip(series.windows, series.max_disc))
+    return _csv_text("window,max_disc", lines, config)
 
 
 _SVG_HEAD = (

@@ -10,7 +10,11 @@ and a finite fixed-scale substitution covers the multiscale one.  When
 ``r`` is irrational no two distinct length exponents ever collide.
 
 Floats carry ``alpha`` here; commensurability is decided by a bounded
-continued-fraction heuristic, never assumed from the float alone.
+continued-fraction heuristic, never assumed from the float alone.  The
+alpha of a loop tuple is the unique float at which a computed gap,
+monotone in alpha, stops being negative; bisection finds it from any
+bracket whose two ends have been checked, the window of a Newton
+estimate or, failing that, all of [ulp(0), 1/2].
 """
 from __future__ import annotations
 
@@ -113,7 +117,9 @@ def check_loop_triple(n: int, m: int, k: int) -> None:
 #: Half-width of the window around the Newton estimate of a flower's
 #: alpha, relative to the estimate.
 _WINDOW = 2.0**-46
-#: Below this the bisection's cells are not all exact dyadic ones.
+#: No estimate is made below this: Newton's iterates could underflow to
+#: 0, where the gap's log is undefined, and near the subnormal floats
+#: x*(1 -+ 2**-46) no longer holds the window's relative width.
 _TINY = 2.0**-1000
 
 
@@ -155,25 +161,6 @@ def _alpha_estimate(loops: tuple[int, ...]) -> float:
     return x - x * (gap / slope)
 
 
-def _dyadic_cell(a: float, b: float) -> tuple[float, float]:
-    """The deepest cell of the bisection of [ulp(0), 1/2] that holds
-    [a, b], 0 < a < b < 1/2, and whose midpoint lies strictly inside.
-
-    In units of ulp(0), 2**-1074, every float is an integer, and the
-    cells of width 2**d are the integers that agree from bit d up: the
-    cell holds the window when a and b - 1 do.  The lowest cell keeps
-    ulp(0) as its lower end, as the bisection does.
-    """
-    ends = []
-    for x in (a, b):
-        num, den = x.as_integer_ratio()  # den = 2**k, k <= 1074
-        ends.append(num << (1075 - den.bit_length()))
-    low, high = ends
-    d = (low ^ (high - 1)).bit_length()
-    j = low >> d
-    return (math.ldexp(j, d - 1074) if j else math.ulp(0.0)), math.ldexp(j + 1, d - 1074)
-
-
 def _loop_alpha(loops: tuple[int, ...]) -> float:
     """The alpha = xi**-c_1 of a flower with loops c_1 >= ... >= c_p.
 
@@ -186,25 +173,21 @@ def _loop_alpha(loops: tuple[int, ...]) -> float:
     [ulp(0), 1/2] runs until the bracket is two adjacent floats.  With
     two loops (n, m) the gap is m*log(alpha) - n*log1p(-alpha).
 
-    The bisection skips its steps far from the root.  A Newton estimate
-    x of the root (``_alpha_estimate``) gives the window
-    x*(1 -+ 2**-46).  The computed gap is checked to be negative at its
-    lower edge and not at its upper edge; the bisection then starts
-    from the deepest of its cells that holds the window
-    (``_dyadic_cell``) and goes on exactly as from [ulp(0), 1/2].  Each
-    step skipped has its midpoint past an edge, and would have gone the
-    way the skip sends it: the computed gap is monotone in alpha, as
-    every operation in it is (log, log1p, powers with positive
+    The result is the threshold float of the computed gap, the least
+    float at which it is not negative.  The computed gap is monotone in
+    alpha, as every operation in it is (log, log1p, powers with positive
     exponents, sums, products with the loop counts, the last
     difference) and each is rounded to within about half an ulp, so
-    past an edge it keeps the sign checked there.  (An error margin
-    would not carry this: at tiny alphas, such as that of loops
-    (319, 2, 1), the exact gap at the edges is below the rounding
-    error.)  If an edge check fails, or the window reaches 1/2 or nears
-    the subnormal floats, the full bisection runs.  On every coprime
-    ratio up to 450, every three-loop rule with n <= 40 and every
-    four-loop one with n <= 12 the result is the float of the full
-    bisection.
+    that float is unique, and bisection finds it from any bracket whose
+    lower end is checked negative and whose upper end is not.  (An
+    error margin would not carry this: at tiny alphas, such as that of
+    loops (319, 2, 1), the exact gap at the edges is below the rounding
+    error.)  The bracket is the window x*(1 -+ 2**-46) around a Newton
+    estimate x of the root (``_alpha_estimate``) when both its edges
+    check, and [ulp(0), 1/2] when one does not or when the estimate
+    nears the subnormal floats.  On every coprime ratio up to 450, every
+    three-loop rule with n <= 40 and every four-loop one with n <= 12
+    the two brackets give the same float.
     """
     top, last = loops[0], loops[-1]
     # S is alpha, the first loop's term, plus the terms of the loops between
@@ -219,8 +202,8 @@ def _loop_alpha(loops: tuple[int, ...]) -> float:
     lo, hi = math.ulp(0.0), 0.5
     guess = _alpha_estimate(loops)
     a, b = guess * (1.0 - _WINDOW), guess * (1.0 + _WINDOW)
-    if _TINY < a and b < 0.5 and below(a) and not below(b):
-        lo, hi = _dyadic_cell(a, b)
+    if _TINY < a and below(a) and not below(b):
+        lo, hi = a, b
     while True:
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):

@@ -121,14 +121,6 @@ class IntPolynomial:
                     rem[k + i] -= q * c
         return IntPolynomial(tuple(quot)), IntPolynomial(tuple(rem))
 
-    def is_divisible_by(self, divisor: "IntPolynomial") -> bool:
-        """True when division by a monic divisor leaves no remainder."""
-        try:
-            _, r = divmod(self, divisor)
-        except ParameterError:
-            return False
-        return r.is_zero
-
     def strip_zero_roots(self) -> tuple["IntPolynomial", int]:
         """Factor out the largest power of x exactly; with a nonzero
         constant term, the polynomial itself.

@@ -10,7 +10,8 @@ root is then polished independently by a few Newton steps and checked
 against a residual bound that scales with the root's magnitude.
 
 p and p' are evaluated by Horner's rule over the polynomial's run
-table, built once: each nonzero coefficient of p with the aligned
+table, built once and read by the sweep, the polish, the residual check
+and the Cauchy bound: each nonzero coefficient of p with the aligned
 coefficient of p' and the number of zero coefficients after it, for
 which only the multiply by z runs.  A flower polynomial has three or
 four terms, so an evaluation tests no coefficient.  Skipping the add of
@@ -62,7 +63,11 @@ def residual_bound(degree: int, z: complex) -> float:
     return _RESIDUAL_SCALE * (1.0 + abs(z)) ** degree
 
 
-def _run_table(poly: IntPolynomial) -> tuple[list[tuple[float, float, int]], float]:
+#: A run table of p (see ``_run_table``) and its constant term.
+_RunTable = tuple[list[tuple[float, float, int]], float]
+
+
+def _run_table(poly: IntPolynomial) -> _RunTable:
     """The run table of p, and its constant term.
 
     Each run is a nonzero coefficient of p but the constant, descending,
@@ -123,13 +128,13 @@ def _roots_and_residuals(poly: IntPolynomial) -> tuple[tuple[complex, ...], tupl
     if poly.is_zero:
         raise ParameterError("the zero polynomial has no well-defined roots")
     reduced, zero_mult = poly.strip_zero_roots()
-    degree = reduced.degree
+    table = _run_table(poly)
     roots: list[complex] = [0j] * zero_mult
-    if degree >= 1:
-        roots.extend(_split_roots(reduced))
+    if reduced.degree >= 1:
+        roots.extend(_split_roots(reduced, _run_table(reduced) if zero_mult else table))
     roots.sort(key=_sort_key)
     full_degree = poly.degree
-    runs, last = _run_table(poly)
+    runs, last = table
     residuals = []
     for z in roots:
         res = abs(_horner_pair(runs, last, z)[0])
@@ -142,25 +147,28 @@ def _roots_and_residuals(poly: IntPolynomial) -> tuple[tuple[complex, ...], tupl
     return tuple(roots), tuple(residuals)
 
 
-def _split_roots(poly: IntPolynomial) -> list[complex]:
-    """The roots of ``_aberth``; where its sweep stalls, as it does at a
-    repeated root, those of p / gcd(p, p') and of gcd(p, p'), each split
-    the same way.  A squarefree p that stalls still raises."""
+def _split_roots(poly: IntPolynomial, table: _RunTable) -> list[complex]:
+    """The roots of ``_aberth`` on p and its run table; where its sweep
+    stalls, as it does at a repeated root, those of p / gcd(p, p') and
+    of gcd(p, p'), each split the same way.  A squarefree p that stalls
+    still raises."""
     try:
-        return _aberth(poly)
+        return _aberth(poly, table)
     except _Unconverged as error:
         common = error.common
         if common.degree < 1:
             raise
-        return _split_roots(divmod(poly, common)[0]) + _split_roots(common)
+        rest = divmod(poly, common)[0]
+        return _split_roots(rest, _run_table(rest)) + _split_roots(common, _run_table(common))
 
 
-def _aberth(poly: IntPolynomial) -> list[complex]:
+def _aberth(poly: IntPolynomial, table: _RunTable) -> list[complex]:
+    """The roots of p, of degree >= 1, from its run table ``table``."""
     degree = poly.degree
-    coeffs = [float(c) for c in reversed(poly.coeffs)]  # descending
-    runs, last = _run_table(poly)
-    lead = coeffs[0]
-    radius = 1.0 + max(abs(c / lead) for c in coeffs[1:]) if degree else 1.0
+    runs, last = table
+    lead = runs[0][0]
+    # the Cauchy bound: the zero coefficients, absent from the table, add nothing
+    radius = 1.0 + max([abs(c / lead) for c, _, _ in runs[1:]] + [abs(last / lead)])
     offset = math.pi / (2.0 * degree)
     z = [
         radius * cmath.exp(1j * (2.0 * math.pi * k / degree + offset))

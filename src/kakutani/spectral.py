@@ -54,7 +54,7 @@ from dataclasses import dataclass  # the reports support dataclasses.replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .params import (
     MAX_SPECTRAL_DEGREE,
     Commensurable,
@@ -457,17 +457,32 @@ class SurveyRow:
     theorem: bool
 
 
+#: Largest cost of a survey to N, sum(n**3 for n <= N) = (N(N+1)/2)**2:
+#: up to n - 1 ratios of degree n, each Aberth sweep of one ~n**2.
+#: survey(N) took 0.07 / 1.7 / 4.2 / 9.3 / 18 / 37 s at N = 20 / 40 /
+#: 50 / 60 / 70 / 80 (in process, 2-vCPU Xeon, CPython 3.11), so the
+#: cost of N = 60 keeps a survey within about 10 s.
+_MAX_SURVEY_COST = (60 * 61 // 2) ** 2
+
+
 def survey(max_n: int) -> tuple[SurveyRow, ...]:
     """Classify every coprime ratio n/m with 1 <= m <= n <= max_n.
 
     Rows are ordered by (n, m).  The lattice pair (1, 1) appears as the
     first row, with the doubling eigenvalue 2 and no second eigenvalue.
-    A bound above ``MAX_SPECTRAL_DEGREE`` is refused with
-    ResourceLimitError before any ratio is classified.
+    A bound above ``MAX_SPECTRAL_DEGREE``, and then one whose cost is
+    above ``_MAX_SURVEY_COST``, is refused with ResourceLimitError
+    before any ratio is classified.
     """
     if max_n < 1:
         raise ParameterError("max_n must be at least 1")
     check_spectral_degree(max_n)
+    cost = (max_n * (max_n + 1) // 2) ** 2
+    if cost > _MAX_SURVEY_COST:
+        raise ResourceLimitError(
+            f"a survey to n = {max_n} costs {cost} (the sum of n**3), "
+            f"above the budget {_MAX_SURVEY_COST} of n = 60"
+        )
     rows = []
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):

@@ -164,6 +164,34 @@ class TestSurvey:
             "kakutani: resource limit: a spectrum of degree 451 is above the limit 450\n"
         )
 
+    def test_bound_past_the_budget_refused_up_front(self, capsys, monkeypatch):
+        from kakutani import spectral
+
+        def no_classify(*args, **kwargs):
+            raise AssertionError("classified a ratio")
+
+        monkeypatch.setattr(spectral, "classify_spreadness", no_classify)
+        code, out, err = run_cli(capsys, "survey", "--max-n", "61")
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "kakutani: resource limit: a survey to n = 61 costs 3575881 "
+            "(the sum of n**3), above the budget 3348900 of n = 60\n"
+        )
+
+    def test_budget_admits_n_60(self, monkeypatch):
+        from kakutani import spectral
+
+        class Classified(Exception):
+            pass
+
+        def classified(*args, **kwargs):
+            raise Classified
+
+        monkeypatch.setattr(spectral, "classify_spreadness", classified)
+        with pytest.raises(Classified):
+            spectral.survey(60)
+
 
 class TestSolveAlpha:
     def test_plastic_ratio(self, capsys):

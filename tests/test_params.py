@@ -27,6 +27,9 @@ ALPHA_DIGEST = "b5a7fedf3571e48ba26f9914b1f4de14b4b2f95229d7237ea84c8ff87f667b22
 #: n <= 24 (``coprime_triples(24)``) and over ``large_pairs()``.
 TRIPLE_ALPHA_DIGEST = "19d731971bacd19e0699d826ba621a090e20f1ad7ffc710bbd6337cc1c5b143f"
 LARGE_ALPHA_DIGEST = "5c6617880c130841e3fd3db58fab52ae4402feacc548ff549b062cef2076bdfc"
+#: The same over ``coprime_quads(12)``, recorded before the bisection
+#: started from the window itself.
+QUAD_ALPHA_DIGEST = "8b4924d1e2f764516822b145a65a3b025da60fa2656be4f538927b6e380ee913"
 
 
 def large_pairs():
@@ -37,6 +40,19 @@ def large_pairs():
                 yield n, m
 
 
+def coprime_quads(max_n):
+    """Loop counts of every four-loop flower with c_1 <= max_n:
+    c_1 >= c_2 >= c_3 >= c_4 >= 1, gcd = 1, not all equal."""
+    return [
+        (n, m, k, j)
+        for n in range(2, max_n + 1)
+        for m in range(1, n + 1)
+        for k in range(1, m + 1)
+        for j in range(1, k + 1)
+        if math.gcd(math.gcd(n, m), math.gcd(k, j)) == 1 and not n == m == k == j
+    ]
+
+
 def loop_alpha_digest(tuples):
     digest = hashlib.sha256()
     for loops in tuples:
@@ -44,18 +60,30 @@ def loop_alpha_digest(tuples):
     return digest.hexdigest()
 
 
-def simulated_cell(a, b):
-    """The bisection of [ulp(0), 1/2] run on the window alone: every
-    midpoint at or below a goes up, at or above b goes down."""
-    lo, hi = math.ulp(0.0), 0.5
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= a:
-            lo = mid
-        elif mid >= b:
-            hi = mid
-        else:
-            return lo, hi
+class CountingMath:
+    """``math`` that counts its log1p calls: one per evaluation of the gap
+    of ``_loop_alpha``, the last step of ``_alpha_estimate`` included."""
+
+    def __init__(self):
+        self.gaps = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log1p(self, x):
+        self.gaps += 1
+        return math.log1p(x)
+
+
+def gap_evaluations(monkeypatch, tuples):
+    """The alpha of each loop tuple and the gap evaluations it took."""
+    counter = CountingMath()
+    monkeypatch.setattr(params, "math", counter)
+    result = []
+    for loops in tuples:
+        counter.gaps = 0
+        result.append((params._loop_alpha(loops), counter.gaps))
+    return result
 
 
 class TestAlphaParam:
@@ -123,37 +151,29 @@ class TestSolveAlpha:
         assert len(pairs) == 1137
         assert loop_alpha_digest(pairs) == LARGE_ALPHA_DIGEST
 
+    def test_four_loop_bits_pinned(self):
+        quads = coprime_quads(12)
+        assert len(quads) == 1202
+        assert loop_alpha_digest(quads) == QUAD_ALPHA_DIGEST
+
     @pytest.mark.parametrize("shift", [1.0 + 2.0**-40, 1.0 - 2.0**-40, math.nan, 0.75])
     def test_full_bisection_when_an_edge_check_fails(self, monkeypatch, shift):
         tuples = coprime_pairs(30) + coprime_triples(8)
         want = [params._loop_alpha(loops) for loops in tuples]
         estimate = params._alpha_estimate
-        cells = []
         monkeypatch.setattr(params, "_alpha_estimate", lambda loops: estimate(loops) * shift)
-        monkeypatch.setattr(params, "_dyadic_cell", lambda a, b: cells.append((a, b)))
-        assert [params._loop_alpha(loops) for loops in tuples] == want
-        assert cells == []  # every window missed the root: no step was skipped
+        found = gap_evaluations(monkeypatch, tuples)
+        assert [alpha for alpha, _ in found] == want
+        # every window missed the root: [ulp(0), 1/2] was halved at least
+        # 53 times, down to the one ulp of an alpha below 1/2
+        assert min(gaps for _, gaps in found) >= 53
 
     def test_far_steps_skipped(self, monkeypatch):
-        # the estimate lands in its window for every ratio up to 450
-        cell = params._dyadic_cell
-        cells = []
-        monkeypatch.setattr(params, "_dyadic_cell", lambda a, b: cells.append(1) or cell(a, b))
-        pairs = coprime_pairs(450)
-        for n, m in pairs:
-            solve_alpha(n, m)
-        assert len(cells) == len(pairs)
-
-    def test_dyadic_cell_is_where_the_bisection_stops(self):
-        rng = random.Random(7)
-        windows = [(2.0**-e, 2.0**-e * (1 + 2.0**-40)) for e in range(2, 1000)]
-        windows += [(2.0**-e * (1 - 2.0**-40), 2.0**-e) for e in range(2, 1000)]
-        windows += [(0.25 * (1 - 2.0**-46), 0.25 * (1 + 2.0**-46))]
-        for _ in range(2000):
-            x = rng.uniform(0.0, 0.5) * 2.0 ** -rng.randrange(0, 60)
-            windows.append((x * (1 - 2.0**-46), x * (1 + 2.0**-46)))
-        for a, b in windows:
-            assert params._dyadic_cell(a, b) == simulated_cell(a, b), (a, b)
+        # the estimate lands in its window for every ratio up to 450: its
+        # own step, the two edges and at most eight halvings of a window
+        # 2**-45 x wide, below 2**8 ulps of x
+        found = gap_evaluations(monkeypatch, coprime_pairs(450))
+        assert max(gaps for _, gaps in found) <= 11
 
     def test_printed_decimals(self, printed_alphas):
         for (n, m), printed in printed_alphas.items():

@@ -11,6 +11,7 @@ from kakutani import rootfind
 from kakutani.rootfind import (
     _aberth,
     _roots_and_residuals,
+    _run_table,
     find_roots,
     residual_bound,
     root_residual,
@@ -71,7 +72,7 @@ class TestKnownRoots:
         # the roots come from p / gcd(p, p') and gcd(p, p') = x^2 + 2
         poly = IntPolynomial((4, 4, 4, 4, 1, 1))
         with pytest.raises(NumericError, match="did not converge"):
-            _aberth(poly)
+            _aberth(poly, _run_table(poly))
         roots = find_roots(poly)
         assert len(roots) == 5
         for z in roots:
@@ -93,7 +94,7 @@ class TestKnownRoots:
 
         monkeypatch.setattr(rootfind, "_horner_pair", counting)
         with pytest.raises(NumericError, match="did not converge"):
-            _aberth(poly)
+            _aberth(poly, _run_table(poly))
         sweeps, rest = divmod(len(seen), degree)
         assert rest == 0
         # each sweep's largest relative step, from where every root stood
@@ -149,7 +150,7 @@ class TestKnownRoots:
         monkeypatch.setattr(rootfind, "_horner_pair", counting)
         monkeypatch.setattr(rootfind, "poly_gcd", trivial)
         with pytest.raises(NumericError, match="did not converge in 400 steps"):
-            _aberth(poly)
+            _aberth(poly, _run_table(poly))
         assert len(calls) == rootfind._ABERTH_MAX_ITER * poly.degree
         assert gcds == [(poly, poly.derivative())]
 
@@ -164,12 +165,27 @@ class TestKnownRoots:
                     find_roots(loop_polynomial(n, (n, m)))
 
     def test_squarefree_stall_still_raises(self, monkeypatch):
-        def stalls(poly):
+        def stalls(poly, table):
             raise NumericError("Aberth iteration did not converge")
 
         monkeypatch.setattr(rootfind, "_aberth", stalls)
         with pytest.raises(NumericError, match="did not converge"):
             find_roots(IntPolynomial((-1, -1, 1)))
+
+    def test_one_run_table_per_root_finding(self, monkeypatch):
+        # the sweep, the polish and the residual check share p's table
+        tables = []
+        build = rootfind._run_table
+
+        def counting(poly):
+            tables.append(poly)
+            return build(poly)
+
+        monkeypatch.setattr(rootfind, "_run_table", counting)
+        for poly in (loop_polynomial(9, (9, 5)), loop_polynomial(7, (7, 4, 1))):
+            del tables[:]
+            find_roots(poly)
+            assert tables == [poly]
 
     def test_cyclotomic_on_unit_circle(self):
         # x^4 - x^2 + 1, all roots on the unit circle

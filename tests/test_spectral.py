@@ -126,7 +126,7 @@ class TestUnitCircleFactors:
             return tuple(
                 phi
                 for phi in map(cyclotomic, range(1, 61))
-                if phi.degree <= poly.degree and poly.is_divisible_by(phi)
+                if phi.degree <= poly.degree and divmod(poly, phi)[1].is_zero
             )
 
         polys = [
@@ -148,7 +148,7 @@ class TestUnitCircleFactors:
         for n in range(2, 201):
             for k in range(1, n):
                 poly = IntPolynomial.from_terms({n: 1, k: -1, 0: -1})
-                want = (phi6,) if poly.is_divisible_by(phi6) else ()
+                want = (phi6,) if divmod(poly, phi6)[1].is_zero else ()
                 assert unit_circle_factors(poly) == want, (n, k)
 
     @pytest.mark.parametrize("j", range(5))
