@@ -153,41 +153,29 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     reason = _REASONS[verdict.rationale.value]
     if verdict.mismatch:
         reason += "; spectral verdict disagrees with the five-ratio list"
-    if isinstance(verdict.ratio, Commensurable):
-        report = verdict.spectral
-        assert report is not None
-        payload = {
-            "n": verdict.ratio.n,
-            "m": verdict.ratio.m,
-            "r": verdict.ratio.n / verdict.ratio.m,
-            "alpha": verdict.alpha,
-            "lambda1": report.lambda1,
-            "lambda2_modulus": report.lambda2_modulus,
-            "unit_circle_factor": report.has_unit_modulus_eigenvalue,
-            "ell": report.ell,
-            "solomon": report.solomon.value,
-            "theorem_verdict": verdict.theorem_verdict,
-            "reason": reason,
-        }
-    else:
-        payload = {
-            "n": None,
-            "m": None,
-            "r": verdict.ratio.r,
-            "alpha": verdict.alpha,
-            "lambda1": None,
-            "lambda2_modulus": None,
-            "unit_circle_factor": None,
-            "ell": None,
-            "solomon": None,
-            "theorem_verdict": verdict.theorem_verdict,
-            "reason": reason,
-        }
+    # None wherever an incommensurable ratio has no report
+    report = verdict.spectral
+    n, m = verdict.ratio if report else (None, None)
+    payload = {
+        "n": n,
+        "m": m,
+        "r": n / m if report else verdict.ratio.r,
+        "alpha": verdict.alpha,
+        "lambda1": report and report.lambda1,
+        "lambda2_modulus": report and report.lambda2_modulus,
+        "unit_circle_factor": report and report.has_unit_modulus_eigenvalue,
+        "ell": report and report.ell,
+        "solomon": report and report.solomon.value,
+        "theorem_verdict": verdict.theorem_verdict,
+        "reason": reason,
+    }
     _emit(json_envelope(payload, config), args.out)
     return _VERDICT_EXIT[verdict.spread_class.value]
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from .exports import json_envelope, survey_to_csv
     from .spectral import survey
 
@@ -196,32 +184,20 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(survey_to_csv(rows, config), args.out)
     else:
-        payload = {
-            "rows": [
-                {
-                    "n": row.n,
-                    "m": row.m,
-                    "alpha": row.alpha,
-                    "lambda1": row.lambda1,
-                    "lambda2_modulus": row.lambda2_modulus,
-                    "solomon": row.solomon.value,
-                    "theorem": row.theorem,
-                }
-                for row in rows
-            ]
-        }
+        payload = {"rows": [asdict(row) for row in rows]}
         _emit(json_envelope(payload, config), args.out)
     return 0
 
 
 def _cmd_solve_alpha(args: argparse.Namespace) -> int:
     from .exports import json_envelope
-    from .params import Commensurable, f_alpha_poly, solve_alpha
+    from .params import solve_alpha
 
     n, m = _parse_ratio(args.ratio)
-    Commensurable(n, m)  # refuses the pair with its own message
     alpha = solve_alpha(n, m)
     xi = alpha ** (-1.0 / n)
+    # str(f_alpha_poly(n, m)), without its n + 1 coefficients
+    middle = "x" if n - m == 1 else f"x^{n - m}"
     config = {"command": "solve-alpha", "ratio": args.ratio, "format": "json"}
     payload = {
         "n": n,
@@ -230,7 +206,7 @@ def _cmd_solve_alpha(args: argparse.Namespace) -> int:
         "alpha": alpha,
         "xi": xi,
         "step": math.log(1.0 / alpha) / n,
-        "polynomial": str(f_alpha_poly(n, m)) if n > m else "x - 2",
+        "polynomial": f"x^{n} - {middle} - 1" if n > m else "x - 2",
     }
     _emit(json_envelope(payload, config), args.out)
     return 0
@@ -299,22 +275,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     from .exports import json_envelope
-    from .params import Commensurable, check_spectral_degree, solve_alpha
-    from .spectral import solomon_verdict
+    from .params import Commensurable
+    from .spectral import classify_spreadness
 
     n, m = _parse_ratio(args.ratio)
-    Commensurable(n, m)  # refuses the pair with its own message
+    ratio = Commensurable(n, m)
     if n == m:
         raise ParameterError("the lattice ratio (1, 1) needs no cover")
-    check_spectral_degree(n)
-    alpha = solve_alpha(n, m)
-    report = solomon_verdict((n, m))
+    verdict = classify_spreadness(ratio)
     config = {"command": "spectrum", "ratio": args.ratio, "format": "json"}
     payload = {
         "n": n,
         "m": m,
-        "alpha": alpha,
-        **_spectral_dict(report),
+        "alpha": verdict.alpha,
+        **_spectral_dict(verdict.spectral),
     }
     _emit(json_envelope(payload, config), args.out)
     return 0
@@ -333,6 +307,8 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
         # density drifts away from the Perron value
         if args.ell is None:
             raise ParameterError("--ratio needs --ell (number of substitution steps)")
+        if args.ell < 0:
+            raise ParameterError("ell must be nonnegative")
         n, m = _parse_ratio(args.ratio)
         ratio: Any = Commensurable(n, m)
         alpha = solve_alpha(n, m)
@@ -346,6 +322,9 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
     support = SubdivisionTree(alpha, t).support
     if args.windows is not None:
         windows = _parse_windows(args.windows)
+        if (args.fit or args.format == "svg") and min(windows) <= 0:
+            # both take the log of every window
+            raise ParameterError("--fit and svg output need positive windows")
         grid_echo: dict[str, Any] = {"windows": list(windows)}
     else:
         high = args.high if args.high is not None else int(math.log2(support))
@@ -367,24 +346,11 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
     elif args.format == "svg":
         _emit(series_to_svg(series, config), args.out)
     else:
-        payload: dict[str, Any] = {
-            "alpha": series.alpha,
-            "t": series.t,
-            "density": series.density,
-            "density_method": series.density_method,
-            "windows": list(series.windows),
-            "max_disc": list(series.max_disc),
-        }
+        payload: dict[str, Any] = series._asdict()
         if args.fit:
             from .discrepancy import growth_fit
 
-            fit = growth_fit(series)
-            payload["fit"] = {
-                "best": fit.best,
-                "exponent": fit.exponent,
-                "residuals": fit.residuals,
-                "heuristic": fit.heuristic,
-            }
+            payload["fit"] = growth_fit(series)._asdict()
         _emit(json_envelope(payload, config), args.out)
     return 0
 
@@ -437,15 +403,7 @@ def _cmd_verify_cover(args: argparse.Namespace) -> int:
         "max_tiles": max_tiles,
         "format": "json",
     }
-    payload = {
-        "ok": report.ok,
-        "n": report.n,
-        "m": report.m,
-        "ell": report.ell,
-        "tile_count": report.tile_count,
-        "first_mismatch": report.first_mismatch,
-        "raw_equal": report.ok,
-    }
+    payload = {**report._asdict(), "raw_equal": report.ok}
     _emit(json_envelope(payload, config), args.out)
     return 0 if report.ok else 1
 

@@ -45,7 +45,7 @@ from typing import NamedTuple
 from . import engine
 from .errors import ParameterError
 from .geometry import Patch
-from .params import _loop_alpha, check_exponent_pair, check_loop_triple
+from .params import Commensurable, _loop_alpha, check_loop_triple
 from .polynomials import IntPolynomial, loop_polynomial
 
 __all__ = [
@@ -146,7 +146,7 @@ def _loop_rule(loops: tuple[int, ...]) -> LoopRule:
 
 def build_rho(n: int, m: int) -> LoopRule:
     """The covering fixed-scale rule for the commensurable ratio n/m."""
-    check_exponent_pair(n, m)
+    Commensurable(n, m)  # validates the pair
     if n == m:
         raise ParameterError("the lattice ratio (1, 1) needs no cover")
     return _loop_rule((n, m))

@@ -446,10 +446,10 @@ class GrowthFit(NamedTuple):
 def growth_fit(series: DiscrepancySeries) -> GrowthFit:
     """Fit constant, power-law and W/log(W) growth to a deviation series.
 
-    Requires at least 8 windows spanning at least 4 doublings.  A more
-    complex model must win by a clear residual margin; exact ties go to
-    the simpler model, so a flat series reads as constant even though a
-    power law with exponent zero fits it equally well.
+    Requires at least 8 positive windows spanning at least 4 doublings.
+    A more complex model must win by a clear residual margin; exact ties
+    go to the simpler model, so a flat series reads as constant even
+    though a power law with exponent zero fits it equally well.
     """
     import numpy as np  # imported on first use: a package import loads no numpy
 
@@ -457,6 +457,8 @@ def growth_fit(series: DiscrepancySeries) -> GrowthFit:
     values = np.asarray(series.max_disc, dtype=float)
     if len(windows) < 8:
         raise ParameterError("growth fits need at least 8 windows")
+    if not windows[0] > 0.0:  # the windows increase; each model takes their logs
+        raise ParameterError("growth fits need positive windows")
     if windows[-1] / windows[0] < 16.0:
         raise ParameterError("growth fits need at least 4 doublings of window size")
     logs = np.log(np.maximum(values, 1e-12))

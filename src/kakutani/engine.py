@@ -32,7 +32,7 @@ from itertools import accumulate
 
 from .errors import ParameterError, ResourceLimitError
 from .geometry import Patch, term_sums
-from .params import check_alpha, check_exponent_pair, solve_alpha
+from .params import Commensurable, check_alpha, solve_alpha
 
 __all__ = [
     "DEFAULT_TILE_CAP",
@@ -403,7 +403,7 @@ def count_tiles_commensurable(n: int, m: int, ell: int) -> int:
     xi**(e-m); tiles with e <= 0 are leaves.
     """
     # Not SubdivisionTree: this is the exact integer xi-exponent tree.
-    check_exponent_pair(n, m)
+    Commensurable(n, m)  # validates the pair
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
     return count_hub_tiles((n, m), ell)

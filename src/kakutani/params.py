@@ -29,7 +29,6 @@ __all__ = [
     "Incommensurable",
     "RatioClass",
     "check_alpha",
-    "check_exponent_pair",
     "check_loop_triple",
     "detect_commensurability",
     "f_alpha_poly",
@@ -55,11 +54,14 @@ def check_spectral_degree(degree: int) -> None:
 
 
 class Commensurable(NamedTuple("Commensurable", [("n", int), ("m", int)])):
-    """Rational log-length ratio r = n/m in lowest terms, n >= m >= 1."""
+    """Rational log-length ratio r = n/m in lowest terms, n >= m >= 1: the
+    one validator of a pair, built by every function that takes n and m."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, m: int) -> "Commensurable":
+        if not (isinstance(n, int) and isinstance(m, int)):
+            raise ParameterError(f"need integers n and m, got ({n!r}, {m!r})")
         if n < 1 or m < 1 or n < m:
             raise ParameterError(f"need n >= m >= 1, got ({n}, {m})")
         if math.gcd(n, m) != 1:
@@ -89,18 +91,6 @@ def check_alpha(alpha: float) -> None:
         raise ParameterError(
             f"alpha = {alpha!r} is too small: r = log(alpha) / log(1 - alpha) overflows a float"
         )
-
-
-def check_exponent_pair(n: int, m: int) -> None:
-    """Validate a commensurable exponent pair: integers, n >= m >= 1, coprime."""
-    if not (isinstance(n, int) and isinstance(m, int)):
-        raise ParameterError("exponent pair must be integers")
-    if n < 1 or m < 1:
-        raise ParameterError(f"exponents must be positive, got ({n}, {m})")
-    if n < m:
-        raise ParameterError(f"need n >= m, got ({n}, {m})")
-    if math.gcd(n, m) != 1:
-        raise ParameterError(f"({n}, {m}) must be coprime")
 
 
 def check_loop_triple(n: int, m: int, k: int) -> None:
@@ -216,15 +206,14 @@ def _loop_alpha(loops: tuple[int, ...]) -> float:
 
 def solve_alpha(n: int, m: int) -> float:
     """Solve ``alpha**m == (1 - alpha)**n`` for alpha in ``(0, 1/2]``."""
-    check_exponent_pair(n, m)
-    return _loop_alpha((n, m))
+    return _loop_alpha(Commensurable(n, m))
 
 
 def f_alpha_poly(n: int, m: int) -> IntPolynomial:
     """The nonzero-spectrum polynomial x^n - x^(n-m) - 1 for ratio n/m,
     the loop polynomial of the flower with loops (n, m): its root
     xi > 1 is the inflation constant alpha**(-1/n)."""
-    check_exponent_pair(n, m)
+    Commensurable(n, m)  # validates the pair
     if n == m:
         raise ParameterError("the lattice ratio (1, 1) has spectrum {2}")
     return loop_polynomial(n, (n, m))

@@ -13,8 +13,9 @@ from kakutani import __version__, cli
 from kakutani.cli import main
 from kakutani.discrepancy import asymptotic_density
 from kakutani.geometry import Tile
+from kakutani.params import f_alpha_poly
 
-from conftest import direct_scan_per_node
+from conftest import coprime_pairs, direct_scan_per_node
 
 DATA = Path(__file__).parent / "data"
 
@@ -209,6 +210,25 @@ class TestSolveAlpha:
         assert env["report"]["alpha"] == 0.5
         assert env["report"]["polynomial"] == "x - 2"
 
+    def test_polynomial_is_the_trinomial_of_the_pair(self, capsys):
+        for n, m in coprime_pairs(12):
+            if n > m:
+                _code, env = run_json(capsys, "solve-alpha", "--ratio", f"{n}/{m}")
+                assert env["report"]["polynomial"] == str(f_alpha_poly(n, m))
+
+    def test_huge_ratio_builds_no_coefficient_list(self, capsys):
+        # the dense polynomial of 10**22 + 1 coefficients overflowed
+        code, env = run_json(capsys, "solve-alpha", "--ratio", f"{10**22}/1")
+        assert code == 0
+        assert env["report"]["n"] == 10**22
+        assert env["report"]["polynomial"] == f"x^{10**22} - x^{10**22 - 1} - 1"
+
+    def test_pair_refused_by_its_record(self, capsys):
+        code, out, err = run_cli(capsys, "solve-alpha", "--ratio", "4/2")
+        assert code == 3
+        assert out == ""
+        assert err == "kakutani: parameter error: (4, 2) is not in lowest terms\n"
+
 
 class TestGenerate:
     def test_fixed_scale_csv(self, capsys):
@@ -330,6 +350,12 @@ class TestSpectrum:
         for root in report["roots"]:
             assert set(root) == {"re", "im", "modulus", "residual"}
 
+    def test_lattice_ratio_refused(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--ratio", "1/1")
+        assert code == 3
+        assert out == ""
+        assert err == "kakutani: parameter error: the lattice ratio (1, 1) needs no cover\n"
+
 
 class TestDiscrepancy:
     def test_ratio_mode_uses_whole_steps(self, capsys):
@@ -373,6 +399,41 @@ class TestDiscrepancy:
         assert code == 3
         assert out == ""
         assert err == "kakutani: parameter error: --fit supports only json output\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "--alpha 0.3 --t 3 --windows 0,1 --format svg",
+            "--alpha 0.3 --t 10 --windows 0,1,2,4,8,16,32,64 --fit --format json",
+            "--ratio 3/2 --ell 20 --windows 0,4 --format svg",
+        ],
+    )
+    def test_zero_window_refused_before_any_scan(self, capsys, monkeypatch, command):
+        # the svg took log(0), a ValueError, and the fit raised LinAlgError
+        from kakutani import discrepancy
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a scan ran")
+
+        monkeypatch.setattr(discrepancy, "discrepancy_scan", no_scan)
+        code, out, err = run_cli(capsys, "discrepancy", *command.split())
+        assert code == 3
+        assert out == ""
+        assert err == "kakutani: parameter error: --fit and svg output need positive windows\n"
+
+    def test_zero_window_kept_in_csv_and_json(self, capsys):
+        for fmt in ("csv", "json"):
+            code, _out, _err = run_cli(
+                capsys, "discrepancy", "--alpha", "0.3", "--t", "3", "--windows", "0,1", "--format", fmt
+            )
+            assert code == 0
+
+    def test_negative_ell_is_named(self, capsys):
+        # it was refused as a negative t the user never gave
+        code, out, err = run_cli(capsys, "discrepancy", "--ratio", "3/2", "--ell", "-3")
+        assert code == 3
+        assert out == ""
+        assert err == "kakutani: parameter error: ell must be nonnegative\n"
 
     def test_explicit_windows(self, capsys):
         code, env = run_json(
@@ -476,6 +537,19 @@ def test_patch_artifact_bytes_match_golden(capsys, command):
     code, out, _err = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_GOLDENS[command]
+
+
+# Exit code and SHA-256 of the stdout of each JSON report the goldens
+# above leave out, recorded from a known-good build: a handler that
+# reads its payload off a library record must keep every byte.
+CLI_PAYLOADS = json.loads((DATA / "cli_payloads.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", sorted(CLI_PAYLOADS))
+def test_json_payload_bytes_match_pin(capsys, command):
+    code, out, _err = run_cli(capsys, *command.split())
+    assert code == CLI_PAYLOADS[command]["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_PAYLOADS[command]["sha256"]
 
 
 # The CLI reads the patch columns and builds no Tile object.

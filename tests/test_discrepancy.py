@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -736,6 +737,14 @@ class TestGrowthFit:
         series = discrepancy_scan(1.0 / 3.0, 6.0, windows)
         with pytest.raises(ParameterError):
             growth_fit(series)
+
+    def test_zero_window_refused_before_any_log(self):
+        # its log was -inf: numpy warned and lstsq raised LinAlgError
+        series = discrepancy_scan(0.3, 10.0, (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="growth fits need positive windows"):
+                growth_fit(series)
 
 
 class TestProperties:

@@ -1,12 +1,15 @@
 import hashlib
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakutani import Commensurable, ParameterError, params, solve_alpha
+from kakutani.cover import build_rho
+from kakutani.engine import count_tiles_commensurable
 from kakutani.params import (
     Incommensurable,
     check_alpha,
@@ -114,6 +117,24 @@ class TestCommensurable:
     def test_rejects_bad_pairs(self, n, m):
         with pytest.raises(ParameterError):
             Commensurable(n, m)
+
+    def test_rejects_non_integers(self):
+        for n, m in [(2.0, 1), (3, "2"), (None, 1)]:
+            with pytest.raises(ParameterError, match="need integers n and m"):
+                Commensurable(n, m)
+
+    @pytest.mark.parametrize(
+        "call",
+        [solve_alpha, params.f_alpha_poly, build_rho, lambda n, m: count_tiles_commensurable(n, m, 3)],
+        ids=["solve_alpha", "f_alpha_poly", "build_rho", "count_tiles_commensurable"],
+    )
+    def test_every_pair_entry_point_has_its_messages(self, call):
+        # one validator: each refuses a pair as Commensurable does
+        for n, m in [(4, 2), (2, 3), (0, 1), (2.0, 1)]:
+            with pytest.raises(ParameterError) as want:
+                Commensurable(n, m)
+            with pytest.raises(ParameterError, match=re.escape(str(want.value))):
+                call(n, m)
 
 
 class TestSolveAlpha:
