@@ -43,7 +43,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import engine
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .geometry import Patch
 from .params import Commensurable, _loop_alpha, check_loop_triple
 from .polynomials import IntPolynomial, loop_polynomial
@@ -66,9 +66,9 @@ class LoopRule(NamedTuple):
 
     The prototile lengths are powers of xi, the root xi > 1 of
     sum(xi**-c_i) = 1; ``alpha`` is the length xi**-c_1 of the first
-    hub piece.  Everything else is read off the loops, in the label
-    numbering of ``engine.loop_labels``: the hub is label 1, and the
-    chain tile s steps along a loop of c edges has length xi**(s - c).
+    hub piece.  Everything else is read off the loops, in the labels of
+    ``engine.chain_label_bases``: the hub is label 1, and the chain
+    tile s steps along a loop of c edges has length xi**(s - c).
     """
 
     loops: tuple[int, ...]
@@ -82,24 +82,17 @@ class LoopRule(NamedTuple):
     @property
     def length_exponents(self) -> tuple[int, ...]:
         """Entry label - 1 is e for a prototile of length xi**-e."""
-        exponents = [0] * self.size
-        for c, along in zip(self.loops, engine.loop_labels(self.loops)):
-            for s in range(1, c):
-                exponents[along[s] - 1] = c - s
-        return tuple(exponents)
+        return (0, *(c - s for c in self.loops for s in range(1, c)))
 
     @property
     def image_map(self) -> tuple[tuple[int, ...], ...]:
         """Entry label - 1 lists the child labels of the label's image,
         left to right.  The hub splits into one piece per loop, the tile
         one step along it; a chain tile maps to the next tile on its
-        loop."""
-        paths = engine.loop_labels(self.loops)
-        images = [tuple(along[1] for along in paths)] * self.size  # chains set below
-        for along in paths:
-            for s in range(1, len(along) - 1):
-                images[along[s] - 1] = (along[s + 1],)
-        return tuple(images)
+        loop, the hub after the last."""
+        chains = list(zip(engine.chain_label_bases(self.loops), self.loops))
+        hub = tuple(b + 1 if c > 1 else 1 for b, c in chains)
+        return (hub, *((b + s + 1 if s < c - 1 else 1,) for b, c in chains for s in range(1, c)))
 
     @property
     def is_primitive(self) -> bool:
@@ -270,14 +263,15 @@ def _multiscale_word(n: int, m: int, ell: int) -> list[int]:
     """Length exponents of the leaves of the engine's tree, in order.
 
     A tile xi**e with e > 0 splits into xi**(e - n), xi**(e - m); a leaf
-    xi**e has exponent -e.  Words are kept only while a later split
-    still needs them.
+    xi**e has exponent -e.  A word is dropped after its last read: the
+    split n steps on, or m steps on when that one is past ell.
     """
-    words = {e: [-e] for e in range(1 - n, 1)}
+    words: dict[int, list[int]] = {}
     for e in range(1, ell + 1):
-        words[e] = words[e - n] + words[e - m]
-        del words[e - n]
-    return words[ell]
+        words[e] = (words.pop(e - n) if e > n else [n - e]) + (words[e - m] if e > m else [m - e])
+        if e - m + n > ell:
+            words.pop(e - m, None)
+    return words.get(ell, [0])
 
 
 def verify_cover(
@@ -300,19 +294,14 @@ def verify_cover(
         raise ParameterError("ell must be nonnegative")
     # the two words peaked near 36 bytes a tile in RSS (3/2 at 50 steps)
     engine.check_hub_tile_cap(rule.loops, rule.xi, ell, max_tiles, tile_bytes=48)
-    fixed = _rule_word(rule, ell)
-    multi = _multiscale_word(n, m, ell)
-    ok = fixed == multi
+    # the label map peaked at 212-226 bytes a label in RSS (loops (n, 1), n = 1e5 .. 3e6)
+    if rule.size * ell > engine.DEFAULT_TILE_CAP or rule.size * 240 > engine.MEMORY_BUDGET:
+        raise ResourceLimitError(f"a label map of {rule.size} labels read {ell} times is above the cap "
+                                 f"{engine.DEFAULT_TILE_CAP} or the memory budget at 240 bytes a label")
+    fixed, multi = _rule_word(rule, ell), _multiscale_word(n, m, ell)
     first_mismatch: int | None = None
     if len(fixed) != len(multi):
         first_mismatch = -1
-    elif not ok:
+    elif fixed != multi:
         first_mismatch = next(i for i, (a, b) in enumerate(zip(fixed, multi)) if a != b)
-    return CoverReport(
-        ok=ok,
-        n=n,
-        m=m,
-        ell=ell,
-        tile_count=len(fixed),
-        first_mismatch=first_mismatch,
-    )
+    return CoverReport(fixed == multi, n, m, ell, len(fixed), first_mismatch)

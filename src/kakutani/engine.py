@@ -406,33 +406,33 @@ def count_tiles_commensurable(n: int, m: int, ell: int) -> int:
     Commensurable(n, m)  # validates the pair
     if ell < 0:
         raise ParameterError("ell must be nonnegative")
-    return count_hub_tiles((n, m), ell)
+    return count_hub_tiles((n, m), ell)[-1]
 
 
-def count_hub_tiles(loops: tuple[int, ...], ell: int) -> int:
-    """Tiles after ell steps from the hub of a flower with these loops.
+def count_hub_tiles(loops: tuple[int, ...], ell: int) -> list[int]:
+    """Tiles after 0 .. ell steps from the hub of a flower with these loops.
 
     The piece a loop of c edges cuts off the hub stays one tile for c - 1
-    steps and is a hub again after c, so the count H(ell) follows from
+    steps and is a hub again after c, so the count H(k) follows from
     H(k) = sum(H(k - c) for c in loops), H(k) = 1 for k <= 0, in
     O(len(loops) * ell) additions.  For the loops (n, m) this is the
     split xi**e -> xi**(e - n), xi**(e - m) of ``count_tiles_commensurable``.
     """
-    top = max(loops)
-    counts = [1] * (top + ell + 1)  # counts[top + k] is H(k)
-    for k in range(top + 1, top + ell + 1):
+    counts = [1]  # counts[k] is H(k)
+    for k in range(1, ell + 1):
         total = 0  # a plain loop: a generator here costs twice the additions
         for c in loops:
-            total += counts[k - c]
-        counts[k] = total
-    return counts[-1]
+            total += counts[k - c] if k > c else 1
+        counts.append(total)
+    return counts
 
 
 def check_hub_tile_cap(
     loops: tuple[int, ...], xi: float, ell: int, max_tiles: int, tile_bytes: int = TILE_BYTES
 ) -> None:
     """Refuse a patch grown ell steps from the hub of a flower with these
-    loops and inflation xi when ``check_tile_cap`` refuses its tiles.
+    loops and inflation xi when ``check_tile_cap`` refuses its tiles, or
+    when building it takes more than ``DEFAULT_TILE_CAP`` leaves.
 
     The count H(ell) of ``count_hub_tiles`` is at least xi**(ell - c),
     c the longest loop: so is H(k) = 1 for k <= 0, and the recurrence
@@ -447,18 +447,19 @@ def check_hub_tile_cap(
         raise ResourceLimitError(f"patch would contain {least} tiles, above the cap {max_tiles}")
     if exponent > math.log(MEMORY_BUDGET / tile_bytes):
         raise ResourceLimitError(_over_budget(least, tile_bytes))
-    check_tile_cap(count_hub_tiles(loops, ell), max_tiles, tile_bytes)
+    work = 1 + len(loops) * ell  # hub_patch builds H(k) >= len(loops) leaves for each k >= 1
+    if work <= DEFAULT_TILE_CAP:  # else refused before any count
+        counts = count_hub_tiles(loops, ell)
+        check_tile_cap(counts[-1], max_tiles, tile_bytes)
+        work = sum(counts)
+    if work > DEFAULT_TILE_CAP:
+        raise ResourceLimitError(f"patch would build at least {work} leaves, above the cap {DEFAULT_TILE_CAP}")
 
 
-def loop_labels(loops: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The labels of a flower's rule along each loop, from the hub back
-    to it: entry i, s is the tile s steps along loop i, for s = 0 .. c_i.
-
-    Label 1 is the hub, at both ends; loop i's c_i - 1 chain labels
-    follow the hub's and those of the loops before it.
-    """
-    last = accumulate((c - 1 for c in loops), initial=1)  # the label before loop i's
-    return [(1, *range(b + 1, b + c), 1) for b, c in zip(last, loops)]
+def chain_label_bases(loops: tuple[int, ...]) -> list[int]:
+    """Entry i is 1 + sum(c_j - 1 for j < i): the tile s steps along loop
+    i, 0 < s < c_i, has that label plus s.  Label 1 is the hub."""
+    return list(accumulate((c - 1 for c in loops[:-1]), initial=1))
 
 
 def hub_patch(loops: tuple[int, ...], xi: float, ell: int, labelled: bool) -> Patch:
@@ -469,35 +470,43 @@ def hub_patch(loops: tuple[int, ...], xi: float, ell: int, labelled: bool) -> Pa
     starting where the one before ends.  Piece i has length
     xi**(k - c_i) and is a hub again while k - c_i > 0, else a leaf;
     with ``labelled`` a leaf carries its label, that of the tile k steps
-    along loop i in ``loop_labels``.  The leaves below a hub depend on k
-    alone, so they are built once for each k, from those of its pieces.
+    along loop i (``chain_label_bases``), or the hub's when k = c_i.  The
+    leaves below a hub depend on k alone, so they are built once for
+    each k, from those of its pieces, and dropped after the last step
+    that reads them: step k + c, c the longest loop with k + c <= ell.
     A position sums the lengths of the elder siblings up its path in
     ascending order from the integer 0, as ``term_sums`` does.  With two
     loops every length a deeper piece adds is below its elder sibling's,
     so that one is added last; more loops can repeat or interleave
     powers, so a leaf keeps its exponents for one merged sum at the end.
     """
-    power = {e: xi**e for e in range(1 - loops[0], ell + 1)}
-    along = loop_labels(loops)
+    bases = chain_label_bases(loops)
+    # loop i reads below[k - c_i] last past step ends[i]: when no equal loop
+    # after it reads it at step k, nor a longer loop d by step ell
+    ends = [ell if c in loops[i + 1:] else ell + c - min((d for d in loops if d > c), default=ell + c)
+            for i, c in enumerate(loops)]
     two = len(loops) == 2
     start = 0 if two else ()
-    below = {0: ([start], [power[0]], [1])}  # below[k]: the leaves of a hub k steps to go
+    below = {}  # below[k]: the leaves of a hub k steps to go
     for k in range(1, ell + 1):
         positions, lengths, labels = [], [], []
         shift = start
         for i, c in enumerate(loops):
             e = k - c
-            inner, sizes, names = below[e] if e > 0 else ([start], [power[e]], [along[i][k]])
+            if e > 0:
+                inner, sizes, names = below.pop(e) if k > ends[i] else below[e]
+            else:
+                inner, sizes, names = [start], [xi**e], [bases[i] + k if e else 1]
             positions += [x + shift for x in inner] if i else inner
             lengths += sizes
             if labelled:
                 labels += names
-            shift = power[e] if two else shift + (e,)
-        below[k] = positions, lengths, labels
-        below.pop(k - loops[0], None)
-    positions, lengths, labels = below.pop(ell)
-    below.clear()
+            shift = xi**e if two else shift + (e,)
+        if k == ell or k + loops[-1] <= ell:  # else no step reads it
+            below[k] = positions, lengths, labels
+    positions, lengths, labels = below.pop(ell) if ell else ([start], [1.0], [1])
     if not two:
+        power = {e: xi**e for c in loops for e in range(1 - c, ell + 1 - c)}  # every k - c_i
         positions = term_sums((sorted(Counter(terms).items()) for terms in positions), power)
     return Patch(positions, lengths, (0.0, xi**ell), labels if labelled else None)
 

@@ -134,6 +134,8 @@ def patch_to_svg(patch: Patch, config: Mapping[str, Any]) -> str:
 
 def series_to_svg(series: DiscrepancySeries, config: Mapping[str, Any]) -> str:
     """Log-log polyline of max deviation against window size."""
+    if not series.windows[0] > 0.0:  # the windows increase; the plot takes their logs
+        raise ParameterError("svg plots need positive windows")
     width, height, margin = 640, 420, 40
     xs = [math.log(w) for w in series.windows]
     ys = [math.log(max(d, 1e-12)) for d in series.max_disc]

@@ -277,6 +277,34 @@ def xi_patch_per_node(n, m, ell):
     return exponents, terms
 
 
+def loop_label_table(loops):
+    """The labels of a flower's rule along each loop, from the hub back
+    to it, as a table: entry i, s is the tile s steps along loop i, for
+    s = 0 .. c_i.  Label 1 is the hub, at both ends; loop i's c_i - 1
+    chain labels follow the hub's and those of the loops before it."""
+    tables, label = [], 1
+    for c in loops:
+        tables.append((1, *range(label + 1, label + c), 1))
+        label += c - 1
+    return tables
+
+
+def rule_tables(loops):
+    """Length exponents and label map of a flower's rule, filled in label
+    by label from ``loop_label_table``: the chain tile s steps along a
+    loop of c edges has exponent c - s and maps to the next tile on the
+    loop; the hub has exponent 0 and maps to the first tile of each."""
+    paths = loop_label_table(loops)
+    size = 1 + sum(loops) - len(loops)
+    exponents = [0] * size
+    images = [tuple(along[1] for along in paths)] * size
+    for c, along in zip(loops, paths):
+        for s in range(1, c):
+            exponents[along[s] - 1] = c - s
+            images[along[s] - 1] = (along[s + 1],)
+    return tuple(exponents), tuple(images)
+
+
 def rule_patch_per_node(rule, ell):
     """Labels and exact position terms, as sorted (power, coefficient)
     pairs, of the leaves of a fixed-scale rule's label tree after ell

@@ -739,6 +739,48 @@ def test_hub_counts_under_the_bound_stay_exact(capsys):
     assert "patch would contain 13 tiles, above the cap 12" in err
 
 
+# The budget bounds the work of the fixed-scale builders, not only the
+# tiles they end with.  The first two built some 3e8 and 2e8 leaves for
+# 1.5e6 and 2e4 tiles, and the cover checks read label maps of 1e5 to
+# 1e22 labels: one ran past 60 s, one took 16 s and 2 GiB, and the one at
+# 10**22/1 exited 5 on an index overflow.  The last ratio has 2 tiles
+# after 5e7 steps, but counting them takes 5e7 steps: as H(k) >= 2 for
+# k >= 1, its recursion is refused before any count.
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["generate", "--ratio", "1000/1", "--ell", "2171"],
+         "patch would build at least 307556425 leaves, above the cap"),
+        (["generate", "--ratio", "100000/1", "--ell", "20000"],
+         "patch would build at least 200030001 leaves, above the cap"),
+        (["verify-cover", "--ratio", "100000/1", "--ell", "20000"],
+         "patch would build at least 200030001 leaves, above the cap"),
+        (["verify-cover", "--ratio", "5000000/1", "--ell", "21"],
+         "a label map of 5000000 labels read 21 times is above the cap"),
+        (["verify-cover", "--ratio", "10000000000000000000000/1", "--ell", "3"],
+         "a label map of 10000000000000000000000 labels read 3 times is above the cap"),
+        (["verify-cover", "--ratio", "10000000/1", "--ell", "3"],
+         "a label map of 10000000 labels read 3 times is above the cap 100000000 or the memory budget"),
+        (["generate", "--ratio", "10000000000000000000001/10000000000000000000000", "--ell", "50000000"],
+         "patch would build at least 100000001 leaves, above the cap"),
+    ],
+)
+def test_fixed_scale_work_past_the_budget_is_refused_fast(capsys, monkeypatch, args, message):
+    from kakutani import cover, engine
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a patch or a word")
+
+    for module, name in [(engine, "hub_patch"), (cover, "_rule_word"), (cover, "_multiscale_word")]:
+        monkeypatch.setattr(module, name, no_build)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *args)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert out == ""
+    assert message in err
+
+
 # Nothing escapes main as a traceback or a verdict code.  The commands
 # raise without allocating anything.
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +32,14 @@ from conftest import (
     expansion_char_poly,
     horner,
     is_primitive,
+    loop_label_table,
     matmul,
     matrix_power,
     rule_count,
     rule_patch_per_node,
+    rule_tables,
     tile_counts,
+    xi_patch_per_node,
 )
 
 # every three-loop rule n >= m >= k >= 1 with n <= 9 that the builder accepts
@@ -118,6 +122,17 @@ class TestRuleStructure:
             (9,), (10,), (1,),
         )
         assert rule.length_exponents == (0, 6, 5, 4, 3, 2, 1, 3, 2, 1)
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_closed_form_numbering_matches_the_label_table(self, count):
+        # every tuple of two to four loops c_1 >= .. >= c_p with c_1 <= 12,
+        # coprime or not
+        for loops in combinations_with_replacement(range(12, 0, -1), count):
+            table = loop_label_table(loops)
+            bases = engine.chain_label_bases(loops)
+            assert [(1, *(b + s for s in range(1, c)), 1) for b, c in zip(bases, loops)] == table, loops
+            rule = LoopRule(loops, 0.0, 0.0)  # alpha and xi play no part
+            assert (rule.length_exponents, rule.image_map) == rule_tables(loops), loops
 
     def test_hub_children_order(self):
         # the alpha piece (longer loop) comes first
@@ -299,6 +314,18 @@ class TestIteratePrimitive:
         assert patch.tiles[0].label == 1
         assert patch.tiles[0].length_value == 1.0
 
+    @pytest.mark.parametrize("n", [10**7, 10**22])
+    def test_a_long_loop_costs_its_steps(self, n):
+        # labels, powers and counts come from (loop, step): tables sized by
+        # the loop took 1.4 GiB at 10**7 and overflowed an index at 10**22
+        rule = build_rho(n, 1)
+        patch = iterate_primitive(rule, 3)
+        assert patch.labels() == (4, 3, 2, 1)
+        exponents, terms = xi_patch_per_node(n, 1, 3)
+        assert patch.lengths() == tuple(rule.xi**e for e in exponents)
+        assert patch.positions() == tuple(ascending_fold(path, lambda p: rule.xi**p) for path in terms)
+        assert engine.count_hub_tiles(rule.loops, 3) == [1, 2, 3, 4]
+
     def test_counts_match_matrix(self):
         for n, m in [(2, 1), (3, 2), (4, 1), (5, 3)]:
             rule = build_rho(n, m)
@@ -313,10 +340,10 @@ class TestIteratePrimitive:
         + [(triple, 30) for triple in THREE_LOOP_TRIPLES],
     )
     def test_hub_count_matches_the_label_counts(self, loops, top):
-        # the tile-cap pre-count of iterate_primitive, from the loops alone
+        # the tile-cap pre-count of iterate_primitive, from the loops alone:
+        # H(k) for every k up to the step count
         rule = build_rule(loops)
-        for ell in range(top + 1):
-            assert engine.count_hub_tiles(rule.loops, ell) == rule_count(rule, ell), ell
+        assert engine.count_hub_tiles(rule.loops, top) == [rule_count(rule, ell) for ell in range(top + 1)]
 
     @pytest.mark.parametrize(
         "loops",
@@ -325,10 +352,13 @@ class TestIteratePrimitive:
     def test_hub_count_bound_refuses_only_counts_past_the_cap(self, loops, monkeypatch):
         # xi**(ell - c) <= H(ell): a cap, or a memory budget, of exactly
         # H(ell) tiles is never refused from the bound, and one below it
-        # always is, bound or count
+        # always is, bound or count; a work cap of exactly the leaves the
+        # recursion builds, sum(H(k) for k <= ell), is not refused either
         rule = build_rule(loops)
+        counts = [rule_count(rule, ell) for ell in range(120)]
         for ell in range(0, 120, 7):
-            count = rule_count(rule, ell)
+            count = counts[ell]
+            monkeypatch.setattr(engine, "DEFAULT_TILE_CAP", sum(counts[: ell + 1]))
             monkeypatch.setattr(engine, "MEMORY_BUDGET", count * engine.TILE_BYTES)
             engine.check_hub_tile_cap(rule.loops, rule.xi, ell, count)
             with pytest.raises(ResourceLimitError, match="above the cap"):

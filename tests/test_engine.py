@@ -298,6 +298,22 @@ class TestHubRecursion:
             assert type(positions[0]) is int and positions[0] == 0
             assert all(type(x) is float for x in positions[1:])
 
+    def test_leaves_below_a_hub_are_dropped_after_their_last_read(self):
+        # a leaf's position float and its entries in three lists and three
+        # tuples take about 72 bytes; the leaves below a hub with k steps to
+        # go were kept past their last read whenever k + 100 > ell, some
+        # 1,000 bytes a tile of the patch at 250 steps
+        rule = build_rho(100, 1)
+        count = count_tiles_commensurable(100, 1, 250)
+        tracemalloc.start()
+        try:
+            patch = engine.hub_patch(rule.loops, rule.xi, 250, labelled=True)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(patch) == count == 33676
+        assert peak < 3 * 72 * count
+
     @pytest.mark.parametrize("labelled", [False, True])
     @pytest.mark.parametrize("rule", _HUB_RULES, ids=_HUB_IDS)
     def test_zero_steps_is_the_hub(self, rule, labelled):

@@ -1,6 +1,8 @@
 import json
 
-from kakutani import build_rho, discrepancy_scan, dyadic_windows
+import pytest
+
+from kakutani import ParameterError, build_rho, discrepancy_scan, dyadic_windows
 from kakutani.cover import iterate_primitive
 from kakutani.spectral import survey
 from kakutani._version import __version__
@@ -83,6 +85,13 @@ class TestSvg:
         text = series_to_svg(series, {"command": "t"})
         assert text.count("<circle") == len(series.windows)
         assert "<polyline" in text
+
+    def test_series_refuses_a_zero_window(self):
+        # the plot takes the log of every window: a window of 0, which a
+        # scan takes, raised "math domain error"
+        series = discrepancy_scan(0.3, 3.0, (0.0, 1.0))
+        with pytest.raises(ParameterError, match="svg plots need positive windows"):
+            series_to_svg(series, {})
 
     def test_comment_escapes_double_dash(self):
         # "--" may not appear inside an XML comment
