@@ -196,7 +196,7 @@ def _cmd_solve_alpha(args: argparse.Namespace) -> int:
     n, m = _parse_ratio(args.ratio)
     alpha = solve_alpha(n, m)
     xi = alpha ** (-1.0 / n)
-    # str(f_alpha_poly(n, m)), without its n + 1 coefficients
+    # x^n - x^(n-m) - 1, without its n + 1 coefficients
     middle = "x" if n - m == 1 else f"x^{n - m}"
     config = {"command": "solve-alpha", "ratio": args.ratio, "format": "json"}
     payload = {
@@ -296,7 +296,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_discrepancy(args: argparse.Namespace) -> int:
     from .discrepancy import discrepancy_scan, dyadic_windows
-    from .engine import SubdivisionTree
+    from .engine import SubdivisionTree, check_steps
     from .exports import json_envelope, series_to_csv, series_to_svg
     from .params import Commensurable, detect_commensurability, solve_alpha
 
@@ -307,8 +307,7 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
         # density drifts away from the Perron value
         if args.ell is None:
             raise ParameterError("--ratio needs --ell (number of substitution steps)")
-        if args.ell < 0:
-            raise ParameterError("ell must be nonnegative")
+        check_steps(args.ell)
         n, m = _parse_ratio(args.ratio)
         ratio: Any = Commensurable(n, m)
         alpha = solve_alpha(n, m)
@@ -328,6 +327,8 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
         grid_echo: dict[str, Any] = {"windows": list(windows)}
     else:
         high = args.high if args.high is not None else int(math.log2(support))
+        if args.high is None and high < args.low:
+            raise ParameterError(f"the patch support {support:g} is below the first window 2**{args.low}")
         windows = dyadic_windows(args.low, high)
         grid_echo = {"grid": "dyadic", "low": args.low, "high": high}
     series = discrepancy_scan(alpha, t, windows, ratio=ratio, mode=args.mode)

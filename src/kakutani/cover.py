@@ -22,7 +22,7 @@ builds the leaves below a hub once for each k, from the loops alone.
 fixed-scale patch and the multiscale patch are the same subdivision of
 the line.  In both a position is the sum of the lengths to its left, so
 the check compares two words of length exponents, the rule's read off
-its label map.
+its label map one label at a time, from the hub.
 
 The same machinery with three loops produces the three-interval rules
 used by ``classify_three_interval``: ``LoopRule`` is one rule type for
@@ -39,11 +39,11 @@ matrix against the flower it claims to be.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from collections import deque
 from typing import NamedTuple
 
 from . import engine
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError
 from .geometry import Patch
 from .params import Commensurable, _loop_alpha, check_loop_triple
 from .polynomials import IntPolynomial, loop_polynomial
@@ -79,20 +79,23 @@ class LoopRule(NamedTuple):
     def size(self) -> int:
         return 1 + sum(self.loops) - len(self.loops)
 
-    @property
-    def length_exponents(self) -> tuple[int, ...]:
-        """Entry label - 1 is e for a prototile of length xi**-e."""
-        return (0, *(c - s for c in self.loops for s in range(1, c)))
+    def length_exponent(self, label: int) -> int:
+        """e for the prototile ``label`` of length xi**-e: 0 for the hub,
+        c - s for the tile s steps along a loop of c edges."""
+        if label == 1:
+            return 0
+        for b, c in zip(engine.chain_label_bases(self.loops), self.loops):
+            if label < b + c:
+                return b + c - label
 
-    @property
-    def image_map(self) -> tuple[tuple[int, ...], ...]:
-        """Entry label - 1 lists the child labels of the label's image,
-        left to right.  The hub splits into one piece per loop, the tile
-        one step along it; a chain tile maps to the next tile on its
-        loop, the hub after the last."""
-        chains = list(zip(engine.chain_label_bases(self.loops), self.loops))
-        hub = tuple(b + 1 if c > 1 else 1 for b, c in chains)
-        return (hub, *((b + s + 1 if s < c - 1 else 1,) for b, c in chains for s in range(1, c)))
+    def image(self, label: int) -> tuple[int, ...]:
+        """The child labels of the label's image, left to right: a piece
+        per loop for the hub, the tile one step along it; the next tile on
+        its loop for a chain tile, the hub after the last."""
+        if label > 1:
+            return (label + 1 if self.length_exponent(label) > 1 else 1,)
+        bases = engine.chain_label_bases(self.loops)
+        return tuple(b + 1 if c > 1 else 1 for b, c in zip(bases, self.loops))
 
     @property
     def is_primitive(self) -> bool:
@@ -155,8 +158,8 @@ def substitution_matrix(rule: LoopRule) -> SubstitutionMatrix:
     """Count prototile copies in each image of the rule."""
     size = rule.size
     counts = [[0] * size for _ in range(size)]
-    for j, children in enumerate(rule.image_map):
-        for child in children:
+    for j in range(size):
+        for child in rule.image(j + 1):
             counts[child - 1][j] += 1
     return SubstitutionMatrix(tuple(tuple(row) for row in counts))
 
@@ -220,8 +223,7 @@ def iterate_primitive(
     ``engine.hub_patch`` builds from the loops alone, with each leaf's
     label attached.
     """
-    if ell < 0:
-        raise ParameterError("ell must be nonnegative")
+    engine.check_steps(ell)
     engine.check_hub_tile_cap(rule.loops, rule.xi, ell, max_tiles)
     return engine.hub_patch(rule.loops, rule.xi, ell, labelled=True)
 
@@ -245,18 +247,25 @@ def _rule_word(rule: LoopRule, ell: int) -> list[int]:
 
     The word of a label after k steps is its length exponent for k = 0
     and the words of its image labels after k - 1 steps, concatenated.
-    A one-label image reuses its child's word.
+    Each piece of the hub's image passes through one-label images, read
+    at most ell labels on: after k steps it adds the exponent of the
+    label it has reached or, back at the hub after c <= k steps, the
+    hub's word after k - c.
     """
-    images = rule.image_map
-    words = [[e] for e in rule.length_exponents]
-    for _ in range(ell):
-        words = [
-            words[image[0] - 1]
-            if len(image) == 1
-            else list(chain.from_iterable(words[child - 1] for child in image))
-            for image in images
-        ]
-    return words[0]
+    pieces = []  # (the words a piece adds passing through, c): back at the hub after c steps, or c > ell
+    for label in rule.image(1):
+        passing = []
+        while label != 1 and len(passing) < ell:
+            passing.append([rule.length_exponent(label)])
+            (label,) = rule.image(label)
+        pieces.append((passing, len(passing) + 1))
+    words = deque([[rule.length_exponent(1)]], maxlen=max((c for _, c in pieces if c <= ell), default=1))
+    for k in range(1, ell + 1):
+        word = []
+        for passing, c in pieces:
+            word += passing[k - 1] if k < c else words[-c]
+        words.append(word)
+    return words[-1]
 
 
 def _multiscale_word(n: int, m: int, ell: int) -> list[int]:
@@ -286,18 +295,15 @@ def verify_cover(
     two patches on the same anchor coincide exactly when their words of
     length exponents do.  The two words come from independent trees: the
     covering rule's label tree and the engine's e -> (e - n, e - m)
-    split.  ``first_mismatch`` is the first index where they differ, -1
+    split.  The rule's word reads only the labels within ell steps of the
+    hub, so the check costs its tiles and steps, not its loop length.
+    ``first_mismatch`` is the first index where the words differ, -1
     when the tile counts differ.
     """
     rule = build_rho(n, m)
-    if ell < 0:
-        raise ParameterError("ell must be nonnegative")
+    engine.check_steps(ell)
     # the two words peaked near 36 bytes a tile in RSS (3/2 at 50 steps)
     engine.check_hub_tile_cap(rule.loops, rule.xi, ell, max_tiles, tile_bytes=48)
-    # the label map peaked at 212-226 bytes a label in RSS (loops (n, 1), n = 1e5 .. 3e6)
-    if rule.size * ell > engine.DEFAULT_TILE_CAP or rule.size * 240 > engine.MEMORY_BUDGET:
-        raise ResourceLimitError(f"a label map of {rule.size} labels read {ell} times is above the cap "
-                                 f"{engine.DEFAULT_TILE_CAP} or the memory budget at 240 bytes a label")
     fixed, multi = _rule_word(rule, ell), _multiscale_word(n, m, ell)
     first_mismatch: int | None = None
     if len(fixed) != len(multi):

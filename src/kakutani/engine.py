@@ -59,6 +59,14 @@ TILE_BYTES = 1200
 LENGTH_ONE_SLACK = 1e-12
 
 
+def check_steps(ell: int) -> None:
+    """Refuse a step count that is not a nonnegative integer."""
+    if not isinstance(ell, int):
+        raise ParameterError(f"ell must be an integer, got {ell!r}")
+    if ell < 0:
+        raise ParameterError("ell must be nonnegative")
+
+
 def check_tile_cap(count: int, max_tiles: int, tile_bytes: int = TILE_BYTES) -> None:
     """Refuse to materialize a patch of more than ``max_tiles`` tiles, or
     of more than ``MEMORY_BUDGET`` bytes at ``tile_bytes`` a tile."""
@@ -404,8 +412,7 @@ def count_tiles_commensurable(n: int, m: int, ell: int) -> int:
     """
     # Not SubdivisionTree: this is the exact integer xi-exponent tree.
     Commensurable(n, m)  # validates the pair
-    if ell < 0:
-        raise ParameterError("ell must be nonnegative")
+    check_steps(ell)
     return count_hub_tiles((n, m), ell)[-1]
 
 
@@ -568,8 +575,7 @@ def generate_patch_commensurable(
     steps to go, so ``hub_patch`` builds the patch: the covering rule's
     patch (``cover.iterate_primitive``) without its labels.
     """
-    if ell < 0:
-        raise ParameterError("ell must be nonnegative")
+    check_steps(ell)
     xi = solve_alpha(n, m) ** (-1.0 / n)
     check_hub_tile_cap((n, m), xi, ell, max_tiles)
     return hub_patch((n, m), xi, ell, False)

@@ -173,13 +173,10 @@ def rule_to_dot(rule: LoopRule) -> str:
     through to their successors.
     """
     lines = ["digraph kakutani {", "  rankdir=LR;"]
-    for label, exponent in enumerate(rule.length_exponents, start=1):
+    labels = range(1, rule.size + 1)
+    for label in labels:
         shape = "doublecircle" if label == 1 else "circle"
-        lines.append(
-            f'  v{label} [shape={shape}, label="{label}\\nxi^{-exponent}"];'
-        )
-    for label, image in enumerate(rule.image_map, start=1):
-        for child in image:
-            lines.append(f"  v{label} -> v{child};")
+        lines.append(f'  v{label} [shape={shape}, label="{label}\\nxi^{-rule.length_exponent(label)}"];')
+    lines += [f"  v{label} -> v{child};" for label in labels for child in rule.image(label)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -22,7 +22,6 @@ import math
 from typing import NamedTuple
 
 from .errors import ParameterError, ResourceLimitError
-from .polynomials import IntPolynomial, loop_polynomial
 
 __all__ = [
     "Commensurable",
@@ -31,7 +30,6 @@ __all__ = [
     "check_alpha",
     "check_loop_triple",
     "detect_commensurability",
-    "f_alpha_poly",
     "r_of_alpha",
     "solve_alpha",
 ]
@@ -207,16 +205,6 @@ def _loop_alpha(loops: tuple[int, ...]) -> float:
 def solve_alpha(n: int, m: int) -> float:
     """Solve ``alpha**m == (1 - alpha)**n`` for alpha in ``(0, 1/2]``."""
     return _loop_alpha(Commensurable(n, m))
-
-
-def f_alpha_poly(n: int, m: int) -> IntPolynomial:
-    """The nonzero-spectrum polynomial x^n - x^(n-m) - 1 for ratio n/m,
-    the loop polynomial of the flower with loops (n, m): its root
-    xi > 1 is the inflation constant alpha**(-1/n)."""
-    Commensurable(n, m)  # validates the pair
-    if n == m:
-        raise ParameterError("the lattice ratio (1, 1) has spectrum {2}")
-    return loop_polynomial(n, (n, m))
 
 
 def r_of_alpha(alpha: float) -> float:

@@ -305,6 +305,18 @@ def rule_tables(loops):
     return tuple(exponents), tuple(images)
 
 
+def rule_word(loops, ell):
+    """Length exponents of the leaves of a flower's rule after ell steps
+    from the hub, label by label from ``rule_tables``: the word of a
+    label after k steps is its exponent for k = 0 and the words of its
+    image labels after k - 1 steps, concatenated."""
+    exponents, images = rule_tables(loops)
+    words = [[e] for e in exponents]
+    for _ in range(ell):
+        words = [[e for child in image for e in words[child - 1]] for image in images]
+    return words[0]
+
+
 def rule_patch_per_node(rule, ell):
     """Labels and exact position terms, as sorted (power, coefficient)
     pairs, of the leaves of a fixed-scale rule's label tree after ell
@@ -312,7 +324,6 @@ def rule_patch_per_node(rule, ell):
     siblings end, and a child made with ``left`` steps to go has length
     xi**(left - 1 - e), e its label's length exponent, so each elder
     sibling adds that power."""
-    images, exponents = rule.image_map, rule.length_exponents
     labels, terms = [], []
 
     def walk(label, left, path):
@@ -324,9 +335,9 @@ def rule_patch_per_node(rule, ell):
             terms.append(tuple(sorted(merged.items())))
             return
         offset = []
-        for child in images[label - 1]:
+        for child in rule.image(label):
             walk(child, left - 1, path + offset)
-            offset = offset + [(left - 1 - exponents[child - 1], 1)]
+            offset = offset + [(left - 1 - rule.length_exponent(child), 1)]
 
     walk(1, ell, [])
     return labels, terms
@@ -545,7 +556,7 @@ def tile_counts(matrix, ell):
 def rule_count(rule, ell):
     """Number of leaves of the rule's label tree after ell steps, by
     per-label counts read off the image map: O(size * ell) additions."""
-    images = rule.image_map
+    images = [rule.image(label) for label in range(1, rule.size + 1)]
     counts = [1] * rule.size
     for _ in range(ell):
         counts = [sum(counts[c - 1] for c in image) for image in images]

@@ -33,8 +33,7 @@ from kakutani.cover import (
     verify_cover,
 )
 from kakutani.engine import count_tiles
-from kakutani.params import f_alpha_poly
-from kakutani.polynomials import IntPolynomial
+from kakutani.polynomials import IntPolynomial, loop_polynomial
 from kakutani.rootfind import find_roots
 from kakutani.spectral import (
     SpreadClass,
@@ -146,7 +145,7 @@ def test_04_pisot_constants_and_alphas(announce):
 
 
 def test_05_boundary_ratio_five(announce):
-    f = f_alpha_poly(5, 1)
+    f = loop_polynomial(5, (5, 1))
     quotient, remainder = divmod(f, IntPolynomial((1, -1, 1)))
     division_ok = remainder.is_zero and quotient == IntPolynomial((-1, -1, 0, 1))
     verdict = classify_spreadness(Commensurable(5, 1))
@@ -252,7 +251,7 @@ def test_08_eigenvector_criterion_never_degenerate(announce):
     failures = []
     for n, m in coprime_pairs(10):
         matrix = substitution_matrix(build_rho(n, m))
-        for z in find_roots(f_alpha_poly(n, m)):
+        for z in find_roots(loop_polynomial(n, (n, m))):
             if not eigenspace_not_perp(matrix, z):
                 failures.append((n, m, z))
     ok = not failures

@@ -12,8 +12,9 @@ import pytest
 from kakutani import __version__, cli
 from kakutani.cli import main
 from kakutani.discrepancy import asymptotic_density
+from kakutani.engine import count_tiles_commensurable
 from kakutani.geometry import Tile
-from kakutani.params import f_alpha_poly
+from kakutani.polynomials import loop_polynomial
 
 from conftest import coprime_pairs, direct_scan_per_node
 
@@ -214,7 +215,7 @@ class TestSolveAlpha:
         for n, m in coprime_pairs(12):
             if n > m:
                 _code, env = run_json(capsys, "solve-alpha", "--ratio", f"{n}/{m}")
-                assert env["report"]["polynomial"] == str(f_alpha_poly(n, m))
+                assert env["report"]["polynomial"] == str(loop_polynomial(n, (n, m)))
 
     def test_huge_ratio_builds_no_coefficient_list(self, capsys):
         # the dense polynomial of 10**22 + 1 coefficients overflowed
@@ -435,6 +436,18 @@ class TestDiscrepancy:
         assert out == ""
         assert err == "kakutani: parameter error: ell must be nonnegative\n"
 
+    def test_default_grid_past_the_support_names_it(self, capsys):
+        # the default grid starts at 2**4, above these supports: they were
+        # refused as "need low_exp <= high_exp", bounds the user never gave
+        for args, support in [(("--alpha", "0.3", "--t", "2"), "7.38906"), (("--ratio", "3/2", "--ell", "5"), "4.0796")]:
+            code, out, err = run_cli(capsys, "discrepancy", *args)
+            assert code == 3
+            assert out == ""
+            assert err == f"kakutani: parameter error: the patch support {support} is below the first window 2**4\n"
+        code, _out, err = run_cli(capsys, "discrepancy", "--alpha", "0.3", "--t", "2", "--high", "2")
+        assert code == 3
+        assert err == "kakutani: parameter error: need low_exp <= high_exp\n"
+
     def test_explicit_windows(self, capsys):
         code, env = run_json(
             capsys,
@@ -525,6 +538,19 @@ class TestVerifyCover:
             capsys, "verify-cover", "--ratio", "2/1", "--ell", "40"
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "n, m, ell", [(10**22, 1, 3), (10**7, 1, 3), (5 * 10**6, 1, 21)], ids=["1e22/1", "1e7/1", "5e6/1"]
+    )
+    def test_a_long_loop_costs_its_steps(self, capsys, n, m, ell):
+        # the rule's label map held n + m - 1 labels: these exited 4, and 5
+        # at 10**22/1 before the map had a budget
+        start = time.perf_counter()
+        code, env = run_json(capsys, "verify-cover", "--ratio", f"{n}/{m}", "--ell", str(ell))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert env["report"]["ok"] is True
+        assert env["report"]["tile_count"] == count_tiles_commensurable(n, m, ell)
 
 
 # SHA-256 of the stdout of each command, recorded from a known-good
@@ -741,11 +767,10 @@ def test_hub_counts_under_the_bound_stay_exact(capsys):
 
 # The budget bounds the work of the fixed-scale builders, not only the
 # tiles they end with.  The first two built some 3e8 and 2e8 leaves for
-# 1.5e6 and 2e4 tiles, and the cover checks read label maps of 1e5 to
-# 1e22 labels: one ran past 60 s, one took 16 s and 2 GiB, and the one at
-# 10**22/1 exited 5 on an index overflow.  The last ratio has 2 tiles
-# after 5e7 steps, but counting them takes 5e7 steps: as H(k) >= 2 for
-# k >= 1, its recursion is refused before any count.
+# 1.5e6 and 2e4 tiles, and the cover check builds both for its two words.
+# The last ratio has 2 tiles after 5e7 steps, but counting them takes 5e7
+# steps: as H(k) >= 2 for k >= 1, its recursion is refused before any
+# count.
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -755,12 +780,6 @@ def test_hub_counts_under_the_bound_stay_exact(capsys):
          "patch would build at least 200030001 leaves, above the cap"),
         (["verify-cover", "--ratio", "100000/1", "--ell", "20000"],
          "patch would build at least 200030001 leaves, above the cap"),
-        (["verify-cover", "--ratio", "5000000/1", "--ell", "21"],
-         "a label map of 5000000 labels read 21 times is above the cap"),
-        (["verify-cover", "--ratio", "10000000000000000000000/1", "--ell", "3"],
-         "a label map of 10000000000000000000000 labels read 3 times is above the cap"),
-        (["verify-cover", "--ratio", "10000000/1", "--ell", "3"],
-         "a label map of 10000000 labels read 3 times is above the cap 100000000 or the memory budget"),
         (["generate", "--ratio", "10000000000000000000001/10000000000000000000000", "--ell", "50000000"],
          "patch would build at least 100000001 leaves, above the cap"),
     ],

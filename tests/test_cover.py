@@ -38,6 +38,7 @@ from conftest import (
     rule_count,
     rule_patch_per_node,
     rule_tables,
+    rule_word,
     tile_counts,
     xi_patch_per_node,
 )
@@ -54,6 +55,12 @@ THREE_LOOP_TRIPLES = [
 
 def build_rule(loops):
     return build_rho(*loops) if len(loops) == 2 else build_three_interval_rule(*loops)
+
+
+def read_tables(rule):
+    """The rule's length exponents and label map, read label by label."""
+    labels = range(1, rule.size + 1)
+    return tuple(map(rule.length_exponent, labels)), tuple(map(rule.image, labels))
 
 
 class TestSolveInflation:
@@ -108,7 +115,7 @@ class TestRuleStructure:
         rule = build_rho(3, 2)
         # hub plus (3 - 1) + (2 - 1) chain prototiles
         assert rule.size == 4
-        assert rule.length_exponents == (0, 2, 1, 1)
+        assert read_tables(rule)[0] == (0, 2, 1, 1)
 
     def test_a_rule_is_its_loops(self):
         # label 1 is the hub; loop i's chain labels follow those of the
@@ -116,12 +123,10 @@ class TestRuleStructure:
         rule = build_three_interval_rule(7, 4, 1)
         assert rule._fields == ("loops", "alpha", "xi")
         assert rule.size == 1 + 6 + 3 + 0
-        assert rule.image_map == (
-            (2, 8, 1),
-            (3,), (4,), (5,), (6,), (7,), (1,),
-            (9,), (10,), (1,),
+        assert read_tables(rule) == (
+            (0, 6, 5, 4, 3, 2, 1, 3, 2, 1),
+            ((2, 8, 1), (3,), (4,), (5,), (6,), (7,), (1,), (9,), (10,), (1,)),
         )
-        assert rule.length_exponents == (0, 6, 5, 4, 3, 2, 1, 3, 2, 1)
 
     @pytest.mark.parametrize("count", [2, 3, 4])
     def test_closed_form_numbering_matches_the_label_table(self, count):
@@ -132,17 +137,17 @@ class TestRuleStructure:
             bases = engine.chain_label_bases(loops)
             assert [(1, *(b + s for s in range(1, c)), 1) for b, c in zip(bases, loops)] == table, loops
             rule = LoopRule(loops, 0.0, 0.0)  # alpha and xi play no part
-            assert (rule.length_exponents, rule.image_map) == rule_tables(loops), loops
+            assert read_tables(rule) == rule_tables(loops), loops
 
     def test_hub_children_order(self):
         # the alpha piece (longer loop) comes first
         rule = build_rho(3, 2)
-        assert rule.image_map[0] == (2, 4)
+        assert rule.image(1) == (2, 4)
 
     def test_chain_is_pass_through(self):
         rule = build_rho(4, 3)
         for label in range(2, rule.size + 1):
-            assert len(rule.image_map[label - 1]) == 1
+            assert len(rule.image(label)) == 1
 
     def test_alpha_and_xi(self):
         rule = build_rho(2, 1)
@@ -163,13 +168,13 @@ class TestThreeIntervalRule:
         # a loop of one edge maps the hub straight back to itself
         rule = build_three_interval_rule(2, 1, 1)
         assert rule.size == 2
-        assert rule.image_map[0] == (2, 1, 1)
+        assert rule.image(1) == (2, 1, 1)
         assert rule.polynomial.coeffs == (-1, -2, 1)
 
     def test_tribonacci_rule(self):
         rule = build_three_interval_rule(3, 2, 1)
         assert rule.size == 4
-        assert rule.image_map[0] == (2, 4, 1)
+        assert rule.image(1) == (2, 4, 1)
         assert rule.polynomial.coeffs == (-1, -1, -1, 1)
         assert sum(rule.xi**-c for c in rule.loops) == pytest.approx(1.0, abs=1e-12)
 
@@ -466,10 +471,9 @@ class TestVerifyCover:
         class Swapped(LoopRule):
             __slots__ = ()
 
-            @property
-            def image_map(self):
-                hub, *chains = super().image_map
-                return (hub[::-1], *chains)
+            def image(self, label):
+                image = super().image(label)
+                return image[::-1] if label == 1 else image
 
         monkeypatch.setattr(cover, "build_rho", lambda n, m: Swapped(*original(n, m)))
         report = verify_cover(2, 1, 4)
@@ -477,6 +481,44 @@ class TestVerifyCover:
         assert not report
         assert report.tile_count == 8
         assert report.first_mismatch == 3
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_rule_word_matches_the_label_by_label_oracle(self, count):
+        # every tuple of two to four loops c_1 >= .. >= c_p with c_1 <= 12,
+        # coprime or not, to 20 steps or 2,000 tiles
+        for loops in combinations_with_replacement(range(12, 0, -1), count):
+            rule = LoopRule(loops, 0.0, 0.0)  # alpha and xi play no part
+            counts = engine.count_hub_tiles(loops, 20)
+            for ell in range(21):
+                if counts[ell] > 2000:
+                    break
+                assert cover._rule_word(rule, ell) == rule_word(loops, ell), (loops, ell)
+
+    def test_reads_only_the_labels_within_ell_steps_of_the_hub(self, monkeypatch):
+        # a piece of the hub's image is followed at most ell labels, or
+        # until it is back at the hub: 1 + sum(min(c - 1, ell)) labels
+        reads = []
+        original = cover.build_rho
+
+        class Counting(LoopRule):
+            __slots__ = ()
+
+            def image(self, label):
+                reads.append(("image", label))
+                return super().image(label)
+
+            def length_exponent(self, label):
+                reads.append(("length_exponent", label))
+                return super().length_exponent(label)
+
+        monkeypatch.setattr(cover, "build_rho", lambda n, m: Counting(*original(n, m)))
+        for n, m, ell in [(10**22, 1, 3), (10**7, 1, 3), (5 * 10**6, 1, 21), (3, 2, 30), (7, 4, 2), (100, 99, 50)]:
+            reads.clear()
+            assert verify_cover(n, m, ell).ok
+            labels = {label for _, label in reads}
+            assert len(labels) <= 1 + min(n - 1, ell) + min(m - 1, ell), (n, m, ell)
+            if n == 10**22:
+                assert labels == {1, 2, 3, 4}
 
     def test_count_mismatch_is_minus_one(self, monkeypatch):
         # a rule for 3/1 checked against the 2/1 engine: 6 tiles against 8

@@ -13,7 +13,7 @@ from kakutani.engine import (
     count_tiles_commensurable,
     generate_patch_commensurable,
 )
-from kakutani.cover import build_rho, build_three_interval_rule, iterate_primitive
+from kakutani.cover import build_rho, build_three_interval_rule, iterate_primitive, verify_cover
 
 from conftest import (
     ascending_fold,
@@ -254,12 +254,12 @@ class TestLeafWalks:
         ids=["2/1", "3/2", "7/3", "13/5", "3,2,1", "2,2,1", "5,3,3", "7,4,1"],
     )
     def test_fixed_scale_equals_the_per_node_walk(self, rule):
-        xi, exponents = rule.xi, rule.length_exponents
+        xi = rule.xi
         for ell in (0, 1, 2, 5, 9, 14):
             patch = iterate_primitive(rule, ell)
             labels, terms = rule_patch_per_node(rule, ell)
             assert list(patch.labels()) == labels
-            assert patch.lengths() == tuple(xi ** -exponents[label - 1] for label in labels)
+            assert patch.lengths() == tuple(xi ** -rule.length_exponent(label) for label in labels)
             assert patch.positions() == tuple(ascending_fold(path, lambda p: xi**p) for path in terms)
 
     @pytest.mark.parametrize("n,m", coprime_pairs(9))
@@ -361,8 +361,27 @@ class TestColumns:
         self.assert_rows_are_the_columns(patch)
         labels = rule_patch_per_node(rule, 9)[0]
         assert patch.lengths() == tuple(
-            rule.xi ** -rule.length_exponents[label - 1] for label in labels
+            rule.xi ** -rule.length_exponent(label) for label in labels
         )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ell: iterate_primitive(build_rho(3, 2), ell),
+        lambda ell: verify_cover(3, 2, ell),
+        lambda ell: generate_patch_commensurable(3, 2, ell),
+        lambda ell: count_tiles_commensurable(3, 2, ell),
+    ],
+    ids=["iterate_primitive", "verify_cover", "generate_patch_commensurable", "count_tiles_commensurable"],
+)
+def test_every_step_entry_point_refuses_a_bad_step_count(call):
+    # one check: a float got through as a TypeError from range()
+    for ell, message in [(-1, "ell must be nonnegative"), (2.5, "ell must be an integer, got 2.5"),
+                         (3.0, "ell must be an integer, got 3.0"), ("3", "ell must be an integer, got '3'")]:
+        with pytest.raises(ParameterError) as refused:
+            call(ell)
+        assert str(refused.value) == message
 
 
 class TestCommensurablePatch:

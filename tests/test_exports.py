@@ -109,5 +109,5 @@ class TestRuleViews:
         assert text.startswith("digraph")
         assert text.count("[shape=") == rule.size
         assert "v1 [shape=doublecircle" in text
-        edges = sum(len(image) for image in rule.image_map)
+        edges = sum(len(rule.image(label)) for label in range(1, rule.size + 1))
         assert text.count("->") == edges

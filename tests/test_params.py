@@ -125,8 +125,8 @@ class TestCommensurable:
 
     @pytest.mark.parametrize(
         "call",
-        [solve_alpha, params.f_alpha_poly, build_rho, lambda n, m: count_tiles_commensurable(n, m, 3)],
-        ids=["solve_alpha", "f_alpha_poly", "build_rho", "count_tiles_commensurable"],
+        [solve_alpha, build_rho, lambda n, m: count_tiles_commensurable(n, m, 3)],
+        ids=["solve_alpha", "build_rho", "count_tiles_commensurable"],
     )
     def test_every_pair_entry_point_has_its_messages(self, call):
         # one validator: each refuses a pair as Commensurable does

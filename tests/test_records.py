@@ -32,7 +32,7 @@ def samples():
         (Commensurable(3, 2), ("n", "m")),
         (Incommensurable(1.5), ("r",)),
         (Tile(0.5, 0.6, 2), ("position_value", "length_value", "label")),
-        (build_rho(3, 2), ("loops", "alpha", "xi", "image_map")),
+        (build_rho(3, 2), ("loops", "alpha", "xi", "image")),
         (verify_cover(3, 2, 5), ("ok", "tile_count", "first_mismatch")),
         (SubstitutionMatrix(((1, 1), (1, 0))), ("entries",)),
         (DensityValue(1.5, "perron"), ("value", "method")),
@@ -138,7 +138,7 @@ def test_cover_report_truth_is_ok():
 def test_loop_rule_properties():
     rule = build_rho(3, 2)
     assert isinstance(rule, LoopRule)
-    assert rule.size == len(rule.length_exponents) == 4
+    assert rule.size == 4
     assert rule.alpha == solve_alpha(3, 2)
     assert rule.polynomial == IntPolynomial((-1, -1, 0, 1))
     assert math.isclose(rule.xi, rule.alpha ** (-1 / 3))

@@ -16,8 +16,8 @@ from kakutani import (
 )
 from kakutani.cli import main
 from kakutani.cover import build_three_interval_rule, substitution_matrix
-from kakutani.params import Incommensurable, f_alpha_poly, r_of_alpha
-from kakutani.polynomials import IntPolynomial, cyclotomic
+from kakutani.params import Incommensurable, r_of_alpha
+from kakutani.polynomials import IntPolynomial, cyclotomic, loop_polynomial
 from kakutani.rootfind import find_roots, residual_bound
 from kakutani.spectral import (
     MAX_SPECTRAL_DEGREE,
@@ -65,17 +65,9 @@ def trinomial_kills_sixth_root(n, m):
 
 class TestSpectrumPolynomial:
     def test_examples(self):
-        assert f_alpha_poly(2, 1).coeffs == (-1, -1, 1)
-        assert f_alpha_poly(3, 2).coeffs == (-1, -1, 0, 1)
-        assert f_alpha_poly(5, 1).coeffs == (-1, 0, 0, 0, -1, 1)
-
-    def test_rejects_lattice(self):
-        with pytest.raises(ParameterError):
-            f_alpha_poly(1, 1)
-
-    def test_rejects_common_factor(self):
-        with pytest.raises(ParameterError):
-            f_alpha_poly(6, 3)
+        assert loop_polynomial(2, (2, 1)).coeffs == (-1, -1, 1)
+        assert loop_polynomial(3, (3, 2)).coeffs == (-1, -1, 0, 1)
+        assert loop_polynomial(5, (5, 1)).coeffs == (-1, 0, 0, 0, -1, 1)
 
 
 class TestUnitCircleFactors:
@@ -88,24 +80,24 @@ class TestUnitCircleFactors:
         for i, a in enumerate(phi6):
             for j, b in enumerate(plastic):
                 product[i + j] += a * b
-        assert tuple(product) == f_alpha_poly(5, 1).coeffs
+        assert tuple(product) == loop_polynomial(5, (5, 1)).coeffs
 
-        factors = unit_circle_factors(f_alpha_poly(5, 1))
+        factors = unit_circle_factors(loop_polynomial(5, (5, 1)))
         assert factors == (cyclotomic(6),)
-        quotient, remainder = divmod(f_alpha_poly(5, 1), factors[0])
+        quotient, remainder = divmod(loop_polynomial(5, (5, 1)), factors[0])
         assert remainder.is_zero
         assert quotient.coeffs == plastic
 
     def test_factor_set_matches_sixth_root_oracle(self):
         for n, m in coprime_pairs(12):
-            got = bool(unit_circle_factors(f_alpha_poly(n, m)))
+            got = bool(unit_circle_factors(loop_polynomial(n, (n, m))))
             assert got == trinomial_kills_sixth_root(n, m), (n, m)
 
     def test_factor_pairs_up_to_twelve(self):
         found = {
             (n, m)
             for n, m in coprime_pairs(12)
-            if unit_circle_factors(f_alpha_poly(n, m))
+            if unit_circle_factors(loop_polynomial(n, (n, m)))
         }
         assert found == SIXTH_ROOT_PAIRS
 
@@ -134,7 +126,7 @@ class TestUnitCircleFactors:
             for loops in coprime_triples(16)
         ]
         polys += [
-            multiply(multiply(cyclotomic(a), cyclotomic(b)), f_alpha_poly(3, 2))
+            multiply(multiply(cyclotomic(a), cyclotomic(b)), loop_polynomial(3, (3, 2)))
             for a in (1, 2, 4, 12, 30)
             for b in (3, 5, 7, 60)
         ]
@@ -166,7 +158,7 @@ class TestUnitCircleFactors:
 
     def test_pisot_trinomials_have_none(self):
         for n, m in PV_PAIRS:
-            assert not unit_circle_factors(f_alpha_poly(n, m))
+            assert not unit_circle_factors(loop_polynomial(n, (n, m)))
 
     def test_rejects_zero(self):
         with pytest.raises(ParameterError):
@@ -181,8 +173,6 @@ class TestPisotMembership:
 
     def test_lattice_is_not_pisot_trinomial(self):
         # ratio 1 is spread as a lattice, with no trinomial to be Pisot
-        with pytest.raises(ParameterError, match="lattice"):
-            f_alpha_poly(1, 1)
         verdict = classify_spreadness(Commensurable(1, 1))
         assert verdict.theorem_verdict and not verdict.mismatch
         assert verdict.rationale is Rationale.LATTICE
@@ -225,7 +215,7 @@ class TestEigenspaceTest:
     def test_every_nonzero_eigenvalue_passes(self, pair):
         n, m = pair
         matrix = substitution_matrix(build_rho(n, m))
-        for z in find_roots(f_alpha_poly(n, m)):
+        for z in find_roots(loop_polynomial(n, (n, m))):
             assert eigenspace_not_perp(matrix, z), (n, m, z)
 
 
