@@ -34,29 +34,12 @@ EXIT_USAGE = 3
 EXIT_RESOURCE = 4
 EXIT_NUMERIC = 5
 
-# Keyed by the values of the str enums SpreadClass and Rationale, so
-# that a command loads the spectral module only if it runs a verdict.
+# Keyed by the values of the str enum SpreadClass, so that a command
+# loads the spectral module only if it runs a verdict.
 _VERDICT_EXIT = {
     "Spread": EXIT_SPREAD,
     "NotSpread": EXIT_NOT_SPREAD,
     "Boundary": EXIT_BOUNDARY,
-}
-
-_REASONS = {
-    "lattice": "lattice tiling, trivially uniformly spread",
-    "incommensurable": (
-        "incommensurable ratio: discrepancy grows like window/log(window)"
-    ),
-    "pv-spectrum": "all secondary eigenvalues strictly inside the unit circle",
-    "non-pv-spectrum": (
-        "a secondary eigenvalue lies strictly outside the unit circle"
-    ),
-    "unit-circle-factor": (
-        "exact cyclotomic factor puts an eigenvalue on the unit circle"
-    ),
-    "unresolved-near-unit": (
-        "secondary eigenvalue numerically at the unit circle, unresolved"
-    ),
 }
 
 
@@ -150,7 +133,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "max_denominator": args.max_denominator,
         "format": "json",
     }
-    reason = _REASONS[verdict.rationale.value]
+    reason = verdict.rationale.value
     if verdict.mismatch:
         reason += "; spectral verdict disagrees with the five-ratio list"
     # None wherever an incommensurable ratio has no report

@@ -369,12 +369,14 @@ def _direct_scan(
     # of (top, 0) bound the walk in closed form; only above the cap are
     # the leaves it walks counted exactly.
     rows, row = tree.walk_shape(top, upto)
-    if tree.leaves(top, 0) > DEFAULT_TILE_CAP:
-        if tree.prefix_count(upto, stop=DEFAULT_TILE_CAP) > DEFAULT_TILE_CAP:
-            raise ResourceLimitError(
-                f"a direct scan to {upto} walks more than "
-                f"{DEFAULT_TILE_CAP} leaves, the cap"
-            )
+    if (
+        tree.leaves(top, 0) > DEFAULT_TILE_CAP
+        and tree.prefix_count(upto) > DEFAULT_TILE_CAP
+    ):
+        raise ResourceLimitError(
+            f"a direct scan to {upto} walks more than "
+            f"{DEFAULT_TILE_CAP} leaves, the cap"
+        )
     t, la, lb, exp = tree.t, tree.la, tree.lb, math.exp
     span = tree.walk_steps(
         rows, row, top, lambda a, n: [exp(t + (a + 1) * la + b * lb) for b in range(n)]

@@ -177,7 +177,7 @@ class SubdivisionTree:
         """Number of internal exponent pairs: the size of a per-pair table."""
         return sum(end + 1 for end in self.row_ends())
 
-    def prefix_count(self, x: float, stop: float = math.inf) -> int:
+    def prefix_count(self, x: float) -> int:
         """Number of left endpoints in [0, x], by one descent of the tree.
 
         The descent goes right along a row in runs.  Over internal left
@@ -186,8 +186,6 @@ class SubdivisionTree:
         hockey-stick identity (``_run_leaves``), O(rows) binomials a run.
         Over leaf children the run ends the descent, so only its length
         matters, and that comes from one logarithm (``_run_length``).
-        Every right step adds at least one, so with a finite ``stop`` the
-        count is returned as soon as a step takes it past ``stop``.
         """
         if x < 0.0:
             raise ParameterError("x must be nonnegative")
@@ -204,44 +202,24 @@ class SubdivisionTree:
             if x < right:
                 a += 1
                 continue
-            # a run of right steps along row a, the first one at column b
-            first, end = b, ends[a]
-            most = end - b + 1
-            if stop < math.inf:  # the steps that must take the count past stop
-                most = min(most, max(int(stop - count), 0) + 1)
-            inner = min((ends[a + 1] if a + 1 < rows else -1) - b + 1, most)
+            # a run of right steps along row a, the first one at column b,
+            # over the internal left children (row a + 1 ends no later)
+            inner = (ends[a + 1] if a + 1 < rows else -1) - b + 1
             if inner > 0:
                 steps, left = self._steps(base, b + 1, right, x, inner - 1)
                 steps += 1
+                count += self._run_leaves(a, b, steps)
                 b += steps
-                run = self._run_leaves(a, first, steps)
-                if count + run > stop:
-                    # the step that takes the count past stop
-                    lo, hi = 0, steps
-                    while hi - lo > 1:
-                        mid = (lo + hi) // 2
-                        if count + self._run_leaves(a, first, mid) > stop:
-                            hi = mid
-                        else:
-                            lo = mid
-                    return count + self._run_leaves(a, first, hi)
-                count += run
                 if steps < inner:
                     a += 1  # the next sum passes x: down into (a + 1, b)
                     continue
             else:
                 count += 1  # a leaf child
-                if count > stop:
-                    return count
                 b += 1
                 left = right
             # leaf children from column b on (none past the row's end): the
             # descent ends below them
-            most = end - b + 1
-            if stop < math.inf:
-                most = min(most, max(int(stop - count), 0) + 1)
-            count += self._run_length(base, b, left, x, most)
-            return count if count > stop else count + 1
+            return count + self._run_length(base, b, left, x, ends[a] - b + 1) + 1
         return count + 1
 
     def _run_leaves(self, a: int, b: int, steps: int) -> int:

@@ -109,12 +109,14 @@ class SpreadClass(str, enum.Enum):
 
 
 class Rationale(str, enum.Enum):
-    LATTICE = "lattice"
-    INCOMMENSURABLE = "incommensurable"
-    PV_SPECTRUM = "pv-spectrum"
-    NON_PV_SPECTRUM = "non-pv-spectrum"
-    UNIT_CIRCLE_FACTOR = "unit-circle-factor"
-    UNRESOLVED_NEAR_UNIT = "unresolved-near-unit"
+    """Why a verdict came out as it did, in the sentence ``classify`` reports."""
+
+    LATTICE = "lattice tiling, trivially uniformly spread"
+    INCOMMENSURABLE = "incommensurable ratio: discrepancy grows like window/log(window)"
+    PV_SPECTRUM = "all secondary eigenvalues strictly inside the unit circle"
+    NON_PV_SPECTRUM = "a secondary eigenvalue lies strictly outside the unit circle"
+    UNIT_CIRCLE_FACTOR = "exact cyclotomic factor puts an eigenvalue on the unit circle"
+    UNRESOLVED_NEAR_UNIT = "secondary eigenvalue numerically at the unit circle, unresolved"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -104,10 +104,9 @@ def memo_leaves(alpha, t, a=0, b=0, slack=1e-12, memo=None):
     return memo[(a, b)]
 
 
-def prefix_count_per_node(alpha, t, x, stop=math.inf, slack=1e-12):
+def prefix_count_per_node(alpha, t, x, slack=1e-12):
     """The descent of ``SubdivisionTree.prefix_count`` one right step at
-    a time: each step adds its left child's leaves from ``memo_leaves``,
-    and the count is returned as soon as it passes ``stop``."""
+    a time: each step adds its left child's leaves from ``memo_leaves``."""
     la, lb = math.log(alpha), math.log1p(-alpha)
     memo = {}
     count, a, b, left = 0, 0, 0, 0.0
@@ -119,8 +118,6 @@ def prefix_count_per_node(alpha, t, x, stop=math.inf, slack=1e-12):
             a += 1
             continue
         count += memo_leaves(alpha, t, a + 1, b, slack, memo)
-        if count > stop:
-            return count
         left, b = boundary, b + 1
 
 

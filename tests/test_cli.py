@@ -643,6 +643,25 @@ def test_direct_scan_of_a_long_leaf_row_is_refused_fast():
     assert "resource limit" in result.stderr
 
 
+def test_direct_scan_past_the_cap_by_its_exact_count_is_refused_fast():
+    # the walk table fits and the leaves of (top, 0) pass the cap, so the
+    # exact count of the leaves below the window decides
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "kakutani", "discrepancy", "--alpha", "1e-6", "--t", "20", "--windows", "4.8e8", "--mode", "direct"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=env,
+        preexec_fn=_limit_memory,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert "walks more than 100000000 leaves" in result.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [
