@@ -8,19 +8,22 @@ analysis of the substitution matrix and by direct discrepancy
 measurement.
 
 The top level holds what the README and the scripts use; everything
-else is imported from its submodule.  Importing the package loads only
-the version and the error types: each other top-level name loads its
-submodule on first access (PEP 562), so a caller pays only for the
-modules it uses.
+else is imported from its submodule.  Importing the package loads this
+module alone: each top-level name but the version, the error types
+included, loads its submodule on first access (PEP 562), so a caller
+pays only for the modules it uses.
 """
 import importlib
 
-from ._version import __version__
-from .errors import KakutaniError, NumericError, ParameterError, ResourceLimitError
+__version__ = "0.1.0"
 
-#: The submodule of each top-level name loaded on first access.
+#: The submodule of each top-level name but the version, loaded on first access.
 _LAZY = {
     "Commensurable": "params",
+    "KakutaniError": "errors",
+    "NumericError": "errors",
+    "ParameterError": "errors",
+    "ResourceLimitError": "errors",
     "SpreadClass": "spectral",
     "build_rho": "cover",
     "classify_spreadness": "spectral",

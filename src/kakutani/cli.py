@@ -24,7 +24,7 @@ import math
 import sys
 from typing import Any, Sequence
 
-from ._version import __version__
+from . import __version__
 from .errors import NumericError, ParameterError, ResourceLimitError
 
 EXIT_SPREAD = 0

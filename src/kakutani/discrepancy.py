@@ -121,7 +121,7 @@ class _DeviationProfile:
     leaf's entry is (1, 1 - density * width, 1): the deviation jumps to
     1 at its left endpoint and decays linearly to its right edge.  The
     table is kept by staircase row: row a holds flat lists ``hi``,
-    ``lo`` and ``count``, and the widths ``exp(t + a*la + b*lb)``, for
+    ``lo`` and ``count``, and the widths ``tree.row_widths``, for
     every node of the row, columns 0 .. B(a - 1) + 1 (row 0:
     0 .. B(0) + 1).  An internal entry needs the one below it, in the
     next row, and the one to its right, so the rows are filled whole,
@@ -141,8 +141,7 @@ class _DeviationProfile:
         self.density = density
         # row len(ends) below the staircase has no internal column
         self._ends = ends = tree.row_ends() + [-1]
-        t, la = tree.t, tree.la
-        self._widths = [[math.exp(t + a * la)] for a in range(len(ends))]
+        self._widths = [tree.row_widths(a, 1) for a in range(len(ends))]
         self._top = len(ends)  # the rows from here down are filled
         self._hi: list[list[float]] = [[] for _ in ends]
         self._lo: list[list[float]] = [[] for _ in ends]
@@ -150,13 +149,10 @@ class _DeviationProfile:
 
     def _fill(self, top: int) -> None:
         """Fill row top and the rows below it, whole, bottom up."""
-        t, la, lb = self.tree.t, self.tree.la, self.tree.lb
         d = self.density
-        exp = math.exp
         ends, widths = self._ends, self._widths
         for a in range(self._top - 1, top - 1, -1):
-            base = t + a * la  # t + a*la + b*lb, summed in the same order
-            row = widths[a] = [exp(base + b * lb) for b in range(ends[max(a - 1, 0)] + 2)]
+            row = widths[a] = self.tree.row_widths(a, ends[max(a - 1, 0)] + 2)
             end = ends[a]
             # the leaves right of the row's end, then the internal nodes
             # from right to left
@@ -186,8 +182,6 @@ class _DeviationProfile:
     def max_abs_upto(self, x: float) -> float:
         """sup over 0 <= y <= x of |count([0, y]) - density * y|,
         including left limits at the tile boundaries."""
-        if x > self.tree.support * (1.0 + 1e-12):
-            raise ParameterError("window lies beyond the patch support")
         d = self.density
         ends, widths = self._ends, self._widths
         best_hi = -math.inf
@@ -314,9 +308,9 @@ def discrepancy_scan(
     the profile when the tree has more internal pairs, each a table
     entry, and the direct scan when its walk table would hold more ids
     (``SubdivisionTree.walk_shape``, in closed form) or it would walk
-    more leaves.  The leaves it walks all lie below one node (top, 0),
-    whose leaf count bounds them in closed form; only when that bound
-    passes the cap are they counted exactly, by ``prefix_count``.
+    more leaves.  The leaves it walks lie below one node (top, 0), whose
+    leaf count bounds them from above, and the bands along row top from
+    below; only when the cap lies between are they counted exactly.
     The mode and the grid are checked before the density is computed or
     any row of the tree is built: the grid must be finite, nonnegative,
     strictly increasing and within the patch support.
@@ -362,25 +356,22 @@ def _direct_scan(
     # Every leaf at or left of upto lies below the deepest node (top, 0)
     # of the leftmost path whose right child starts at or left of upto.
     top = 0
-    while not tree.is_leaf(top, 0) and tree.width(top + 1, 0) > upto:
+    while top < len(tree.row_ends()) and tree.row_widths(top + 1, 1)[0] > upto:
         top += 1
-    # Refused before any table is built: a walk table above the cap, in
-    # closed form, then a walk of more leaves than the cap.  The leaves
-    # of (top, 0) bound the walk in closed form; only above the cap are
-    # the leaves it walks counted exactly.
+    # Refused before any table is built: a walk table above the cap, then
+    # a walk of more leaves than the cap.  The leaves of (top, 0) bound the
+    # walk from above and the bands along row top from below, in closed
+    # form; only between them are the leaves it walks counted exactly.
     rows, row = tree.walk_shape(top, upto)
-    if (
-        tree.leaves(top, 0) > DEFAULT_TILE_CAP
-        and tree.prefix_count(upto) > DEFAULT_TILE_CAP
+    if tree.leaves(top, 0) > DEFAULT_TILE_CAP and (
+        tree.least_leaves_upto(top, upto) > DEFAULT_TILE_CAP
+        or tree.prefix_count(upto) > DEFAULT_TILE_CAP
     ):
         raise ResourceLimitError(
             f"a direct scan to {upto} walks more than "
             f"{DEFAULT_TILE_CAP} leaves, the cap"
         )
-    t, la, lb, exp = tree.t, tree.la, tree.lb, math.exp
-    span = tree.walk_steps(
-        rows, row, top, lambda a, n: [exp(t + (a + 1) * la + b * lb) for b in range(n)]
-    )
+    span = tree.walk_steps(rows, row, top, lambda a, n: tree.row_widths(a + 1, n))
     # generate_patch's walk, streamed: a right child past upto is dropped,
     # a right child is pushed only below an internal left child, and each
     # leaf is handled where it is found, with no list of leaves.

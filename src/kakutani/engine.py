@@ -114,11 +114,11 @@ class SubdivisionTree:
             )
         self._ends: list[int] | None = None
 
-    def is_leaf(self, a: int, b: int) -> bool:
-        return self.t + a * self.la + b * self.lb <= LENGTH_ONE_SLACK
-
-    def width(self, a: int, b: int) -> float:
-        return math.exp(self.t + a * self.la + b * self.lb)
+    def row_widths(self, a: int, n: int) -> list[float]:
+        """Widths of the nodes (a, 0) .. (a, n - 1): exp(t + a*la + b*lb),
+        with t + a*la summed once for the row, in the same order."""
+        base, lb, exp = self.t + a * self.la, self.lb, math.exp
+        return [exp(base + b * lb) for b in range(n)]
 
     def row_ends(self) -> list[int]:
         """Last internal column of each row: entry a is the largest b with
@@ -185,7 +185,8 @@ class SubdivisionTree:
         the descent below needs, and counts their leaves with the
         hockey-stick identity (``_run_leaves``), O(rows) binomials a run.
         Over leaf children the run ends the descent, so only its length
-        matters, and that comes from one logarithm (``_run_length``).
+        matters, and that comes from one logarithm (``_run_band``), with
+        a step through the float sums only where x lies in their band.
         """
         if x < 0.0:
             raise ParameterError("x must be nonnegative")
@@ -219,7 +220,10 @@ class SubdivisionTree:
                 left = right
             # leaf children from column b on (none past the row's end): the
             # descent ends below them
-            return count + self._run_length(base, b, left, x, ends[a] - b + 1) + 1
+            steps, hi = self._run_band(base, b, left, x, ends[a] - b + 1)
+            if hi > steps + 1:  # x lies in a band: step through the float sums
+                steps = self._steps(base, b, left, x, ends[a] - b + 1)[0]
+            return count + steps + 1
         return count + 1
 
     def _run_leaves(self, a: int, b: int, steps: int) -> int:
@@ -264,25 +268,23 @@ class SubdivisionTree:
             left = right
         return most, left
 
-    def _run_length(self, base: float, b: int, left: float, x: float, most: int) -> int:
-        """The number of right steps of ``_steps(base, b, left, x, most)``,
-        for a caller that needs no sum after them.
-
-        The widths are geometric, so their real sum after j steps is
+    def _run_band(self, base: float, b: int, left: float, x: float, most: int) -> tuple[int, int]:
+        """Bounds lo <= r < hi on the right steps r of ``_steps(base, b,
+        left, x, most)``, with no step past the first eight.  The widths
+        are geometric, so their real sum after j steps is
         left + w * expm1(j * lb) / expm1(lb), w the first width, and the
         j at which it reaches x is one logarithm.  The float sum stays in
         a band around it: each width is within 2 * eta + 64 * 2**-53 of
         its real value, eta bounding the rounding of its exponent (a
         libm ``exp`` and ``expm1`` within two ulps assumed), and while
         the sum stays at or below x each addition rounds by at most half
-        an ulp of x.  A bisection from the logarithm's guess finds the
-        last j whose band lies below x; it is the answer when the band of
-        j + 1 lies above x.  Only where x falls inside a band does it
-        step through the float sums.
+        an ulp of x.  A bisection from the logarithm's guess finds lo,
+        the last j whose band lies below x; hi is the first of lo + 1,
+        lo + 2, lo + 4, .. whose band lies above x, or most + 1.
         """
         done, left = self._steps(base, b, left, x, min(most, 8))
         if done < min(most, 8) or done == most:
-            return done
+            return done, done + 1
         b += done
         most -= done
         lb = self.lb
@@ -316,9 +318,17 @@ class SubdivisionTree:
                 lo = mid
             else:
                 hi = mid
-        if lo == most or band(lo + 1)[0] > x:
-            return done + lo
-        return done + self._steps(base, b, left, x, most)[0]
+        step = 1
+        while lo + step <= most and band(lo + step)[0] <= x:
+            step *= 2
+        return done + lo, done + min(lo + step, most + 1)
+
+    def least_leaves_upto(self, top: int, upto: float) -> int:
+        """A lower bound on the leaves below an internal node (top, 0) that
+        start at or before ``upto``: those below the left children along
+        row top whose bands (``_run_band``) lie wholly at or below ``upto``."""
+        base, most = self.t + (top + 1) * self.la, self.row_ends()[top] + 1
+        return self._run_leaves(top, 0, self._run_band(base, 0, 0.0, upto, most)[0])
 
     def walk_shape(self, top: int = 0, upto: float = math.inf) -> tuple[int, int]:
         """Rows and ids per row of a ``walk_steps`` table of the subtree at
@@ -327,10 +337,10 @@ class SubdivisionTree:
 
         The rows run past the deepest child the walk reaches, with one
         spare row and column.  With ``upto`` finite, the rows below row
-        top end at their leaves, and row top where its right steps first
-        pass ``upto``: the run length of ``_run_length``.  A table of
-        more than ``DEFAULT_TILE_CAP`` ids is refused with
-        ResourceLimitError, before any row is built.
+        top end at their leaves, and row top where the bands of
+        ``_run_band`` put its right steps past ``upto``.  A table of more
+        than ``DEFAULT_TILE_CAP`` ids is refused with ResourceLimitError,
+        before any row is built.
         """
         t, la, lb = self.t, self.la, self.lb
         depth = max(t + top * la, 0.0)  # a leaf at (top, 0) still gets its id 0
@@ -343,8 +353,7 @@ class SubdivisionTree:
             if top < len(ends):
                 # past cap // rows - 1 steps the table is refused whatever the rest
                 most = min(ends[top] + 1, max(DEFAULT_TILE_CAP // rows - 1, 0))
-                reach = self._run_length(t + (top + 1) * la, 0, 0.0, upto, most)
-                row = max(row, reach + 2)
+                row = max(row, self._run_band(t + (top + 1) * la, 0, 0.0, upto, most)[1] + 1)
         if rows * row > DEFAULT_TILE_CAP:
             raise ResourceLimitError(
                 f"a walk table of {rows} x {row} ids is above the cap {DEFAULT_TILE_CAP}"

@@ -12,7 +12,7 @@ import json
 import math
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from ._version import __version__
+from . import __version__
 from .errors import ParameterError
 
 if TYPE_CHECKING:  # annotations only: a renderer loads no producer

@@ -51,7 +51,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass  # the reports support dataclasses.replace
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError, ResourceLimitError
@@ -88,10 +87,9 @@ __all__ = [
     "SPREAD_RATIOS",
 ]
 
-#: Log-length ratios with a uniformly spread endpoint set.
-SPREAD_RATIOS = frozenset(
-    {Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(4)}
-)
+#: Log-length ratios n/m with a uniformly spread endpoint set, as the pairs
+#: (n, m) 1/1, 3/2, 2/1, 3/1 and 4/1; a plain tuple (n, m) matches too.
+SPREAD_RATIOS = frozenset(Commensurable(*p) for p in ((1, 1), (3, 2), (2, 1), (3, 1), (4, 1)))
 
 _MODULUS_SLACK = 1e-9
 _PERP_TOL = 1e-9
@@ -380,7 +378,7 @@ def classify_spreadness(ratio: RatioClass, alpha: float | None = None) -> Spread
     check_spectral_degree(n)  # before alpha is solved for
     a = solve_alpha(n, m) if alpha is None else alpha
     report = solomon_verdict((n, m))
-    theorem = Fraction(n, m) in SPREAD_RATIOS
+    theorem = (n, m) in SPREAD_RATIOS
     if report.solomon is SpreadClass.BOUNDARY:
         rationale = (
             Rationale.UNRESOLVED_NEAR_UNIT

@@ -662,6 +662,26 @@ def test_direct_scan_past_the_cap_by_its_exact_count_is_refused_fast():
     assert "walks more than 100000000 leaves" in result.stderr
 
 
+def test_direct_scan_at_the_support_is_refused_fast():
+    # the window lies within the bands of row 0's float sums: stepping
+    # through them, and the exact count, took 5 s to refuse
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "kakutani", "discrepancy", "--alpha", "1e-6", "--t", "25",
+         "--windows", "72004899337.38588", "--mode", "direct"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=env,
+        preexec_fn=_limit_memory,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert "walks more than 100000000 leaves" in result.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import accumulate
 import tracemalloc
 import warnings
 
@@ -364,22 +365,55 @@ class TestScan:
         # or any walk along the row; today's bound refused it after 25 s.
         counter = CountingMath()
         monkeypatch.setattr(engine, "math", counter)
-        scan = CountingMath()
-        monkeypatch.setattr(discrepancy, "math", scan)
 
         def no_count(*args, **kwargs):
-            raise AssertionError("counted before the table was refused")
+            raise AssertionError("counted or built before the table was refused")
 
         monkeypatch.setattr(SubdivisionTree, "prefix_count", no_count)
+        monkeypatch.setattr(SubdivisionTree, "walk_steps", no_count)
         with pytest.raises(ResourceLimitError, match="walk table of 3 x"):
             discrepancy_scan(1e-9, 1.0, [0.2], mode="direct")
         assert counter.widths < 200
-        assert scan.widths == 0  # no width of the scan's table worked out
+
+    def test_window_at_the_support_refused_from_the_bands(self, monkeypatch):
+        # row 0 has some 2.5e7 left children, and the window, the support,
+        # lies within the bands of the float sums of the last few million:
+        # stepping through them to size the table, and the exact count
+        # after it, took 5 s to refuse what the bands refuse at once
+        counter = CountingMath()
+        monkeypatch.setattr(engine, "math", counter)
+
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted exactly past the lower bound")
+
+        monkeypatch.setattr(SubdivisionTree, "prefix_count", no_count)
+        with pytest.raises(ResourceLimitError, match="walks more than 100000000 leaves"):
+            discrepancy_scan(1e-6, 25.0, [72004899337.38588], mode="direct")
+        assert counter.widths < 1000
+
+    def test_bands_bound_the_walk(self):
+        # on the support and on float sums along row 0, where a band holds
+        # x: the table reaches past the right steps the walk takes along
+        # row 0, and the leaves the bands vouch for are at most the count
+        rng = random.Random("bands")
+        checked = 0
+        for alpha, t in walk_cases("bands", 40):
+            tree = SubdivisionTree(alpha, t)
+            ends = tree.row_ends()
+            if not ends:
+                continue
+            sums = list(accumulate(tree.row_widths(1, ends[0] + 1)))
+            for x in [tree.support, *rng.sample(sums, min(4, len(sums)))]:
+                reach = sum(1 for s in sums if s <= x)
+                assert tree.walk_shape(0, x)[1] >= reach + 2
+                assert tree.least_leaves_upto(0, x) <= prefix_count_per_node(alpha, t, x)
+                checked += 1
+        assert checked > 100
 
     def test_walk_table_refused_before_it_is_built(self, monkeypatch):
         tree = SubdivisionTree(0.3, 10.0)
         rows, row = tree.walk_shape()
-        steps = tree.walk_steps(rows, row, 0, lambda a, n: [tree.width(a + 1, b) for b in range(n)])
+        steps = tree.walk_steps(rows, row, 0, lambda a, n: tree.row_widths(a + 1, n))
         assert len(steps) % row == 0 and len(steps) <= rows * row
         monkeypatch.setattr(engine, "DEFAULT_TILE_CAP", rows * row - 1)
         with pytest.raises(ResourceLimitError):
@@ -410,9 +444,11 @@ class TestScan:
         # where the scan walks 99
         discrepancy_scan(1e-6, 12.0, [16.0], mode="direct")
 
-        # every refusal comes before the scan works out any width of its table
-        scan = CountingMath()
-        monkeypatch.setattr(discrepancy, "math", scan)
+        # every refusal comes before the scan builds its table
+        def unbuilt(*args):
+            raise AssertionError("a walk table built before the refusal")
+
+        monkeypatch.setattr(SubdivisionTree, "walk_steps", unbuilt)
         monkeypatch.setattr(discrepancy, "DEFAULT_TILE_CAP", walk - 1)
         with pytest.raises(ResourceLimitError):
             discrepancy_scan(0.3, 10.0, [window], mode="direct")
@@ -422,7 +458,6 @@ class TestScan:
         density = asymptotic_density(0.3).value
         with pytest.raises(ResourceLimitError):
             discrepancy_scan(0.3, 40.0, [1.01e8 / density], mode="direct")
-        assert scan.widths == 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_profile_equals_the_two_pass_profile(self, seed):
@@ -496,8 +531,8 @@ class TestScan:
                 for b in range(columns):
                     assert (profile._hi[a][b], profile._lo[a][b]) == oracle.tables(a, b)
                     assert profile._count[a][b] == oracle.leaves(a, b)
-                    assert profile._widths[a][b] == tree.width(a, b)
-                    if tree.is_leaf(a, b):
+                    assert profile._widths[a][b] == oracle.width(a, b)
+                    if oracle.is_leaf(a, b):
                         leaf += 1
                     else:
                         internal += 1
@@ -516,7 +551,7 @@ class TestScan:
         for w in windows:
             profile.max_abs_upto(w)
         top = min(
-            next(a for a in range(1, len(ends) + 1) if tree.width(a, 0) <= w)
+            next(a for a in range(1, len(ends) + 1) if tree.row_widths(a, 1)[0] <= w)
             for w in windows
         )
         assert profile._top == top - 1

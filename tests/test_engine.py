@@ -101,10 +101,22 @@ class TestStaircase:
         for alpha, t in cases + extreme:
             tree = SubdivisionTree(alpha, t)
             ends = tree.row_ends()
+
+            def is_leaf(a, b):  # the exponent test, as TwoPassProfile states it
+                return t + a * tree.la + b * tree.lb <= engine.LENGTH_ONE_SLACK
+
             assert ends == sorted(ends, reverse=True)
-            assert tree.is_leaf(len(ends), 0)
+            assert is_leaf(len(ends), 0)
             for a, end in enumerate(ends):
-                assert not tree.is_leaf(a, end) and tree.is_leaf(a, end + 1)
+                assert not is_leaf(a, end) and is_leaf(a, end + 1)
+
+    def test_row_widths_are_the_exponent_widths(self):
+        # bit for bit exp(t + a*la + b*lb), summed left to right
+        for alpha, t in walk_cases("widths", 12):
+            tree = SubdivisionTree(alpha, t)
+            for a in range(len(tree.row_ends()) + 2):
+                widths = tree.row_widths(a, 40)
+                assert widths == [math.exp(t + a * tree.la + b * tree.lb) for b in range(40)]
 
     def test_a_row_past_the_float_range_is_refused(self):
         # row 0 holds about t / -log(1 - alpha) columns: 1.8e308 here

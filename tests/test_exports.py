@@ -2,10 +2,9 @@ import json
 
 import pytest
 
-from kakutani import ParameterError, build_rho, discrepancy_scan, dyadic_windows
+from kakutani import ParameterError, __version__, build_rho, discrepancy_scan, dyadic_windows
 from kakutani.cover import iterate_primitive
 from kakutani.spectral import survey
-from kakutani._version import __version__
 from kakutani.exports import (
     json_envelope,
     patch_to_csv,

@@ -1,6 +1,5 @@
 import math
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -169,7 +168,7 @@ class TestPisotMembership:
     def test_trinomial_exact_set(self):
         # the nontrivial spread ratios are the Pisot trinomials' pairs
         for n, m in coprime_pairs(12):
-            assert (Fraction(n, m) in SPREAD_RATIOS) == ((n, m) in PV_PAIRS), (n, m)
+            assert ((n, m) in SPREAD_RATIOS) == ((n, m) in PV_PAIRS), (n, m)
 
     def test_lattice_is_not_pisot_trinomial(self):
         # ratio 1 is spread as a lattice, with no trinomial to be Pisot
@@ -414,13 +413,10 @@ class TestClassify:
         assert not classify_spreadness(Commensurable(n, m)).mismatch
 
     def test_spread_ratio_constant(self):
-        assert SPREAD_RATIOS == {
-            Fraction(1),
-            Fraction(3, 2),
-            Fraction(2),
-            Fraction(3),
-            Fraction(4),
-        }
+        assert SPREAD_RATIOS == {(1, 1), (3, 2), (2, 1), (3, 1), (4, 1)}
+        assert all(type(ratio) is Commensurable for ratio in SPREAD_RATIOS)
+        # a validated pair and a plain tuple are both members
+        assert Commensurable(3, 2) in SPREAD_RATIOS and (3, 2) in SPREAD_RATIOS
 
 
 class TestThreeInterval:

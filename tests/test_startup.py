@@ -31,6 +31,7 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 SPECTRAL = {"kakutani.spectral", "kakutani.rootfind", "dataclasses"}
+FRACTIONS = {"fractions", "decimal", "numbers"}
 SCANS = {"numpy", "kakutani.discrepancy"}
 
 
@@ -67,8 +68,9 @@ def unused(args):
         # the graph of the rule and the degree limit, which params holds
         return SPECTRAL | SCANS | {"fractions"}
     if name in ("classify", "survey", "spectrum", "three-interval"):
-        # a verdict reads its loops: no rule, patch or tree
-        return SCANS | {"kakutani.cover", "kakutani.engine", "kakutani.geometry"}
+        # a verdict reads its loops: no rule, patch or tree, and its spread
+        # ratios are pairs, with no Fraction
+        return SCANS | {"kakutani.cover", "kakutani.engine", "kakutani.geometry"} | FRACTIONS
     if name == "discrepancy":
         if "--ratio" in args:
             # the Perron density: numpy and the matrix; the degree limit
@@ -81,14 +83,15 @@ def unused(args):
     return SPECTRAL | SCANS | {"fractions", "inspect"}
 
 
-def test_package_import_loads_only_version_and_errors(bare):
+def test_package_import_loads_only_the_package(bare):
     loaded = set(python("-c", "import kakutani; " + LISTING)) - bare
-    assert {m for m in loaded if m.startswith("kakutani")} == {
-        "kakutani",
-        "kakutani._version",
-        "kakutani.errors",
-    }
-    assert not loaded & {"dataclasses", "fractions", "inspect", "numpy"}
+    assert {m for m in loaded if m.startswith("kakutani")} == {"kakutani"}
+    assert not loaded & ({"dataclasses", "inspect", "numpy"} | FRACTIONS)
+
+
+def test_error_types_load_on_first_access(bare):
+    loaded = set(python("-c", "import kakutani; kakutani.ParameterError; " + LISTING))
+    assert {m for m in loaded - bare if m.startswith("kakutani")} == {"kakutani", "kakutani.errors"}
 
 
 @pytest.mark.parametrize(
