@@ -187,6 +187,10 @@ class SubdivisionTree:
         Over leaf children the run ends the descent, so only its length
         matters, and that comes from one logarithm (``_run_band``), with
         a step through the float sums only where x lies in their band.
+        A run over more than ``DEFAULT_TILE_CAP`` internal left children
+        whose band puts more than that many steps at or below x is
+        refused with ResourceLimitError before its first step.  (A direct
+        scan refuses such a tree by its walk table first.)
         """
         if x < 0.0:
             raise ParameterError("x must be nonnegative")
@@ -207,6 +211,14 @@ class SubdivisionTree:
             # over the internal left children (row a + 1 ends no later)
             inner = (ends[a + 1] if a + 1 < rows else -1) - b + 1
             if inner > 0:
+                if inner > DEFAULT_TILE_CAP:
+                    # each step works out a width: bound them before any
+                    lo = self._run_band(base, b + 1, right, x, inner - 1)[0]
+                    if lo > DEFAULT_TILE_CAP:
+                        raise ResourceLimitError(
+                            f"a prefix count would step through at least {lo} widths, "
+                            f"above the cap {DEFAULT_TILE_CAP}"
+                        )
                 steps, left = self._steps(base, b + 1, right, x, inner - 1)
                 steps += 1
                 count += self._run_leaves(a, b, steps)

@@ -1,6 +1,6 @@
 """Exact integer polynomials: the relation polynomials of the rules,
-the cyclotomic factors the spectral verdicts divide out, and the gcd
-with which the root finder splits off repeated roots.
+the cyclotomic factors ``spectral.unit_circle_factors`` names, and the
+gcd with which the root finder splits off repeated roots.
 
 Coefficients are arbitrary-precision integers, stored constant term
 first, so ``IntPolynomial((-1, -1, 0, 1))`` is x^3 - x - 1.  Everything

@@ -21,25 +21,30 @@ of each loop, so every eigenspace is a line, and its entries sum to
 
 which is never 0 (lambda = 1 is no root: sum(1) = p >= 2).  So no
 eigenspace is orthogonal to the all-ones vector, and the criterion
-watches the second eigenvalue.  The verdicts take the loops from the
-ratio, (n, m), or from the loop counts (n, m, k) of a three-interval
-rule, and build that polynomial from them; no rule and no matrix is
-built on the way, and a three-loop verdict solves for no alpha.
-``eigenspace_not_perp`` is the SVD test on a matrix that this replaces;
-the package no longer calls it, and it stays public for the benchmark's
-traced replay, which rebuilds the matrix and its ``char_poly``.
+watches the second eigenvalue.  The verdicts take two or three loops:
+from the ratio, (n, m), or from the loop counts (n, m, k) of a
+three-interval rule, and build that polynomial from them; no rule and
+no matrix is built on the way, and a three-loop verdict solves for no
+alpha.  ``eigenspace_not_perp`` is the SVD test on a matrix that this
+replaces; the package no longer calls it, and it stays public for the
+benchmark's traced replay, which rebuilds the matrix and its
+``char_poly``.
 
-The nonzero spectrum here is the root set of f(x) = x^n - x^(n-m) - 1.
 Numerically deciding "modulus one" is hopeless at the boundary, so an
-exact test runs alongside the numerics: for these trinomials a root on
-the unit circle forces divisibility by x^2 - x + 1 (the root must be a
-primitive sixth root of unity omega = exp(i*pi/3)), which holds exactly
-when f(omega) = 0.  With omega^2 = omega - 1 and omega^3 = -1, each
-power of omega is u + v*omega, read off its exponent mod 6, and f(omega)
-is zero when both parts of the sum are.  For the quadrinomials of the
-three-interval rules the cyclotomic factors whose orders divide a loop
-length are tried by exact division of f folded mod x^k - 1, on lists of
-ints.
+exact test runs alongside the numerics, read off the loops.  A root
+lambda on the unit circle makes 1 = sum(lambda**-c_i) a sum of unit
+vectors.  For two loops, lambda**-c_1 + lambda**-c_2 - 1 = 0 is a
+triangle of three unit vectors, so the two are exp(+-i*pi/3), and for
+coprime loops lambda is a primitive sixth root of unity omega: the
+factor x^2 - x + 1, present when the loops are 1 and 5 mod 6, as
+omega**-c_1 and omega**-c_2 must be omega and omega**5.  For three
+loops the four unit vectors lambda**-c_1, lambda**-c_2, lambda**-c_3
+and -1 sum to zero, so they pair off into opposite vectors:
+lambda**c_i = 1 for one loop and lambda**(c_j - c_k) = -1 for the
+other two, and every such lambda is a root.  So the cyclotomic factors
+are Phi_d for exactly the orders d that divide c_i and 2(c_j - c_k)
+but not c_j - c_k, over the three choices of i (after Ljunggren, Math.
+Scand. 8, 1960).  No polynomial is divided.
 
 The closed classification: the endpoint set is uniformly spread exactly
 for the ratios 1, 3/2, 2, 3 and 4, the four nontrivial ones being the
@@ -94,7 +99,6 @@ SPREAD_RATIOS = frozenset(Commensurable(*p) for p in ((1, 1), (3, 2), (2, 1), (3
 _MODULUS_SLACK = 1e-9
 _PERP_TOL = 1e-9
 _EIGENVALUE_TOL = 1e-6
-_CYCLOTOMIC_ORDER_BOUND = 60
 
 
 class SpreadClass(str, enum.Enum):
@@ -122,69 +126,41 @@ class Rationale(str, enum.Enum):
 
 def _flower_loops(poly: IntPolynomial) -> tuple[int, ...]:
     """The loops c_i, longest first, of the shape x^K - sum(x^(K - c_i)),
-    equal loops adding up; none for any other shape."""
+    equal loops adding up; none for any other shape, or for one with a
+    root at 0."""
     coeffs = poly.coeffs
-    if coeffs[-1] != 1 or any(c > 0 for c in coeffs[:-1]):
+    if coeffs[-1:] != (1,) or not coeffs[0] or any(c > 0 for c in coeffs[:-1]):
         return ()
     return tuple(poly.degree - power for power, c in enumerate(coeffs[:-1]) for _ in range(-c))
 
 
-#: omega**e for e = 0, ..., 5 as (u, v) in u + v*omega, omega = exp(i*pi/3):
-#: omega**2 = omega - 1 and omega**3 = -1.
-_OMEGA_POWERS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-
-
-def _divides(phi: tuple[int, ...], coeffs: list[int]) -> bool:
-    """Whether the monic ``phi`` divides the polynomial ``coeffs``, both
-    constant first, exactly: long division in place, then the remainder."""
-    top = len(phi) - 1
-    for k in range(len(coeffs) - 1, top - 1, -1):
-        q = coeffs[k]
-        if q:
-            for i, c in enumerate(phi, k - top):
-                coeffs[i] -= q * c
-    return not any(coeffs[:top])
+def _unit_orders(loops: tuple[int, ...]) -> tuple[int, ...]:
+    """Orders d, increasing, of the cyclotomic factors Phi_d of the flower
+    with two or three loops: the roots of 1 = sum(lambda**-c_i) on the
+    unit circle, read off the loops (module docstring).  Two coprime
+    loops have the sixth roots of unity exactly when their lengths are 1
+    and 5 mod 6; three have the orders d dividing c_i and 2(c_j - c_k)
+    but not c_j - c_k, for some loop i and the other two j and k."""
+    if len(loops) == 2:
+        return (6,) if {loops[0] % 6, loops[1] % 6} == {1, 5} else ()
+    orders = set()
+    for i, c in enumerate(loops):
+        e = loops[i - 1] - loops[i - 2]  # the other two loops
+        g = math.gcd(c, 2 * e)
+        orders.update(d for d in range(1, g + 1) if g % d == 0 and e % d)
+    return tuple(sorted(orders))
 
 
 def unit_circle_factors(poly: IntPolynomial) -> tuple[IntPolynomial, ...]:
-    """Cyclotomic polynomials that divide ``poly`` exactly.
-
-    For the two-split trinomials x^n - x^k - 1 a unit-circle root can
-    only be a primitive sixth root of unity, so only x^2 - x + 1 needs
-    testing: it divides exactly when omega^n - omega^k - 1 = 0, which
-    the exponents mod 6 decide in the basis 1, omega.  For three loops,
-    a unit-circle root lambda makes lambda^-c_1 + lambda^-c_2 +
-    lambda^-c_3 + (-1) a sum of four unit vectors that is zero, so they
-    pair off into opposite vectors and some lambda^c_i is 1: the order
-    of lambda divides a loop length, and only those divisors need
-    testing.  Other shapes get the full sweep of cyclotomic orders up to
-    ``_CYCLOTOMIC_ORDER_BOUND``.
+    """Cyclotomic polynomials that divide ``poly`` exactly, in increasing
+    order, for the polynomial x^c - sum(x^(c - c_i)) of a flower with two
+    or three loops (``_unit_orders``).  Any other shape is refused with
+    ParameterError.
     """
-    if poly.is_zero:
-        raise ParameterError("the zero polynomial is not a valid spectrum")
     loops = _flower_loops(poly)
-    if len(loops) == 2 and loops[0] == poly.degree > loops[1]:  # x^n - x^k - 1
-        n, k = poly.degree, poly.degree - loops[1]
-        (a, b), (c, d) = _OMEGA_POWERS[n % 6], _OMEGA_POWERS[k % 6]
-        return (cyclotomic(6),) if a - c == 1 and b == d else ()
-    if len(loops) == 3:
-        orders = sorted({d for c in loops for d in range(1, c + 1) if c % d == 0})
-    else:
-        orders = range(1, _CYCLOTOMIC_ORDER_BOUND + 1)
-    # cyclotomic(k) divides x^k - 1, so it divides poly exactly when it
-    # divides poly mod x^k - 1: the terms folded onto degrees below k
-    terms = [(power, c) for power, c in enumerate(poly.coeffs) if c]
-    found = []
-    for order in orders:
-        phi = cyclotomic(order)
-        if phi.degree > poly.degree:
-            continue
-        folded = [0] * order
-        for power, c in terms:
-            folded[power % order] += c
-        if _divides(phi.coeffs, folded):
-            found.append(phi)
-    return tuple(found)
+    if len(loops) not in (2, 3):
+        raise ParameterError(f"{poly} is not the polynomial of a flower with two or three loops")
+    return tuple(map(cyclotomic, _unit_orders(loops)))
 
 
 def _pv_family(loops: tuple[int, ...]) -> str | None:
@@ -208,7 +184,7 @@ def is_pv_three_interval(poly: IntPolynomial) -> bool:
     """Whether ``poly`` is the polynomial x^d - x^(d-m) - x^(d-k) - 1 of
     three loops (d, m, k) in a Pisot family of ``_pv_family``."""
     loops = _flower_loops(poly)
-    return len(loops) == 3 and loops[0] == poly.degree and _pv_family(loops) is not None
+    return len(loops) == 3 and _pv_family(loops) is not None
 
 
 def eigenspace_not_perp(matrix: SubstitutionMatrix, eigenvalue: complex) -> bool:
@@ -266,22 +242,23 @@ def solomon_verdict(loops: tuple[int, ...]) -> SpectralReport:
     criterion watches the second root, ``ell = 2``, with no eigenspace
     computed: the eigenvector of a nonzero eigenvalue lambda of a flower
     with p loops, scaled to 1 at the hub, sums to (p - 1) / (lambda - 1),
-    never 0 (module docstring).  Near the unit circle the exact
-    cyclotomic-divisibility test overrides the numerics; a modulus
+    never 0 (module docstring).  Near the unit circle the exact test on
+    the loops (``_unit_orders``) overrides the numerics; a modulus
     within tolerance of one without an exact factor is reported Boundary
-    with the unresolved flag set.  A spectrum of degree above
-    ``MAX_SPECTRAL_DEGREE`` is refused with ResourceLimitError before
-    any root is sought.
+    with the unresolved flag set.  A verdict takes two or three loops,
+    in any order; a spectrum of degree above ``MAX_SPECTRAL_DEGREE`` is
+    refused with ResourceLimitError before any root is sought.
     """
-    if len(loops) < 2 or min(loops) < 1:
-        raise ParameterError("need at least two loops with positive edge counts")
-    top = max(loops)
-    check_spectral_degree(top)
-    return _verdict(loop_polynomial(top, loops))
+    if len(loops) not in (2, 3) or min(loops) < 1:
+        raise ParameterError("need two or three loops with positive edge counts")
+    loops = tuple(sorted(loops, reverse=True))
+    check_spectral_degree(loops[0])
+    return _verdict(loops, loop_polynomial(loops[0], loops))
 
 
-def _verdict(reduced: IntPolynomial) -> SpectralReport:
-    """``solomon_verdict`` on the flower's polynomial ``reduced``."""
+def _verdict(loops: tuple[int, ...], reduced: IntPolynomial) -> SpectralReport:
+    """``solomon_verdict`` on the loops, longest first, and their
+    polynomial ``reduced``."""
     if reduced.degree == 1:
         # a single nonzero eigenvalue: nothing for the criterion to watch
         only = float(-reduced.coeffs[0])
@@ -300,7 +277,7 @@ def _verdict(reduced: IntPolynomial) -> SpectralReport:
         raise ParameterError(
             f"leading eigenvalue {lambda1!r} is not a real inflation factor"
         )
-    unit_exact = bool(unit_circle_factors(reduced))
+    unit_exact = bool(_unit_orders(loops))
     watched = abs(roots[1])
     unresolved = False
     if watched > 1.0 + _MODULUS_SLACK:
@@ -429,7 +406,7 @@ def classify_three_interval(n: int, m: int, k: int) -> ThreeIntervalVerdict:
     check_loop_triple(n, m, k)
     loops = (n, m, k)
     polynomial = loop_polynomial(n, loops)
-    report = _verdict(polynomial)
+    report = _verdict(loops, polynomial)
     family = _pv_family(loops)
     member = family is not None
     if report.solomon is SpreadClass.BOUNDARY:

@@ -97,9 +97,13 @@ class TestSolveInflation:
         assert rule.alpha == pytest.approx(rule.xi ** -loops[0], rel=1e-12)
 
     def test_rejects_single_loop(self):
-        # the constructors take a fixed number of loops; the verdict takes any
-        with pytest.raises(ParameterError, match="at least two loops"):
+        # the constructors take a fixed number of loops; the verdict takes
+        # two or three, the flowers whose unit-circle roots it reads off
+        # the loops
+        with pytest.raises(ParameterError, match="two or three loops"):
             solomon_verdict((3,))
+        with pytest.raises(ParameterError, match="two or three loops"):
+            solomon_verdict((4, 3, 2, 1))
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ParameterError):

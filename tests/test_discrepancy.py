@@ -187,6 +187,18 @@ class TestPrefixCount:
         assert tree.prefix_count(1e-6) == prefix_count_per_node(1e-9, 1.0, 1e-6)
         assert counter.widths < 1000
 
+    def test_a_long_run_of_internal_children_refused(self, monkeypatch):
+        # row 1 has some 1.4e8 internal nodes, all below the support: the
+        # count stepped through their widths, one exp each, for tens of
+        # seconds.  The band of the run bounds its steps from below, past
+        # the cap.
+        counter = CountingMath()
+        monkeypatch.setattr(engine, "math", counter)
+        tree = SubdivisionTree(1e-7, 30.0)
+        with pytest.raises(ResourceLimitError, match="prefix count would step"):
+            tree.prefix_count(math.exp(30.0))
+        assert counter.widths < 1000
+
     def test_a_leaf_row_in_closed_form(self, monkeypatch):
         # 7,384,789 leaf children of row 0 lie below 0.02, and the count
         # of the single row works out O(1) widths, not one a step

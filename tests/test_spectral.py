@@ -34,7 +34,6 @@ from conftest import (
     bisect_root,
     coprime_pairs,
     coprime_triples,
-    multiply,
     quadratic_roots,
 )
 
@@ -100,37 +99,41 @@ class TestUnitCircleFactors:
         }
         assert found == SIXTH_ROOT_PAIRS
 
-    def test_full_sweep_for_other_shapes(self):
-        # x^4 - x^3 - x^2 - 1 vanishes at -1; the quadrinomial shape
-        # triggers the full cyclotomic sweep, which finds x + 1
+    def test_three_loop_pairing_examples(self):
+        # x^4 - x^3 - x^2 - 1, loops (4, 2, 1), vanishes at -1: -1 to the
+        # loop 4 is 1 and to 2 - 1 is -1
         poly = IntPolynomial.from_terms({4: 1, 3: -1, 2: -1, 0: -1})
-        assert cyclotomic(2) in unit_circle_factors(poly)
-        # x^4 - x^3 - x - 1 = (x^2 + 1)(x^2 - x - 1) has the order-4 factor
+        assert unit_circle_factors(poly) == (cyclotomic(2),)
+        # x^4 - x^3 - x - 1 = (x^2 + 1)(x^2 - x - 1), loops (4, 3, 1), has
+        # the order-4 factor: i to the loop 4 is 1 and to 3 - 1 is -1
         other = IntPolynomial.from_terms({4: 1, 3: -1, 1: -1, 0: -1})
-        assert cyclotomic(4) in unit_circle_factors(other)
+        assert unit_circle_factors(other) == (cyclotomic(4),)
 
-    def test_folded_sweep_matches_full_division(self):
-        # the sweep divides p mod x^k - 1; the oracle divides p itself.
-        # A cyclotomic factor of degree at most 16 has order at most 60,
-        # so on the three-loop rules to n = 16 the oracle finds every one
-        def divided(poly):
-            return tuple(
+    def test_loop_rule_matches_full_division(self):
+        # the rule reads the orders off the loops; the oracle divides each
+        # flower by every cyclotomic Phi_d of degree phi(d) <= n, which are
+        # all that can divide it.  Two coprime loops, and three loops of
+        # any lengths, with n <= 24.  phi(d) >= sqrt(d / 2), so phi(d) <= 24
+        # needs d <= 1152.
+        def totient(d):
+            return sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
+
+        phis = [cyclotomic(d) for d in range(1, 1153) if totient(d) <= 24]
+        flowers = [(1, 1)] + coprime_pairs(24)
+        flowers += [
+            (n, m, k)
+            for n in range(1, 25)
+            for m in range(1, n + 1)
+            for k in range(1, m + 1)
+        ]
+        for loops in flowers:
+            poly = loop_polynomial(loops[0], loops)
+            divided = tuple(
                 phi
-                for phi in map(cyclotomic, range(1, 61))
+                for phi in phis
                 if phi.degree <= poly.degree and divmod(poly, phi)[1].is_zero
             )
-
-        polys = [
-            build_three_interval_rule(*loops).polynomial
-            for loops in coprime_triples(16)
-        ]
-        polys += [
-            multiply(multiply(cyclotomic(a), cyclotomic(b)), loop_polynomial(3, (3, 2)))
-            for a in (1, 2, 4, 12, 30)
-            for b in (3, 5, 7, 60)
-        ]
-        for poly in polys:
-            assert unit_circle_factors(poly) == divided(poly), poly
+            assert unit_circle_factors(poly) == divided, loops
 
     def test_sixth_root_test_matches_division(self):
         # the trinomials are tested at omega by their exponents mod 6; the
@@ -152,8 +155,35 @@ class TestUnitCircleFactors:
         assert verdict.spectral.has_unit_modulus_eigenvalue
         assert verdict.spectral.solomon is SpreadClass.NOT_SPREAD
 
-    def test_cyclotomic_detects_itself(self):
-        assert unit_circle_factors(cyclotomic(5)) == (cyclotomic(5),)
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            cyclotomic(5),
+            IntPolynomial((-1, 1)),  # one loop
+            loop_polynomial(4, (4, 3, 2, 1)),
+            IntPolynomial.from_terms({4: 1, 3: -1, 1: -1}),  # a root at 0
+            IntPolynomial.from_terms({3: 2, 1: -1, 0: -1}),
+        ],
+    )
+    def test_refuses_other_shapes(self, poly):
+        with pytest.raises(ParameterError, match="two or three loops"):
+            unit_circle_factors(poly)
+
+    def test_verdicts_divide_by_no_cyclotomic(self, monkeypatch):
+        # a verdict reads its unit-circle orders off the loops
+        import kakutani.polynomials
+        import kakutani.spectral
+
+        def no_cyclotomic(order):
+            raise AssertionError(f"cyclotomic({order}) called")
+
+        monkeypatch.setattr(kakutani.spectral, "cyclotomic", no_cyclotomic)
+        monkeypatch.setattr(kakutani.polynomials, "cyclotomic", no_cyclotomic)
+        assert classify_spreadness(Commensurable(5, 1)).spectral.has_unit_modulus_eigenvalue
+        assert solomon_verdict((1, 5)).solomon is SpreadClass.BOUNDARY
+        assert classify_three_interval(64, 33, 1).spectral.has_unit_modulus_eigenvalue
+        assert not classify_three_interval(3, 2, 1).spectral.has_unit_modulus_eigenvalue
+        assert len(survey(8)) == len(coprime_pairs(8)) + 1
 
     def test_pisot_trinomials_have_none(self):
         for n, m in PV_PAIRS:
