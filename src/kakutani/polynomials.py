@@ -1,6 +1,5 @@
-"""Exact integer polynomials: the relation polynomials of the rules,
-the cyclotomic factors ``spectral.unit_circle_factors`` names, and the
-gcd with which the root finder splits off repeated roots.
+"""Exact integer polynomials: the relation polynomials of the rules and
+the cyclotomic factors ``spectral.unit_circle_factors`` names.
 
 Coefficients are arbitrary-precision integers, stored constant term
 first, so ``IntPolynomial((-1, -1, 0, 1))`` is x^3 - x - 1.  Everything
@@ -9,12 +8,11 @@ here is exact: division raises if it does not come out evenly.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Iterable, Mapping
 
 from .errors import ParameterError
 
-__all__ = ["IntPolynomial", "cyclotomic", "loop_polynomial", "poly_gcd"]
+__all__ = ["IntPolynomial", "cyclotomic", "loop_polynomial"]
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -27,9 +25,8 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
 class IntPolynomial:
     """An immutable integer polynomial, constant coefficient first.
 
-    It holds what the verdicts use: the derivative for the root finder,
-    exact division, powers of x stripped, and equality and printing;
-    no ring arithmetic.
+    It holds what the verdicts use: exact division, powers of x
+    stripped, and equality and printing; no ring arithmetic.
 
     >>> p = IntPolynomial.from_terms({3: 1, 1: -1, 0: -1})
     >>> p
@@ -85,9 +82,6 @@ class IntPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
     def __divmod__(self, divisor: "IntPolynomial"):
         """Polynomial division over the integers.
@@ -196,26 +190,3 @@ def loop_polynomial(degree: int, loops: Iterable[int]) -> IntPolynomial:
         terms[degree - c] = terms.get(degree - c, 0) - 1
     return IntPolynomial.from_terms(terms)
 
-
-def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """The gcd of two nonzero polynomials, by Euclid over the rationals,
-    scaled to coprime integer coefficients with a positive leading one.
-
-    >>> p = IntPolynomial((4, 4, 4, 4, 1, 1))  # (x + 1) * (x^2 + 2)^2
-    >>> poly_gcd(p, p.derivative())
-    IntPolynomial('x^2 + 2')
-    """
-    from fractions import Fraction  # loaded only by a root finder that stalls
-
-    u, v = [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
-    while v:
-        while len(u) >= len(v):  # u mod v, a leading term at a time
-            q, shift = u[-1] / v[-1], len(u) - len(v)
-            for i, c in enumerate(v):
-                u[shift + i] -= q * c
-            while u and not u[-1]:
-                u.pop()
-        u, v = v, u
-    scale = math.lcm(*(c.denominator for c in u))
-    ints = [int(c * scale) for c in u]
-    return IntPolynomial(c // math.gcd(*ints) * (1 if ints[-1] > 0 else -1) for c in ints)

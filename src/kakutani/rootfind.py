@@ -18,14 +18,13 @@ four terms, so an evaluation tests no coefficient.  Skipping the add of
 an exact 0.0 could flip only the sign of a zero part, never a nonzero
 bit, and a residual's modulus ignores that sign.
 
-At a repeated root the sweep stalls: its largest step stops shrinking
-near 1e-8.  When the largest step has not shrunk for ``_STALL_SWEEPS``
-sweeps, gcd(p, p') is computed once; if it is nontrivial the sweep
-gives up at once and hands it over on its error, and the roots come
-from p / gcd(p, p') and gcd(p, p'), each split the same way.  A
-squarefree p sweeps on to the cap as before, so where it converges no
-bit depends on the test.  The whole procedure is deterministic:
-identical inputs give bit-identical output.
+The finder takes squarefree polynomials, as the verdicts give it: at a
+repeated root the sweep stalls, runs to its cap of 400 sweeps and
+raises NumericError.  Two coprime loops give x^n - x^(n-k) - 1, whose
+discriminant (Swan, Pacific J. Math. 12, 1962) is +-n^n +- (n-k)^(n-k)
+k^k, never 0 as (n-k)^(n-k) k^k < n^n; every three-loop flower with
+n <= 60 has gcd(p, p') = 1 exactly.  The whole procedure is
+deterministic: identical inputs give bit-identical output.
 """
 from __future__ import annotations
 
@@ -34,28 +33,17 @@ import math
 from itertools import repeat
 
 from .errors import NumericError, ParameterError
-from .polynomials import IntPolynomial, poly_gcd
+from .polynomials import IntPolynomial
 
 __all__ = ["find_roots", "residual_bound", "root_residual"]
 
 _ABERTH_MAX_ITER = 400
 _ABERTH_STEP_TOL = 1e-14
-# the longest run of sweeps without a smaller largest step was 22 over
-# some 1,800 flower polynomials that converge, degrees 2 to 450
-_STALL_SWEEPS = 32
 _NEWTON_STEPS = 6
 _RESIDUAL_SCALE = 1e-12
 # complex / complex runs the same quotient as float / complex, without
 # first trying float's slot
 _ONE = complex(1.0, 0.0)
-
-
-class _Unconverged(NumericError):
-    """An Aberth sweep that gave up, with gcd(p, p') of its polynomial."""
-
-    def __init__(self, message: str, common: IntPolynomial):
-        super().__init__(message)
-        self.common = common
 
 
 def residual_bound(degree: int, z: complex) -> float:
@@ -112,12 +100,14 @@ def _sort_key(z: complex):
 
 
 def find_roots(poly: IntPolynomial) -> tuple[complex, ...]:
-    """All complex roots of an integer polynomial, multiplicity included.
+    """All complex roots of an integer polynomial whose nonzero roots
+    are simple (module docstring).
 
     Roots are returned sorted by decreasing modulus (ties by real part,
-    then imaginary part).  Zero roots are split off exactly beforehand.
-    Raises NumericError if the iteration fails to meet the residual
-    bound ``1e-12 * (1 + |z|)**degree``.
+    then imaginary part).  Zero roots are split off exactly beforehand,
+    with their multiplicity.  Raises NumericError if the iteration does
+    not converge or fails to meet the residual bound
+    ``1e-12 * (1 + |z|)**degree``.
     """
     return _roots_and_residuals(poly)[0]
 
@@ -131,7 +121,7 @@ def _roots_and_residuals(poly: IntPolynomial) -> tuple[tuple[complex, ...], tupl
     table = _run_table(poly)
     roots: list[complex] = [0j] * zero_mult
     if reduced.degree >= 1:
-        roots.extend(_split_roots(reduced, _run_table(reduced) if zero_mult else table))
+        roots.extend(_aberth(reduced, _run_table(reduced) if zero_mult else table))
     roots.sort(key=_sort_key)
     full_degree = poly.degree
     runs, last = table
@@ -147,23 +137,9 @@ def _roots_and_residuals(poly: IntPolynomial) -> tuple[tuple[complex, ...], tupl
     return tuple(roots), tuple(residuals)
 
 
-def _split_roots(poly: IntPolynomial, table: _RunTable) -> list[complex]:
-    """The roots of ``_aberth`` on p and its run table; where its sweep
-    stalls, as it does at a repeated root, those of p / gcd(p, p') and
-    of gcd(p, p'), each split the same way.  A squarefree p that stalls
-    still raises."""
-    try:
-        return _aberth(poly, table)
-    except _Unconverged as error:
-        common = error.common
-        if common.degree < 1:
-            raise
-        rest = divmod(poly, common)[0]
-        return _split_roots(rest, _run_table(rest)) + _split_roots(common, _run_table(common))
-
-
 def _aberth(poly: IntPolynomial, table: _RunTable) -> list[complex]:
-    """The roots of p, of degree >= 1, from its run table ``table``."""
+    """The roots of a squarefree p of degree >= 1, from its run table
+    ``table``."""
     degree = poly.degree
     runs, last = table
     lead = runs[0][0]
@@ -175,10 +151,6 @@ def _aberth(poly: IntPolynomial, table: _RunTable) -> list[complex]:
         for k in range(degree)
     ]
     one = _ONE
-    converged = False
-    least = math.inf  # the smallest largest step so far
-    stale = 0  # sweeps since it shrank
-    common = None  # gcd(p, p'), once the sweep has stalled
     for _ in range(_ABERTH_MAX_ITER):
         biggest = 0.0
         for i in range(degree):
@@ -206,24 +178,11 @@ def _aberth(poly: IntPolynomial, table: _RunTable) -> list[complex]:
             if rel > biggest:
                 biggest = rel
         if biggest < _ABERTH_STEP_TOL:
-            converged = True
             break
-        if biggest < least:
-            least, stale = biggest, 0
-        else:
-            stale += 1
-            if stale == _STALL_SWEEPS:
-                common = poly_gcd(poly, poly.derivative())
-                if common.degree >= 1:
-                    break  # a repeated root: _split_roots takes over
-                least = -math.inf  # squarefree: stale never resets, no second gcd
-    if not converged:
-        if common is None:  # the cap came before a stall
-            common = poly_gcd(poly, poly.derivative())
-        raise _Unconverged(
+    else:
+        raise NumericError(
             f"Aberth iteration did not converge in {_ABERTH_MAX_ITER} steps "
-            f"for {poly!r} (last relative step {biggest:.3e})",
-            common,
+            f"for {poly!r} (last relative step {biggest:.3e})"
         )
     # independent Newton polish per root
     for i in range(degree):

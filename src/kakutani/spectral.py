@@ -246,12 +246,16 @@ def solomon_verdict(loops: tuple[int, ...]) -> SpectralReport:
     the loops (``_unit_orders``) overrides the numerics; a modulus
     within tolerance of one without an exact factor is reported Boundary
     with the unresolved flag set.  A verdict takes two or three loops,
-    in any order; a spectrum of degree above ``MAX_SPECTRAL_DEGREE`` is
-    refused with ResourceLimitError before any root is sought.
+    in any order, coprime overall: loops with a common factor make a
+    periodic rule, outside the criterion.  Other loops are refused with
+    ParameterError, and a spectrum of degree above ``MAX_SPECTRAL_DEGREE``
+    with ResourceLimitError, before any root is sought.
     """
     if len(loops) not in (2, 3) or min(loops) < 1:
         raise ParameterError("need two or three loops with positive edge counts")
     loops = tuple(sorted(loops, reverse=True))
+    if math.gcd(*loops) != 1:
+        raise ParameterError(f"loops {loops} must be coprime overall")
     check_spectral_degree(loops[0])
     return _verdict(loops, loop_polynomial(loops[0], loops))
 

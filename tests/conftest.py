@@ -8,9 +8,9 @@ then evidence, not circularity.
 
 The package keeps only what its command line, scripts and README use,
 so code that only tests call lives here too: Faddeev-LeVerrier,
-polynomial products and values, exact matrix products, powers and
-primitivity, tile counts (per label, from the image map), and the
-Chabauty-Fell distance on point sets.
+polynomial products, values, derivatives and gcds, exact matrix
+products, powers and primitivity, tile counts (per label, from the
+image map), and the Chabauty-Fell distance on point sets.
 """
 import bisect
 import cmath
@@ -505,6 +505,31 @@ def horner(poly, z):
     for c in reversed(poly.coeffs):
         acc = acc * z + c
     return acc
+
+
+def derivative(poly):
+    """The derivative of an ``IntPolynomial``."""
+    return IntPolynomial(k * c for k, c in enumerate(poly.coeffs) if k)
+
+
+def poly_gcd(a, b):
+    """The gcd of two polynomials, not both zero, by Euclid over the
+    rationals, scaled to coprime integer coefficients with a positive
+    leading one; 1 when they are coprime, so a polynomial p is
+    squarefree exactly when ``poly_gcd(p, derivative(p))`` has degree 0.
+    """
+    u, v = [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
+    while v:
+        while len(u) >= len(v):  # u mod v, a leading term at a time
+            q, shift = u[-1] / v[-1], len(u) - len(v)
+            for i, c in enumerate(v):
+                u[shift + i] -= q * c
+            while u and not u[-1]:
+                u.pop()
+        u, v = v, u
+    scale = math.lcm(*(c.denominator for c in u))
+    ints = [int(c * scale) for c in u]
+    return IntPolynomial(c // math.gcd(*ints) * (1 if ints[-1] > 0 else -1) for c in ints)
 
 
 def matmul(a, b):

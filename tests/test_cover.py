@@ -113,6 +113,25 @@ class TestSolveInflation:
         with pytest.raises(ParameterError, match="positive edge counts"):
             solomon_verdict((2, 0))
 
+    @pytest.mark.parametrize("loops", [(10, 8), (6, 4), (10, 2), (4, 2, 2)])
+    def test_rejects_loops_with_a_common_factor(self, loops, monkeypatch):
+        # a periodic flower is outside the criterion: (10, 8) and (6, 4)
+        # have a Perron root twin -xi, and x^10 - x^8 - 1 has the factor
+        # Phi_12 that the mod-6 rule of coprime loops misses; refused
+        # before any root is sought
+        import kakutani.spectral
+
+        def solved(poly):
+            raise AssertionError(f"roots sought for {poly!r}")
+
+        monkeypatch.setattr(kakutani.spectral, "_roots_and_residuals", solved)
+        with pytest.raises(ParameterError, match=r"loops \(.*\) must be coprime overall"):
+            solomon_verdict(loops)
+
+    def test_lattice_loops_are_coprime(self):
+        report = solomon_verdict((1, 1))
+        assert (report.lambda1, report.ell) == (2.0, 0)
+
 
 class TestRuleStructure:
     def test_size_and_exponents(self):

@@ -9,7 +9,7 @@ from kakutani import ParameterError
 from kakutani.polynomials import IntPolynomial, cyclotomic
 from kakutani.rootfind import root_residual
 
-from conftest import char_poly_from_rows, expansion_char_poly, horner, multiply
+from conftest import char_poly_from_rows, derivative, expansion_char_poly, horner, multiply, poly_gcd
 
 
 def test_module_doctests():
@@ -50,9 +50,15 @@ class TestArithmetic:
         assert product.coeffs == (-1, 0, 1)
         assert divmod(product, b) == (a, IntPolynomial.zero())
 
-    def test_derivative(self):
+    def test_derivative_oracle(self):
         p = IntPolynomial((5, -3, 0, 2))  # 2x^3 - 3x + 5
-        assert p.derivative().coeffs == (-3, 0, 6)
+        assert derivative(p).coeffs == (-3, 0, 6)
+
+    def test_gcd_oracle(self):
+        # (x + 1) * (x^2 + 2)^2 and its derivative share x^2 + 2
+        p = IntPolynomial((4, 4, 4, 4, 1, 1))
+        assert poly_gcd(p, derivative(p)) == IntPolynomial((2, 0, 1))
+        assert poly_gcd(IntPolynomial((-2, 2)), IntPolynomial((3, 3))) == IntPolynomial((1,))
 
     def test_exact_division(self):
         # x^5 - x^4 - 1 = (x^2 - x + 1)(x^3 - x - 1)

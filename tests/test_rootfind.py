@@ -1,23 +1,18 @@
-import cmath
-import math
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kakutani import NumericError, ParameterError
 from kakutani.polynomials import IntPolynomial, loop_polynomial
 from kakutani import rootfind
 from kakutani.rootfind import (
-    _aberth,
     _roots_and_residuals,
-    _run_table,
     find_roots,
     residual_bound,
     root_residual,
 )
 
-from conftest import bisect_root, quadratic_roots
+from conftest import bisect_root, coprime_pairs, derivative, poly_gcd, quadratic_roots
 
 
 class TestKnownRoots:
@@ -67,103 +62,6 @@ class TestKnownRoots:
         assert sum(1 for z in roots if z == 0) == 3
         assert any(abs(z - 2) < 1e-12 for z in roots)
 
-    def test_repeated_roots_after_a_stall(self):
-        # (x + 1) * (x^2 + 2)^2: the sweep stalls on the double pair, and
-        # the roots come from p / gcd(p, p') and gcd(p, p') = x^2 + 2
-        poly = IntPolynomial((4, 4, 4, 4, 1, 1))
-        with pytest.raises(NumericError, match="did not converge"):
-            _aberth(poly, _run_table(poly))
-        roots = find_roots(poly)
-        assert len(roots) == 5
-        for z in roots:
-            assert root_residual(poly, z) <= residual_bound(poly.degree, z)
-        for want, count in ((1j * math.sqrt(2.0), 2), (-1j * math.sqrt(2.0), 2), (-1.0, 1)):
-            assert sum(1 for z in roots if abs(z - want) < 1e-9) == count
-
-    def test_stall_splits_soon_after_the_last_shrink(self, monkeypatch):
-        # the sweep gives up _STALL_SWEEPS sweeps after its largest step
-        # last shrank, far below the cap, and the split finds the roots
-        poly = IntPolynomial((4, 4, 4, 4, 1, 1))
-        degree = poly.degree
-        seen = []
-        evaluate = rootfind._horner_pair
-
-        def counting(runs, last, z):
-            seen.append(z)
-            return evaluate(runs, last, z)
-
-        monkeypatch.setattr(rootfind, "_horner_pair", counting)
-        with pytest.raises(NumericError, match="did not converge"):
-            _aberth(poly, _run_table(poly))
-        sweeps, rest = divmod(len(seen), degree)
-        assert rest == 0
-        # each sweep's largest relative step, from where every root stood
-        # at its start and at the next sweep's
-        starts = [seen[s * degree:(s + 1) * degree] for s in range(sweeps)]
-        steps = [
-            max(abs(a - b) / (1.0 + abs(b)) for a, b in zip(before, after))
-            for before, after in zip(starts, starts[1:])
-        ]
-        last_shrink = max(
-            s for s, step in enumerate(steps) if step < min(steps[:s], default=math.inf)
-        )
-        assert sweeps == last_shrink + 1 + rootfind._STALL_SWEEPS
-        assert sweeps < rootfind._ABERTH_MAX_ITER // 3
-        del seen[:]
-        roots = find_roots(poly)
-        assert len(roots) == 5
-        # the stalled sweep, the sweeps of p / gcd(p, p') and of
-        # gcd(p, p') = x^2 + 2, the polish and the residuals take fewer
-        # evaluations than the stalled sweep alone at the cap
-        assert len(seen) < rootfind._ABERTH_MAX_ITER * degree
-
-    def test_a_stall_takes_one_gcd(self, monkeypatch):
-        # the stalled sweep hands its gcd(p, p') over to the split; the
-        # squarefree factors converge with no gcd of their own
-        poly = IntPolynomial((4, 4, 4, 4, 1, 1))  # (x + 1) * (x^2 + 2)^2
-        gcds = []
-        gcd = rootfind.poly_gcd
-
-        def counting(a, b):
-            gcds.append((a, b))
-            return gcd(a, b)
-
-        monkeypatch.setattr(rootfind, "poly_gcd", counting)
-        assert len(find_roots(poly)) == 5
-        assert gcds == [(poly, poly.derivative())]
-
-    def test_squarefree_stall_sweeps_to_the_cap(self, monkeypatch):
-        # a trivial gcd leaves the sweep to run to the cap, with one gcd
-        poly = IntPolynomial((4, 4, 4, 4, 1, 1))
-        calls = []
-        gcds = []
-        evaluate = rootfind._horner_pair
-
-        def counting(runs, last, z):
-            calls.append(z)
-            return evaluate(runs, last, z)
-
-        def trivial(a, b):
-            gcds.append((a, b))
-            return IntPolynomial((1,))
-
-        monkeypatch.setattr(rootfind, "_horner_pair", counting)
-        monkeypatch.setattr(rootfind, "poly_gcd", trivial)
-        with pytest.raises(NumericError, match="did not converge in 400 steps"):
-            _aberth(poly, _run_table(poly))
-        assert len(calls) == rootfind._ABERTH_MAX_ITER * poly.degree
-        assert gcds == [(poly, poly.derivative())]
-
-    def test_converging_sweeps_take_no_gcd(self, monkeypatch):
-        def no_gcd(a, b):
-            raise AssertionError(f"gcd of {a!r}")
-
-        monkeypatch.setattr(rootfind, "poly_gcd", no_gcd)
-        for n in range(2, 31):
-            for m in range(1, n):
-                if math.gcd(n, m) == 1:
-                    find_roots(loop_polynomial(n, (n, m)))
-
     def test_squarefree_stall_still_raises(self, monkeypatch):
         def stalls(poly, table):
             raise NumericError("Aberth iteration did not converge")
@@ -192,6 +90,38 @@ class TestKnownRoots:
         poly = IntPolynomial((1, 0, -1, 0, 1))
         for z in find_roots(poly):
             assert abs(z) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSquarefreeContract:
+    def test_verdict_polynomials_are_squarefree(self):
+        # the finder takes squarefree input: every coprime two-loop flower
+        # with n <= 60 (Swan's discriminant proves it for all) and every
+        # three-loop flower with n <= 15, equal loops and common factors
+        # included, has gcd(p, p') = 1
+        flowers = coprime_pairs(60) + [
+            (n, m, k) for n in range(1, 16) for m in range(1, n + 1) for k in range(1, m + 1)
+        ]
+        assert len(flowers) == 1101 + 680
+        for loops in flowers:
+            poly = loop_polynomial(loops[0], loops)
+            assert poly_gcd(poly, derivative(poly)).degree == 0, loops
+
+    def test_repeated_root_sweeps_to_the_cap(self, monkeypatch):
+        # (x + 1) * (x^2 + 2)^2: the sweep stalls on the double pair and
+        # runs every sweep to the cap before it raises
+        poly = IntPolynomial((4, 4, 4, 4, 1, 1))
+        assert poly_gcd(poly, derivative(poly)) == IntPolynomial((2, 0, 1))
+        calls = []
+        evaluate = rootfind._horner_pair
+
+        def counting(runs, last, z):
+            calls.append(z)
+            return evaluate(runs, last, z)
+
+        monkeypatch.setattr(rootfind, "_horner_pair", counting)
+        with pytest.raises(NumericError, match="did not converge in 400 steps"):
+            find_roots(poly)
+        assert len(calls) == rootfind._ABERTH_MAX_ITER * poly.degree == 400 * 5
 
 
 class TestContracts:
@@ -256,10 +186,17 @@ def small_int_polys(draw):
     return IntPolynomial(tuple(coeffs))
 
 
+def assume_squarefree(poly):
+    """Draw only input the finder takes: its nonzero roots simple."""
+    reduced = poly.strip_zero_roots()[0]
+    assume(poly_gcd(reduced, derivative(reduced)).degree == 0)
+
+
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(small_int_polys())
     def test_root_count_and_residuals(self, poly):
+        assume_squarefree(poly)
         roots = find_roots(poly)
         assert len(roots) == poly.degree
         for z in roots:
@@ -268,6 +205,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(small_int_polys())
     def test_real_roots_evaluate_near_zero(self, poly):
+        assume_squarefree(poly)
         for z in find_roots(poly):
             if z.imag == 0.0:
                 value = sum(c * z.real**k for k, c in enumerate(poly.coeffs))
