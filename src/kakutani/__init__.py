@@ -34,22 +34,7 @@ _LAZY = {
     "solve_alpha": "params",
 }
 
-__all__ = [
-    "__version__",
-    "Commensurable",
-    "KakutaniError",
-    "NumericError",
-    "ParameterError",
-    "ResourceLimitError",
-    "SpreadClass",
-    "build_rho",
-    "classify_spreadness",
-    "discrepancy_scan",
-    "dyadic_windows",
-    "generate_patch",
-    "growth_fit",
-    "solve_alpha",
-]
+__all__ = ["__version__", *_LAZY]
 
 
 def __getattr__(name: str):

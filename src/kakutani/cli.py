@@ -157,8 +157,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from .exports import json_envelope, survey_to_csv
     from .spectral import survey
 
@@ -167,7 +165,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(survey_to_csv(rows, config), args.out)
     else:
-        payload = {"rows": [asdict(row) for row in rows]}
+        payload = {"rows": [row._asdict() for row in rows]}
         _emit(json_envelope(payload, config), args.out)
     return 0
 

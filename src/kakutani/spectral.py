@@ -55,10 +55,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass  # the reports support dataclasses.replace
-from typing import TYPE_CHECKING
+# SpectralReport and SpreadVerdict only: the benchmark's
+# perfbench/test_perfbench.py::flip_verdict copies them with dataclasses.replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ParameterError, ResourceLimitError
+from .errors import NumericError, ParameterError, ResourceLimitError
 from .params import (
     MAX_SPECTRAL_DEGREE,
     Commensurable,
@@ -249,7 +251,9 @@ def solomon_verdict(loops: tuple[int, ...]) -> SpectralReport:
     in any order, coprime overall: loops with a common factor make a
     periodic rule, outside the criterion.  Other loops are refused with
     ParameterError, and a spectrum of degree above ``MAX_SPECTRAL_DEGREE``
-    with ResourceLimitError, before any root is sought.
+    with ResourceLimitError, before any root is sought.  A leading root
+    that is not real and above 1 is a root-finder failure, raised as
+    NumericError.
     """
     if len(loops) not in (2, 3) or min(loops) < 1:
         raise ParameterError("need two or three loops with positive edge counts")
@@ -278,9 +282,7 @@ def _verdict(loops: tuple[int, ...], reduced: IntPolynomial) -> SpectralReport:
     roots, residuals = _roots_and_residuals(reduced)
     lambda1 = roots[0]
     if abs(lambda1.imag) > _MODULUS_SLACK or lambda1.real <= 1.0:
-        raise ParameterError(
-            f"leading eigenvalue {lambda1!r} is not a real inflation factor"
-        )
+        raise NumericError(f"leading eigenvalue {lambda1!r} is not a real inflation factor")
     unit_exact = bool(_unit_orders(loops))
     watched = abs(roots[1])
     unresolved = False
@@ -382,8 +384,7 @@ def classify_spreadness(ratio: RatioClass, alpha: float | None = None) -> Spread
     )
 
 
-@dataclass(frozen=True)
-class ThreeIntervalVerdict:
+class ThreeIntervalVerdict(NamedTuple):
     """Classification of a three-interval fixed-scale rule."""
 
     loops: tuple[int, int, int]
@@ -427,8 +428,9 @@ def classify_three_interval(n: int, m: int, k: int) -> ThreeIntervalVerdict:
     )
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(NamedTuple):
+    """One coprime ratio n/m of ``survey`` and its verdict."""
+
     n: int
     m: int
     alpha: float

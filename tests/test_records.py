@@ -1,5 +1,5 @@
-"""The value records off the spectral path: immutable, validated where
-they were, and equal, hashed and printed by their fields."""
+"""The value records: immutable, validated where they were, and equal,
+hashed and printed by their fields."""
 import math
 
 import pytest
@@ -15,6 +15,7 @@ from kakutani.discrepancy import (
 from kakutani.geometry import Tile
 from kakutani.params import Commensurable, Incommensurable
 from kakutani.polynomials import IntPolynomial
+from kakutani.spectral import SpreadClass, SurveyRow, classify_three_interval
 
 SERIES = dict(
     alpha=0.3,
@@ -23,6 +24,16 @@ SERIES = dict(
     density_method="closed_form",
     windows=(1.0, 2.0, 4.0),
     max_disc=(0.5, 0.5, 0.75),
+)
+
+ROW = dict(
+    n=3,
+    m=2,
+    alpha=0.5,
+    lambda1=1.5,
+    lambda2_modulus=0.75,
+    solomon=SpreadClass.SPREAD,
+    theorem=True,
 )
 
 
@@ -39,6 +50,8 @@ def samples():
         (DiscrepancySeries(**SERIES), ("alpha", "windows", "max_disc")),
         (GrowthFit("constant", 0.0, {"constant": 0.0}), ("best", "heuristic")),
         (IntPolynomial((-1, -1, 1)), ("coeffs",)),
+        (SurveyRow(**ROW), ("n", "solomon", "theorem")),
+        (classify_three_interval(3, 2, 1), ("loops", "polynomial", "spectral")),
     ]
 
 
@@ -101,6 +114,14 @@ def test_repr_names_every_field():
     )
     assert repr(IntPolynomial((-1, -1, 1))) == "IntPolynomial('x^2 - x - 1')"
     assert repr(build_rho(2, 1)).startswith("LoopRule(loops=(2, 1), alpha=0.381966")
+    assert repr(SurveyRow(**ROW)) == (
+        "SurveyRow(n=3, m=2, alpha=0.5, lambda1=1.5, lambda2_modulus=0.75, "
+        "solomon=<SpreadClass.SPREAD: 'Spread'>, theorem=True)"
+    )
+    assert repr(classify_three_interval(3, 2, 1)).startswith(
+        "ThreeIntervalVerdict(loops=(3, 2, 1), polynomial=IntPolynomial('x^3 - x^2 - x - 1'), "
+        "pv_member=True, pv_family='x^d - x^(d-1) - x^(d-2) - 1', spectral=SpectralReport("
+    )
 
 
 def test_equality_and_hash_follow_the_fields():
@@ -114,6 +135,12 @@ def test_equality_and_hash_follow_the_fields():
     assert asymptotic_density(0.3) == asymptotic_density(0.3)
     assert DiscrepancySeries(**SERIES) == DiscrepancySeries(**SERIES)
     assert hash(DiscrepancySeries(**SERIES)) == hash(tuple(SERIES.values()))
+    assert SurveyRow(**ROW) == SurveyRow(**ROW) != SurveyRow(**{**ROW, "theorem": False})
+    assert hash(SurveyRow(**ROW)) == hash(tuple(ROW.values()))
+    v = classify_three_interval(3, 2, 1)
+    assert v == classify_three_interval(3, 2, 1) != classify_three_interval(5, 3, 1)
+    fields = (v.loops, v.polynomial, v.pv_member, v.pv_family, v.spectral, v.mismatch)
+    assert hash(v) == hash(fields)
     p, q = IntPolynomial((-1, -1, 1)), IntPolynomial((-1, -1, 1, 0))
     assert p == q and hash(p) == hash(q) == hash(((-1, -1, 1),))
     assert p != IntPolynomial((1, -1, 1))
@@ -142,3 +169,4 @@ def test_loop_rule_properties():
     assert rule.alpha == solve_alpha(3, 2)
     assert rule.polynomial == IntPolynomial((-1, -1, 0, 1))
     assert math.isclose(rule.xi, rule.alpha ** (-1 / 3))
+

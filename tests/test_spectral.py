@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from kakutani import (
     Commensurable,
+    NumericError,
     ParameterError,
     ResourceLimitError,
     build_rho,
@@ -302,6 +304,23 @@ class TestSolomonVerdict:
         degree = len(report.roots)
         for z, res in zip(report.roots, report.residuals):
             assert res <= residual_bound(degree, z)
+
+    def test_leading_root_off_the_real_line_is_a_numeric_failure(self, monkeypatch, capsys):
+        # only a defective sweep reaches this check: the CLI reports a
+        # numeric failure, exit 5, not a usage error
+        import kakutani.spectral
+
+        solve = kakutani.spectral._roots_and_residuals
+
+        def defective(poly):
+            roots, residuals = solve(poly)
+            return (0.9 + 0.3j, *roots[1:]), residuals
+
+        monkeypatch.setattr(kakutani.spectral, "_roots_and_residuals", defective)
+        with pytest.raises(NumericError, match="is not a real inflation factor"):
+            solomon_verdict((3, 2))
+        assert main(["classify", "--ratio", "3/2", "--out", os.devnull]) == 5
+        assert capsys.readouterr().err.startswith("kakutani: numeric failure: leading eigenvalue")
 
     def test_roots_sorted_by_modulus(self):
         report = solomon_verdict(build_rho(9, 4).loops)

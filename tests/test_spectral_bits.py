@@ -10,6 +10,12 @@ the root finder that moves one bit changes a digest.
 The SVD null vector of M - lambda2 I is the independent oracle for the
 closed form in ``spectral``: the right eigenvector of a flower, scaled
 to 1 at the hub, sums to (p - 1) / (lambda2 - 1) for p loops.
+
+A count is the oracle for the two-loop verdicts: for coprime n > m,
+x^n - x^(n-m) - 1 has 1 + 2 floor((n + m) / 6) roots with |x| >= 1, two
+of them on the unit circle when 6 divides n + m (Bohl, Math. Ann. 65,
+1908), so the verdict is Spread for n + m <= 5, Boundary for n + m = 6
+and NotSpread past it.
 """
 import hashlib
 import math
@@ -17,7 +23,7 @@ import math
 import pytest
 
 from kakutani.cover import build_rho, build_three_interval_rule, substitution_matrix
-from kakutani.spectral import eigenspace_not_perp, solomon_verdict
+from kakutani.spectral import SpreadClass, eigenspace_not_perp, solomon_verdict
 
 from conftest import coprime_pairs, coprime_triples
 
@@ -95,3 +101,41 @@ def test_eigenvector_sum_closed_form(spectra):
         p = len(loops)
         closed = (p - 1) / (lam - 1)
         assert abs(v.sum() - closed) <= 1e-7 * max(1.0, abs(closed)), loops
+
+
+def roots_on_or_outside_the_circle(n, m):
+    """Roots of x^n - x^(n-m) - 1 with |x| >= 1, for coprime n > m."""
+    return 1 + 2 * ((n + m) // 6)
+
+
+def test_two_loop_verdicts_follow_the_root_count(spectra):
+    pairs = 0
+    for loops, _matrix, report in spectra:
+        if len(loops) != 2:
+            continue
+        pairs += 1
+        n, m = loops
+        on_circle = 2 if (n + m) % 6 == 0 else 0
+        outside = roots_on_or_outside_the_circle(n, m) - on_circle
+        if outside > 1:
+            expected = SpreadClass.NOT_SPREAD
+        else:
+            expected = SpreadClass.BOUNDARY if on_circle else SpreadClass.SPREAD
+        assert report.solomon is expected, loops
+        assert (report.solomon is SpreadClass.SPREAD) == (n + m <= 5), loops
+        assert (report.solomon is SpreadClass.BOUNDARY) == (n + m == 6), loops
+        assert report.has_unit_modulus_eigenvalue == ((n + m) % 6 == 0), loops
+        assert not report.unresolved, loops
+    assert pairs == 489
+
+
+def test_numpy_root_count_matches_the_closed_form():
+    import numpy as np
+
+    pairs = coprime_pairs(60)
+    assert len(pairs) == 1101
+    for n, m in pairs:
+        coeffs = np.zeros(n + 1)  # highest power first
+        coeffs[0], coeffs[m], coeffs[n] = 1.0, -1.0, -1.0
+        count = int(np.sum(np.abs(np.roots(coeffs)) >= 1.0 - 1e-9))
+        assert count == roots_on_or_outside_the_circle(n, m), (n, m)
